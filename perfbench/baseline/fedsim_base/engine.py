@@ -1,0 +1,512 @@
+"""Federation drivers on a deterministic virtual clock.
+
+Three training policies share the same instrumented event loop:
+
+* ``sync``: every learner trains a fixed number of epochs per round and the
+  round closes when the slowest learner finishes, so fast devices sit idle.
+* ``semisync``: after a one-epoch cold-start round that profiles per-batch
+  latency, every learner receives a per-round batch budget sized so that all
+  learners finish (almost) together.
+* ``async``: learners run free, committing straight into the community model
+  and refetching immediately; there are no rounds and no idle time.
+
+The clock counts integer microseconds. Nothing here measures wall time, so
+two runs with the same inputs produce identical logs; evaluation happens
+outside the clock and costs zero virtual time.
+"""
+
+from __future__ import annotations
+
+import heapq
+import json
+import math
+import os
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
+
+from .controller import (
+    CommunityState,
+    WeightingScheme,
+    cached_update,
+    compute_contribution,
+    fedasync_update,
+    get_community,
+    init_community,
+    record_fetch,
+)
+from .optimizers import OptimizerConfig, epoch_batches, run_client_opt
+from .params import ParamSet, axpy, weighted_average
+from .tasks import Dataset, TaskModel, evaluate, loss_and_grad
+
+POLICIES = ("sync", "semisync", "async")
+
+# Stream tag separating per-assignment batch shuffles from the other
+# consumers of the experiment seed.
+_TRAIN_STREAM = 3
+
+_EVENT_RANK = {
+    "fetch": 0,
+    "train_start": 1,
+    "train_end": 2,
+    "update_request": 3,
+    "community_commit": 4,
+    "eval": 5,
+}
+
+
+def _round_half_up(x: float) -> int:
+    return int(math.floor(x + 0.5))
+
+
+@dataclass(frozen=True, eq=False)
+class LearnerProfile:
+    """One simulated device: its data shard and per-batch latency."""
+
+    learner_id: int
+    device_class: str
+    batch_size: int
+    time_per_batch_ms: float
+    indices: np.ndarray
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.time_per_batch_ms > 0:
+            raise ValueError(
+                f"time_per_batch_ms must be positive, got {self.time_per_batch_ms}"
+            )
+        if len(self.indices) < 1:
+            raise ValueError(f"learner {self.learner_id} has no data")
+
+    @property
+    def data_size(self) -> int:
+        return len(self.indices)
+
+    @property
+    def batches_per_epoch(self) -> int:
+        return -(-self.data_size // self.batch_size)
+
+    @property
+    def time_per_batch_us(self) -> int:
+        return _round_half_up(self.time_per_batch_ms * 1000.0)
+
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    policy: str
+    optimizer: OptimizerConfig
+    weighting: WeightingScheme
+    epochs: int = 4
+    lam: float = 2.0
+    rounds: int = 10
+    time_budget_ms: float = 0.0
+    eval_every: int = 1
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.policy == "semisync" and not self.lam > 0:
+            raise ValueError(f"lambda must be > 0, got {self.lam}")
+        if self.policy in ("sync", "semisync") and self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.policy == "async" and not self.time_budget_ms > 0:
+            raise ValueError("async runs need a positive time budget")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+
+
+@dataclass(frozen=True)
+class SchedulePlan:
+    """Per-round batch budgets aligning all learners on one horizon."""
+
+    t_max_us: int
+    batches: dict[int, int]
+
+
+class EvalSnapshot(NamedTuple):
+    t_us: int
+    round_index: int
+    update_requests: int
+    accuracy: float
+    loss: float
+
+
+@dataclass
+class MetricsLog:
+    policy: str
+    seed: int
+    events: list[tuple[int, str, int]] = field(default_factory=list)
+    evals: list[EvalSnapshot] = field(default_factory=list)
+    # (learner_id, round_index, active_us, idle_us)
+    utilization: list[tuple[int, int, int, int]] = field(default_factory=list)
+    # (t_us, learner_id, aggregation weight)
+    contributions: list[tuple[int, int, float]] = field(default_factory=list)
+    update_requests: int = 0
+    federation_rounds: int = 0
+    schedule: SchedulePlan | None = None
+    final_state: CommunityState | None = None
+    final_model: ParamSet | None = None
+
+    @property
+    def models_exchanged(self) -> int:
+        # Every update request moves one model up and one model back down.
+        return 2 * self.update_requests
+
+    def sorted_events(self) -> list[tuple[int, str, int]]:
+        return sorted(
+            self.events, key=lambda e: (e[0], _EVENT_RANK[e[1]], e[2])
+        )
+
+
+def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
+    """Size per-round batch budgets from the slowest full-epoch time.
+
+    The horizon is ``lam`` times the largest (shard batches * per-batch
+    latency) product across learners; every learner then fits as many
+    batches as the horizon allows (round half up, at least one).
+    """
+    if not profiles:
+        raise ValueError("cannot plan without learners")
+    if not lam > 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    horizon = max(
+        (p.data_size / p.batch_size) * p.time_per_batch_us for p in profiles
+    )
+    t_max_us = _round_half_up(lam * horizon)
+    if t_max_us < 1:
+        raise ValueError("schedule horizon rounded to zero microseconds")
+    batches = {
+        p.learner_id: max(1, _round_half_up(t_max_us / p.time_per_batch_us))
+        for p in profiles
+    }
+    return SchedulePlan(t_max_us=t_max_us, batches=batches)
+
+
+def _client_update(
+    profile: LearnerProfile,
+    X: np.ndarray,
+    y: np.ndarray,
+    anchor: ParamSet,
+    budget: int,
+    task: TaskModel,
+    opt_cfg: OptimizerConfig,
+    seed: int,
+    assignment: int,
+    prox_rho: float = 0.0,
+) -> ParamSet:
+    """Train ``budget`` batches from ``anchor`` on the learner's shard."""
+    rng = np.random.default_rng(
+        [seed, _TRAIN_STREAM, profile.learner_id, assignment]
+    )
+    stream = epoch_batches(profile.data_size, profile.batch_size, rng)
+    if prox_rho > 0.0:
+        def grad_fn(w, batch):
+            _, g = loss_and_grad(task, w, X[batch], y[batch])
+            return axpy(prox_rho, axpy(-1.0, anchor, w), g)
+    else:
+        def grad_fn(w, batch):
+            _, g = loss_and_grad(task, w, X[batch], y[batch])
+            return g
+    w, _ = run_client_opt(anchor, budget, stream, opt_cfg, grad_fn)
+    return w
+
+
+def _shards(profiles, train):
+    return {
+        p.learner_id: (train.features[p.indices], train.labels[p.indices])
+        for p in profiles
+    }
+
+
+def _run_rounds(
+    cfg: ProtocolConfig,
+    profiles: list[LearnerProfile],
+    task: TaskModel,
+    train: Dataset,
+    test: Dataset,
+    initial: ParamSet,
+    seed: int,
+    budgets_for_round,
+    policy: str,
+) -> MetricsLog:
+    """Shared barrier-round loop for the sync and semisync policies.
+
+    ``budgets_for_round(r, profiles)`` returns the per-learner batch budget
+    of round ``r``; aggregation weighs each local model by its shard size.
+    """
+    profiles = sorted(profiles, key=lambda p: p.learner_id)
+    log = MetricsLog(policy=policy, seed=seed)
+    shards = _shards(profiles, train)
+    w_c = initial
+    t = 0
+    for r in range(cfg.rounds):
+        budgets = budgets_for_round(r, profiles)
+        models, weights, finishes = [], [], []
+        for p in profiles:
+            budget = budgets[p.learner_id]
+            finish = t + budget * p.time_per_batch_us
+            finishes.append(finish)
+            log.events.append((t, "fetch", p.learner_id))
+            log.events.append((t, "train_start", p.learner_id))
+            log.events.append((finish, "train_end", p.learner_id))
+            log.events.append((finish, "update_request", p.learner_id))
+            X, y = shards[p.learner_id]
+            models.append(
+                _client_update(
+                    p, X, y, w_c, budget, task, cfg.optimizer, seed, r
+                )
+            )
+            weights.append(float(p.data_size))
+        round_end = max(finishes)
+        for p, finish, weight in zip(profiles, finishes, weights):
+            log.utilization.append(
+                (p.learner_id, r, finish - t, round_end - finish)
+            )
+            log.contributions.append((round_end, p.learner_id, weight))
+        w_c = weighted_average(models, weights)
+        log.update_requests += len(profiles)
+        log.federation_rounds += 1
+        log.events.append((round_end, "community_commit", -1))
+        if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
+            accuracy, loss = evaluate(task, w_c, test)
+            log.evals.append(
+                EvalSnapshot(round_end, r, log.update_requests, accuracy, loss)
+            )
+            log.events.append((round_end, "eval", -1))
+        t = round_end
+    log.final_model = w_c
+    return log
+
+
+def run_sync(
+    cfg: ProtocolConfig,
+    profiles: list[LearnerProfile],
+    task: TaskModel,
+    train: Dataset,
+    test: Dataset,
+    initial: ParamSet,
+    seed: int,
+) -> MetricsLog:
+    """Fixed-epoch rounds: every round each learner trains ``cfg.epochs``
+    local epochs and the round closes at the slowest finish."""
+
+    def budgets(_r, profs):
+        return {p.learner_id: cfg.epochs * p.batches_per_epoch for p in profs}
+
+    return _run_rounds(
+        cfg, profiles, task, train, test, initial, seed, budgets, "sync"
+    )
+
+
+def run_semisync(
+    cfg: ProtocolConfig,
+    profiles: list[LearnerProfile],
+    task: TaskModel,
+    train: Dataset,
+    test: Dataset,
+    initial: ParamSet,
+    seed: int,
+) -> MetricsLog:
+    """Cold-start profiling round, then horizon-aligned batch budgets.
+
+    Round 0 runs exactly one epoch per learner; the observed per-batch
+    latencies (in simulation: the configured profile values) feed
+    :func:`plan_semisync`, and every later round uses the planned budgets so
+    all learners finish within one batch of each other.
+    """
+    plan = plan_semisync(cfg.lam, profiles)
+
+    def budgets(r, profs):
+        if r == 0:
+            return {p.learner_id: p.batches_per_epoch for p in profs}
+        return plan.batches
+
+    log = _run_rounds(
+        cfg, profiles, task, train, test, initial, seed, budgets, "semisync"
+    )
+    log.schedule = plan
+    return log
+
+
+def run_async(
+    cfg: ProtocolConfig,
+    profiles: list[LearnerProfile],
+    task: TaskModel,
+    train: Dataset,
+    test: Dataset,
+    initial: ParamSet,
+    seed: int,
+) -> MetricsLog:
+    """Free-running learners committing straight into the community model.
+
+    Each learner repeatedly fetches, trains ``cfg.epochs`` epochs over its
+    shard, and commits; commits apply in event-time order with learner id
+    breaking ties. Learners refetch at the instant they commit, so idle time
+    is structurally zero. The run ends when the next commit would land past
+    the time budget; models still in flight are dropped.
+    """
+    profiles = sorted(profiles, key=lambda p: p.learner_id)
+    scheme = cfg.weighting
+    state = init_community(initial, [p.learner_id for p in profiles])
+    budget_us = _round_half_up(cfg.time_budget_ms * 1000.0)
+    log = MetricsLog(policy="async", seed=seed)
+    shards = _shards(profiles, train)
+    by_id = {p.learner_id: p for p in profiles}
+    cycle = {
+        p.learner_id: cfg.epochs * p.batches_per_epoch * p.time_per_batch_us
+        for p in profiles
+    }
+    prox_rho = scheme.rho if scheme.kind == "fedasync_poly" else 0.0
+
+    pending: dict[int, tuple[ParamSet, int, int, int]] = {}
+    started: dict[int, int] = {}
+    heap: list[tuple[int, int]] = []
+    for p in profiles:
+        model, fetch_steps, fetch_version = record_fetch(state, p.learner_id)
+        pending[p.learner_id] = (model, fetch_steps, fetch_version, 0)
+        started[p.learner_id] = 1
+        log.events.append((0, "fetch", p.learner_id))
+        log.events.append((0, "train_start", p.learner_id))
+        heapq.heappush(heap, (cycle[p.learner_id], p.learner_id))
+
+    w_c = get_community(state)
+    group = -1
+    last_eval_group = -1
+    last_t = 0
+    while heap and heap[0][0] <= budget_us:
+        t = heap[0][0]
+        group += 1
+        last_t = t
+        while heap and heap[0][0] == t:
+            _, lid = heapq.heappop(heap)
+            p = by_id[lid]
+            anchor, fetch_steps, fetch_version, assignment = pending[lid]
+            steps = cfg.epochs * p.batches_per_epoch
+            X, y = shards[lid]
+            w_k = _client_update(
+                p, X, y, anchor, steps, task, cfg.optimizer, seed,
+                assignment, prox_rho,
+            )
+            log.events.append((t, "train_end", lid))
+            log.events.append((t, "update_request", lid))
+            log.update_requests += 1
+            if scheme.kind == "fedasync_poly":
+                w_c, value = fedasync_update(
+                    state, lid, w_k, scheme.mixing, fetch_version,
+                    scheme.staleness_adaptive,
+                )
+            else:
+                value = compute_contribution(
+                    scheme, state, p.data_size, fetch_steps, steps
+                )
+                w_c = cached_update(state, lid, w_k, value, steps)
+            log.contributions.append((t, lid, value))
+            log.events.append((t, "community_commit", lid))
+            log.utilization.append((lid, assignment, cycle[lid], 0))
+            model, fetch_steps, fetch_version = record_fetch(state, lid)
+            pending[lid] = (model, fetch_steps, fetch_version, started[lid])
+            started[lid] += 1
+            log.events.append((t, "fetch", lid))
+            log.events.append((t, "train_start", lid))
+            heapq.heappush(heap, (t + cycle[lid], lid))
+        if (group + 1) % cfg.eval_every == 0:
+            accuracy, loss = evaluate(task, w_c, test)
+            log.evals.append(
+                EvalSnapshot(t, group, log.update_requests, accuracy, loss)
+            )
+            log.events.append((t, "eval", -1))
+            last_eval_group = group
+    if group >= 0 and last_eval_group != group:
+        accuracy, loss = evaluate(task, w_c, test)
+        log.evals.append(
+            EvalSnapshot(last_t, group, log.update_requests, accuracy, loss)
+        )
+        log.events.append((last_t, "eval", -1))
+    log.final_state = state
+    log.final_model = w_c
+    return log
+
+
+RUNNERS = {"sync": run_sync, "semisync": run_semisync, "async": run_async}
+
+
+def run_policy(cfg: ProtocolConfig, profiles, task, train, test, initial, seed):
+    return RUNNERS[cfg.policy](cfg, profiles, task, train, test, initial, seed)
+
+
+def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
+    """Write the run's metrics files; returns {logical name: path}.
+
+    Output is formatted so identical logs serialize to identical bytes:
+    metrics.csv (one row per evaluation), idle.csv (per learner and round),
+    events.jsonl (the ordered event stream) and summary.json.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+
+    lines = ["virtual_ms,update_requests,round,accuracy,loss"]
+    for ev in log.evals:
+        lines.append(
+            f"{ev.t_us / 1000.0:.3f},{ev.update_requests},{ev.round_index},"
+            f"{ev.accuracy!r},{ev.loss!r}"
+        )
+    paths["metrics"] = os.path.join(out_dir, "metrics.csv")
+    _write_text(paths["metrics"], "\n".join(lines) + "\n")
+
+    lines = ["learner_id,round,active_ms,idle_ms"]
+    for lid, r, active_us, idle_us in log.utilization:
+        lines.append(
+            f"{lid},{r},{active_us / 1000.0:.3f},{idle_us / 1000.0:.3f}"
+        )
+    paths["idle"] = os.path.join(out_dir, "idle.csv")
+    _write_text(paths["idle"], "\n".join(lines) + "\n")
+
+    lines = [
+        json.dumps(
+            {"virtual_ms": t / 1000.0, "kind": kind, "learner": lid},
+            sort_keys=True,
+        )
+        for t, kind, lid in log.sorted_events()
+    ]
+    paths["events"] = os.path.join(out_dir, "events.jsonl")
+    _write_text(paths["events"], "\n".join(lines) + "\n")
+
+    lines = ["virtual_ms,learner_id,weight"]
+    for t, lid, value in log.contributions:
+        lines.append(f"{t / 1000.0:.3f},{lid},{value!r}")
+    paths["contributions"] = os.path.join(out_dir, "contributions.csv")
+    _write_text(paths["contributions"], "\n".join(lines) + "\n")
+
+    summary = {
+        "schema_version": 1,
+        "policy": log.policy,
+        "seed": log.seed,
+        "update_requests": log.update_requests,
+        "models_exchanged": log.models_exchanged,
+        "federation_rounds": log.federation_rounds,
+        "evaluations": len(log.evals),
+        "final_accuracy": log.evals[-1].accuracy if log.evals else None,
+        "final_loss": log.evals[-1].loss if log.evals else None,
+        "total_virtual_ms": (
+            max(t for t, _, _ in log.events) / 1000.0 if log.events else 0.0
+        ),
+    }
+    if log.schedule is not None:
+        summary["schedule"] = {
+            "t_max_ms": log.schedule.t_max_us / 1000.0,
+            "batches": {str(k): v for k, v in sorted(log.schedule.batches.items())},
+        }
+    paths["summary"] = os.path.join(out_dir, "summary.json")
+    _write_text(
+        paths["summary"], json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    )
+    return paths
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)

@@ -1,0 +1,247 @@
+"""Experiment assembly: config in, metrics files out.
+
+Turns a parsed :class:`ExperimentConfig` into datasets, partitions, learner
+profiles and a protocol run, then writes every artifact needed to reproduce
+and inspect the run. Also hosts the aggregation-cost microbenchmark behind
+the ``bench-cache`` CLI subcommand.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import time
+
+import numpy as np
+from scipy import stats
+
+from . import params
+from .config import ExperimentConfig
+from .controller import init_community, cached_update, snapshot
+from .engine import LearnerProfile, run_policy, export_metrics
+from .params import ParamSet
+from .partition import assign_classes, assign_to_devices, make_sizes
+from .tasks import gen_synthetic, init_params
+
+OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
+
+# Seed-stream tag for model initialization (dataset generation uses 0..2,
+# per-assignment batch shuffles use 3).
+_INIT_STREAM = 4
+
+
+def resolve_out_dir(configured: str, override: str | None = None) -> str:
+    """Apply the --out override and the output-root environment variable."""
+    out = override if override else configured
+    root = os.environ.get(OUTPUT_ROOT_ENV, "")
+    if root and not os.path.isabs(out):
+        out = os.path.join(root, out)
+    return out
+
+
+def build_world(cfg: ExperimentConfig, seed: int):
+    """Datasets, partitions, device mapping and learner profiles for a run."""
+    train = gen_synthetic(
+        cfg.task.num_classes, cfg.per_class, cfg.task.input_dim,
+        cfg.cluster_spread, seed, sample_tag=0,
+    )
+    test = gen_synthetic(
+        cfg.task.num_classes, cfg.test_per_class, cfg.task.input_dim,
+        cfg.cluster_spread, seed, sample_tag=1,
+    )
+    sizes = make_sizes(cfg.partition, len(train))
+    result = assign_classes(cfg.partition, sizes, train)
+    device_order = ["fast"] * cfg.num_fast + ["slow"] * cfg.num_slow
+    devices = assign_to_devices(result, device_order)
+    latency = {"fast": cfg.t_beta_fast_ms, "slow": cfg.t_beta_slow_ms}
+    profiles = [
+        LearnerProfile(
+            learner_id=k,
+            device_class=devices[k],
+            batch_size=cfg.batch_size,
+            time_per_batch_ms=latency[devices[k]],
+            indices=result.indices[k],
+        )
+        for k in range(cfg.num_learners)
+    ]
+    return train, test, result, devices, profiles
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def run_experiment(
+    cfg: ExperimentConfig,
+    out_override: str | None = None,
+    seed_override: int | None = None,
+    partitions_only: bool = False,
+) -> int:
+    """Run every requested cell; returns 0 iff all of them completed.
+
+    A semisync lambda list fans out into one output directory per value
+    (matrix mode); otherwise the run writes directly into the output
+    directory. Each cell directory contains the byte-exact config echo, the
+    partition report, the metrics files and the final community model.
+    """
+    seed = cfg.seed if seed_override is None else seed_override
+    base = resolve_out_dir(cfg.out_dir, out_override)
+    train, test, result, devices, profiles = build_world(cfg, seed)
+
+    matrix = cfg.policy == "semisync" and len(cfg.lambda_values) > 1
+    cells = (
+        [(f"lam-{lam:g}", lam) for lam in cfg.lambda_values]
+        if matrix
+        else [("", cfg.lambda_values[0])]
+    )
+
+    report = result.to_obj(train)
+    for entry, device in zip(report["learners"], devices):
+        entry["device_class"] = device
+
+    completed = []
+    for cell_name, lam in cells:
+        out_dir = os.path.join(base, cell_name) if cell_name else base
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            _write_text(os.path.join(out_dir, "config.txt"), cfg.source_text)
+            _write_text(
+                os.path.join(out_dir, "partition_report.json"),
+                json.dumps(report, indent=2, sort_keys=True) + "\n",
+            )
+            if partitions_only:
+                completed.append(cell_name or ".")
+                continue
+            initial = init_params(
+                cfg.task, np.random.default_rng([seed, _INIT_STREAM])
+            )
+            log = run_policy(
+                cfg.protocol(lam), profiles, cfg.task, train, test, initial,
+                seed,
+            )
+            export_metrics(log, out_dir)
+            if log.final_state is not None:
+                _write_text(
+                    os.path.join(out_dir, "controller_snapshot.json"),
+                    json.dumps(snapshot(log.final_state), indent=2,
+                               sort_keys=True) + "\n",
+                )
+            if log.final_model is not None:
+                params.save(
+                    log.final_model, os.path.join(out_dir, "final_model.json")
+                )
+            completed.append(cell_name or ".")
+        except Exception as exc:  # pragma: no cover - defensive surface
+            print(
+                json.dumps(
+                    {"error": type(exc).__name__, "cell": cell_name or ".",
+                     "detail": str(exc)},
+                    sort_keys=True,
+                ),
+                file=sys.stderr,
+            )
+            return 1
+    manifest = {
+        "schema_version": 1,
+        "seed": seed,
+        "policy": cfg.policy,
+        "cells": completed,
+        "partitions_only": partitions_only,
+    }
+    _write_text(
+        os.path.join(base, "manifest.json"),
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    )
+    return 0
+
+
+def bench_cache(
+    learner_counts=(10, 100, 1000),
+    model_entries=(10_000,),
+    repeats: int = 5,
+    inner: int = 20,
+    seed: int = 7,
+    out_path: str | None = None,
+):
+    """Time contribution replacement against full re-aggregation.
+
+    For every (number of learners, model size) pair the benchmark saturates
+    a controller state, then measures (a) the per-call cost of replacing one
+    learner's contribution through the incremental cache and (b) the cost of
+    re-averaging every stored model. Returns (rows, fits) where rows are
+    ``(mode, n_learners, model_entries, repeat, seconds)`` and fits hold a
+    least-squares line of seconds against learner count per mode and model
+    size.
+    """
+    if repeats < 2:
+        raise ValueError("need at least two repeats to fit a line")
+    rng = np.random.default_rng(seed)
+    rows = []
+    for entries in model_entries:
+        shapes = _three_layer_shapes(entries)
+        fresh = [
+            ParamSet._wrap(
+                tuple(f"layer{i}" for i in range(len(shapes))),
+                [rng.standard_normal(s) for s in shapes],
+            )
+            for _ in range(8)
+        ]
+        for n in learner_counts:
+            state = init_community(params.zeros_like(fresh[0]), list(range(n)))
+            weights = rng.uniform(1.0, 100.0, size=n)
+            for k in range(n):
+                cached_update(
+                    state, k, fresh[k % len(fresh)], float(weights[k]), 1
+                )
+            for rep in range(repeats):
+                t0 = time.perf_counter()
+                for i in range(inner):
+                    cached_update(
+                        state, i % n, fresh[i % len(fresh)],
+                        float(weights[i % n]), 1,
+                    )
+                dt = (time.perf_counter() - t0) / inner
+                rows.append(("cached", n, entries, rep, dt))
+            recompute_inner = max(1, 200 // n)
+            for rep in range(repeats):
+                t0 = time.perf_counter()
+                for _ in range(recompute_inner):
+                    models = [rec.model for rec in state.records.values()]
+                    values = [rec.value for rec in state.records.values()]
+                    params.weighted_average(models, values)
+                dt = (time.perf_counter() - t0) / recompute_inner
+                rows.append(("recompute", n, entries, rep, dt))
+    fits = fit_bench(rows)
+    if out_path:
+        lines = ["mode,n_learners,model_entries,repeat,seconds"]
+        lines += [
+            f"{mode},{n},{entries},{rep},{dt!r}"
+            for mode, n, entries, rep, dt in rows
+        ]
+        _write_text(out_path, "\n".join(lines) + "\n")
+    return rows, fits
+
+
+def _three_layer_shapes(entries: int) -> list[tuple[int, ...]]:
+    a = entries // 2
+    b = entries // 4
+    return [(a,), (b,), (entries - a - b,)]
+
+
+def fit_bench(rows) -> dict:
+    """Least-squares seconds-vs-learners line per (mode, model size)."""
+    fits: dict = {}
+    keys = sorted({(mode, entries) for mode, _, entries, _, _ in rows})
+    for mode, entries in keys:
+        xs = [n for m, n, e, _, _ in rows if m == mode and e == entries]
+        ys = [dt for m, _, e, _, dt in rows if m == mode and e == entries]
+        line = stats.linregress(xs, ys)
+        fits[(mode, entries)] = {
+            "slope": float(line.slope),
+            "intercept": float(line.intercept),
+            "r_squared": float(line.rvalue) ** 2,
+            "slope_pvalue": float(line.pvalue),
+        }
+    return fits
