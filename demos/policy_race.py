@@ -20,9 +20,7 @@ from fedsim.engine import (
     LearnerProfile,
     ProtocolConfig,
     plan_semisync,
-    run_async,
-    run_semisync,
-    run_sync,
+    run_policy,
 )
 from fedsim.optimizers import OptimizerConfig
 from fedsim.partition import (
@@ -70,15 +68,15 @@ def main():
     fedavg = WeightingScheme("fedavg_static")
 
     sync_cfg = ProtocolConfig("sync", opt, fedavg, epochs=4, rounds=8)
-    sync_log = run_sync(sync_cfg, profiles, task, train, test, initial, seed)
+    sync_log = run_policy(sync_cfg, profiles, task, train, test, initial, seed)
     summarize("synchronous (4 epochs/round)", sync_log)
 
     plan = plan_semisync(2.0, profiles)
     rounds = math.ceil(sync_log.evals[-1].t_us / plan.t_max_us) + 1
     semi_cfg = ProtocolConfig("semisync", opt, fedavg, epochs=4, lam=2.0,
                               rounds=rounds)
-    semi_log = run_semisync(semi_cfg, profiles, task, train, test, initial,
-                            seed)
+    semi_log = run_policy(semi_cfg, profiles, task, train, test, initial,
+                          seed)
     summarize(f"semi-synchronous (lambda=2, t_max={plan.t_max_us / 1e6:.1f}s)",
               semi_log)
 
@@ -86,8 +84,8 @@ def main():
     async_cfg = ProtocolConfig("async", opt,
                                WeightingScheme("fedrec_staleness"),
                                epochs=4, time_budget_ms=budget_ms)
-    async_log = run_async(async_cfg, profiles, task, train, test, initial,
-                          seed)
+    async_log = run_policy(async_cfg, profiles, task, train, test, initial,
+                           seed)
     summarize("asynchronous (staleness-discounted)", async_log)
 
     threshold = 0.6 * sync_log.evals[-1].accuracy

@@ -13,7 +13,7 @@ applied to its slow learner.
 import numpy as np
 
 from fedsim.controller import WeightingScheme, poly_staleness, staleness_discount
-from fedsim.engine import LearnerProfile, ProtocolConfig, run_async
+from fedsim.engine import LearnerProfile, ProtocolConfig, run_policy
 from fedsim.optimizers import OptimizerConfig
 from fedsim.tasks import TaskModel, gen_synthetic, init_params
 
@@ -42,7 +42,7 @@ def main():
     cfg = ProtocolConfig("async", OptimizerConfig("vanilla", eta=0.05),
                          WeightingScheme("fedrec_staleness"),
                          epochs=1, time_budget_ms=1500.0)
-    log = run_async(cfg, profiles, task, train, test, initial, seed=23)
+    log = run_policy(cfg, profiles, task, train, test, initial, seed=23)
 
     print("\nper-learner commit weights from a live run:")
     print(f"  {'learner':>7} {'ms/batch':>9} {'commits':>8} "

@@ -29,10 +29,7 @@ from .engine import (
     SchedulePlan,
     export_metrics,
     plan_semisync,
-    run_async,
     run_policy,
-    run_semisync,
-    run_sync,
 )
 from .optimizers import (
     OptimizerConfig,
@@ -119,12 +116,9 @@ __all__ = [
     "plan_semisync",
     "poly_staleness",
     "record_fetch",
-    "run_async",
     "run_client_opt",
     "run_experiment",
     "run_policy",
-    "run_semisync",
-    "run_sync",
     "scale",
     "snapshot",
     "staleness_discount",

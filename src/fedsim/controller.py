@@ -10,10 +10,13 @@ the number of learners:
     community model = W' / P'
 
 Staleness-discounted weighting uses committed local steps: a contribution
-computed against an old community model counts less. All mutating entry
-points funnel through one lock so a threaded driver applies updates in
-arrival order; the simulated drivers are single-threaded and simply inherit
-the sequential semantics.
+computed against an old community model counts less.
+
+``record_fetch``, ``cached_update``, ``fedasync_update`` and ``snapshot`` are
+public, and a caller may drive them from several threads. Each reads and
+rewrites several fields of the shared state, so each holds the state's lock:
+concurrent commits apply one at a time and none is lost. The engine's event
+loop is single-threaded and never contends for it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
-"""Federation drivers on a deterministic virtual clock.
+"""Federation driver on a deterministic virtual clock.
 
-Three training policies share the same instrumented event loop:
+Three training policies share one instrumented event loop,
+:func:`run_policy`; they differ only in when the server mixes models and in
+how many batches a learner trains per assignment:
 
 * ``sync``: every learner trains a fixed number of epochs per round and the
   round closes when the slowest learner finishes, so fast devices sit idle.
@@ -32,7 +34,6 @@ from .controller import (
     cached_update,
     compute_contribution,
     fedasync_update,
-    get_community,
     init_community,
     record_fetch,
 )
@@ -196,7 +197,7 @@ def _client_update(
     opt_cfg: OptimizerConfig,
     seed: int,
     assignment: int,
-    prox_rho: float = 0.0,
+    prox_rho: float,
 ) -> ParamSet:
     """Train ``budget`` batches from ``anchor`` on the learner's shard."""
     rng = np.random.default_rng(
@@ -215,186 +216,115 @@ def _client_update(
     return w
 
 
-def _shards(profiles, train):
-    return {
+def run_policy(
+    cfg: ProtocolConfig,
+    profiles: list[LearnerProfile],
+    task: TaskModel,
+    train: Dataset,
+    test: Dataset,
+    initial: ParamSet,
+    seed: int,
+) -> MetricsLog:
+    """Run ``cfg.policy`` off one heap of (arrival time, learner id) events.
+
+    A learner fetches the community model, trains its batch budget, and
+    arrives with an update request ``budget * time_per_batch_us`` later.
+    The budget is ``cfg.epochs`` epochs per assignment, except under
+    ``semisync``: one epoch for the cold-start assignment, whose latencies
+    (in simulation: the configured profile values) feed
+    :func:`plan_semisync`, then the planned budgets.
+
+    Under ``async`` every request commits through the controller on arrival,
+    in learner-id order within a timestamp, and the learner refetches at
+    once, so idle time is zero. The run ends when the next arrival would land
+    past the time budget; models still in flight are dropped. Under ``sync``
+    and ``semisync`` requests wait at a round barrier that closes at the
+    slowest arrival. There the round's models are averaged by shard size in
+    learner-id order and, unless ``cfg.rounds`` rounds are done, every
+    learner refetches.
+
+    A commit group is one timestamp under ``async`` and one round otherwise.
+    The community model is evaluated after every ``cfg.eval_every``-th group
+    and after the last one.
+    """
+    profiles = sorted(profiles, key=lambda p: p.learner_id)
+    log = MetricsLog(policy=cfg.policy, seed=seed)
+    barrier = cfg.policy != "async"
+    if cfg.policy == "semisync":
+        log.schedule = plan_semisync(cfg.lam, profiles)
+
+    def budget(p: LearnerProfile, assignment: int) -> int:
+        if log.schedule is None:
+            return cfg.epochs * p.batches_per_epoch
+        if assignment == 0:
+            return p.batches_per_epoch
+        return log.schedule.batches[p.learner_id]
+
+    scheme = cfg.weighting
+    prox_rho = (
+        scheme.rho if not barrier and scheme.kind == "fedasync_poly" else 0.0
+    )
+    horizon_us = (
+        math.inf if barrier else _round_half_up(cfg.time_budget_ms * 1000.0)
+    )
+    state = (
+        None if barrier
+        else init_community(initial, [p.learner_id for p in profiles])
+    )
+    by_id = {p.learner_id: p for p in profiles}
+    shards = {
         p.learner_id: (train.features[p.indices], train.labels[p.indices])
         for p in profiles
     }
-
-
-def _run_rounds(
-    cfg: ProtocolConfig,
-    profiles: list[LearnerProfile],
-    task: TaskModel,
-    train: Dataset,
-    test: Dataset,
-    initial: ParamSet,
-    seed: int,
-    budgets_for_round,
-    policy: str,
-) -> MetricsLog:
-    """Shared barrier-round loop for the sync and semisync policies.
-
-    ``budgets_for_round(r, profiles)`` returns the per-learner batch budget
-    of round ``r``; aggregation weighs each local model by its shard size.
-    """
-    profiles = sorted(profiles, key=lambda p: p.learner_id)
-    log = MetricsLog(policy=policy, seed=seed)
-    shards = _shards(profiles, train)
     w_c = initial
-    t = 0
-    for r in range(cfg.rounds):
-        budgets = budgets_for_round(r, profiles)
-        models, weights, finishes = [], [], []
-        for p in profiles:
-            budget = budgets[p.learner_id]
-            finish = t + budget * p.time_per_batch_us
-            finishes.append(finish)
-            log.events.append((t, "fetch", p.learner_id))
-            log.events.append((t, "train_start", p.learner_id))
-            log.events.append((finish, "train_end", p.learner_id))
-            log.events.append((finish, "update_request", p.learner_id))
-            X, y = shards[p.learner_id]
-            models.append(
-                _client_update(
-                    p, X, y, w_c, budget, task, cfg.optimizer, seed, r
-                )
-            )
-            weights.append(float(p.data_size))
-        round_end = max(finishes)
-        for p, finish, weight in zip(profiles, finishes, weights):
-            log.utilization.append(
-                (p.learner_id, r, finish - t, round_end - finish)
-            )
-            log.contributions.append((round_end, p.learner_id, weight))
-        w_c = weighted_average(models, weights)
-        log.update_requests += len(profiles)
-        log.federation_rounds += 1
-        log.events.append((round_end, "community_commit", -1))
-        if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
-            accuracy, loss = evaluate(task, w_c, test)
-            log.evals.append(
-                EvalSnapshot(round_end, r, log.update_requests, accuracy, loss)
-            )
-            log.events.append((round_end, "eval", -1))
-        t = round_end
-    log.final_model = w_c
-    return log
-
-
-def run_sync(
-    cfg: ProtocolConfig,
-    profiles: list[LearnerProfile],
-    task: TaskModel,
-    train: Dataset,
-    test: Dataset,
-    initial: ParamSet,
-    seed: int,
-) -> MetricsLog:
-    """Fixed-epoch rounds: every round each learner trains ``cfg.epochs``
-    local epochs and the round closes at the slowest finish."""
-
-    def budgets(_r, profs):
-        return {p.learner_id: cfg.epochs * p.batches_per_epoch for p in profs}
-
-    return _run_rounds(
-        cfg, profiles, task, train, test, initial, seed, budgets, "sync"
-    )
-
-
-def run_semisync(
-    cfg: ProtocolConfig,
-    profiles: list[LearnerProfile],
-    task: TaskModel,
-    train: Dataset,
-    test: Dataset,
-    initial: ParamSet,
-    seed: int,
-) -> MetricsLog:
-    """Cold-start profiling round, then horizon-aligned batch budgets.
-
-    Round 0 runs exactly one epoch per learner; the observed per-batch
-    latencies (in simulation: the configured profile values) feed
-    :func:`plan_semisync`, and every later round uses the planned budgets so
-    all learners finish within one batch of each other.
-    """
-    plan = plan_semisync(cfg.lam, profiles)
-
-    def budgets(r, profs):
-        if r == 0:
-            return {p.learner_id: p.batches_per_epoch for p in profs}
-        return plan.batches
-
-    log = _run_rounds(
-        cfg, profiles, task, train, test, initial, seed, budgets, "semisync"
-    )
-    log.schedule = plan
-    return log
-
-
-def run_async(
-    cfg: ProtocolConfig,
-    profiles: list[LearnerProfile],
-    task: TaskModel,
-    train: Dataset,
-    test: Dataset,
-    initial: ParamSet,
-    seed: int,
-) -> MetricsLog:
-    """Free-running learners committing straight into the community model.
-
-    Each learner repeatedly fetches, trains ``cfg.epochs`` epochs over its
-    shard, and commits; commits apply in event-time order with learner id
-    breaking ties. Learners refetch at the instant they commit, so idle time
-    is structurally zero. The run ends when the next commit would land past
-    the time budget; models still in flight are dropped.
-    """
-    profiles = sorted(profiles, key=lambda p: p.learner_id)
-    scheme = cfg.weighting
-    state = init_community(initial, [p.learner_id for p in profiles])
-    budget_us = _round_half_up(cfg.time_budget_ms * 1000.0)
-    log = MetricsLog(policy="async", seed=seed)
-    shards = _shards(profiles, train)
-    by_id = {p.learner_id: p for p in profiles}
-    cycle = {
-        p.learner_id: cfg.epochs * p.batches_per_epoch * p.time_per_batch_us
-        for p in profiles
-    }
-    prox_rho = scheme.rho if scheme.kind == "fedasync_poly" else 0.0
-
-    pending: dict[int, tuple[ParamSet, int, int, int]] = {}
-    started: dict[int, int] = {}
+    fetch_count = dict.fromkeys(by_id, 0)
+    # learner id -> (anchor, fetch steps, fetch version, assignment, fetch time)
+    pending: dict[int, tuple[ParamSet, int, int, int, int]] = {}
     heap: list[tuple[int, int]] = []
-    for p in profiles:
-        model, fetch_steps, fetch_version = record_fetch(state, p.learner_id)
-        pending[p.learner_id] = (model, fetch_steps, fetch_version, 0)
-        started[p.learner_id] = 1
-        log.events.append((0, "fetch", p.learner_id))
-        log.events.append((0, "train_start", p.learner_id))
-        heapq.heappush(heap, (cycle[p.learner_id], p.learner_id))
 
-    w_c = get_community(state)
-    group = -1
-    last_eval_group = -1
-    last_t = 0
-    while heap and heap[0][0] <= budget_us:
-        t = heap[0][0]
-        group += 1
-        last_t = t
-        while heap and heap[0][0] == t:
-            _, lid = heapq.heappop(heap)
+    def fetch(p: LearnerProfile, t: int) -> None:
+        lid = p.learner_id
+        served = (w_c, 0, 0) if barrier else record_fetch(state, lid)
+        assignment = fetch_count[lid]
+        fetch_count[lid] += 1
+        pending[lid] = (*served, assignment, t)
+        log.events.append((t, "fetch", lid))
+        log.events.append((t, "train_start", lid))
+        finish = t + budget(p, assignment) * p.time_per_batch_us
+        heapq.heappush(heap, (finish, lid))
+
+    for p in profiles:
+        fetch(p, 0)
+    groups = 0
+    while heap and heap[0][0] <= horizon_us:
+        if barrier:
+            t = max(heap)[0]
+            arrivals = sorted(heap, key=lambda e: e[1])
+            heap.clear()
+        else:
+            t = heap[0][0]
+            arrivals = []
+            while heap and heap[0][0] == t:
+                arrivals.append(heapq.heappop(heap))
+        models, weights = [], []
+        for finish, lid in arrivals:
             p = by_id[lid]
-            anchor, fetch_steps, fetch_version, assignment = pending[lid]
-            steps = cfg.epochs * p.batches_per_epoch
+            anchor, fetch_steps, fetch_version, assignment, start = pending[lid]
+            steps = budget(p, assignment)
             X, y = shards[lid]
             w_k = _client_update(
                 p, X, y, anchor, steps, task, cfg.optimizer, seed,
                 assignment, prox_rho,
             )
-            log.events.append((t, "train_end", lid))
-            log.events.append((t, "update_request", lid))
+            log.events.append((finish, "train_end", lid))
+            log.events.append((finish, "update_request", lid))
             log.update_requests += 1
-            if scheme.kind == "fedasync_poly":
+            log.utilization.append((lid, assignment, finish - start, t - finish))
+            if barrier:
+                value = float(p.data_size)
+                models.append(w_k)
+                weights.append(value)
+            elif scheme.kind == "fedasync_poly":
                 w_c, value = fedasync_update(
                     state, lid, w_k, scheme.mixing, fetch_version,
                     scheme.staleness_adaptive,
@@ -405,37 +335,26 @@ def run_async(
                 )
                 w_c = cached_update(state, lid, w_k, value, steps)
             log.contributions.append((t, lid, value))
-            log.events.append((t, "community_commit", lid))
-            log.utilization.append((lid, assignment, cycle[lid], 0))
-            model, fetch_steps, fetch_version = record_fetch(state, lid)
-            pending[lid] = (model, fetch_steps, fetch_version, started[lid])
-            started[lid] += 1
-            log.events.append((t, "fetch", lid))
-            log.events.append((t, "train_start", lid))
-            heapq.heappush(heap, (t + cycle[lid], lid))
-        if (group + 1) % cfg.eval_every == 0:
+            if not barrier:
+                log.events.append((t, "community_commit", lid))
+                fetch(p, t)
+        if barrier:
+            w_c = weighted_average(models, weights)
+            log.federation_rounds += 1
+            log.events.append((t, "community_commit", -1))
+            if log.federation_rounds < cfg.rounds:
+                for p in profiles:
+                    fetch(p, t)
+        groups += 1
+        if groups % cfg.eval_every == 0 or not heap or heap[0][0] > horizon_us:
             accuracy, loss = evaluate(task, w_c, test)
             log.evals.append(
-                EvalSnapshot(t, group, log.update_requests, accuracy, loss)
+                EvalSnapshot(t, groups - 1, log.update_requests, accuracy, loss)
             )
             log.events.append((t, "eval", -1))
-            last_eval_group = group
-    if group >= 0 and last_eval_group != group:
-        accuracy, loss = evaluate(task, w_c, test)
-        log.evals.append(
-            EvalSnapshot(last_t, group, log.update_requests, accuracy, loss)
-        )
-        log.events.append((last_t, "eval", -1))
-    log.final_state = state
     log.final_model = w_c
+    log.final_state = state
     return log
-
-
-RUNNERS = {"sync": run_sync, "semisync": run_semisync, "async": run_async}
-
-
-def run_policy(cfg: ProtocolConfig, profiles, task, train, test, initial, seed):
-    return RUNNERS[cfg.policy](cfg, profiles, task, train, test, initial, seed)
 
 
 def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:

@@ -14,7 +14,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import stats
 
 from . import params
 from .config import ExperimentConfig
@@ -188,6 +187,7 @@ def bench_cache(
             )
             for _ in range(8)
         ]
+        saturated = []
         for n in learner_counts:
             state = init_community(params.zeros_like(fresh[0]), list(range(n)))
             weights = rng.uniform(1.0, 100.0, size=n)
@@ -195,7 +195,11 @@ def bench_cache(
                 cached_update(
                     state, k, fresh[k % len(fresh)], float(weights[k]), 1
                 )
-            for rep in range(repeats):
+            saturated.append((n, state, weights))
+        # Each repeat visits every learner count in turn, so drift in host
+        # speed spreads over all counts instead of lining up with one.
+        for rep in range(repeats):
+            for n, state, weights in saturated:
                 t0 = time.perf_counter()
                 for i in range(inner):
                     cached_update(
@@ -204,8 +208,9 @@ def bench_cache(
                     )
                 dt = (time.perf_counter() - t0) / inner
                 rows.append(("cached", n, entries, rep, dt))
-            recompute_inner = max(1, 200 // n)
-            for rep in range(repeats):
+        for rep in range(repeats):
+            for n, state, _ in saturated:
+                recompute_inner = max(1, 200 // n)
                 t0 = time.perf_counter()
                 for _ in range(recompute_inner):
                     models = [rec.model for rec in state.records.values()]
@@ -232,6 +237,10 @@ def _three_layer_shapes(entries: int) -> list[tuple[int, ...]]:
 
 def fit_bench(rows) -> dict:
     """Least-squares seconds-vs-learners line per (mode, model size)."""
+    # Imported here: scipy is most of the package's import time, and only
+    # the benchmark fit needs it.
+    from scipy import stats
+
     fits: dict = {}
     keys = sorted({(mode, entries) for mode, _, entries, _, _ in rows})
     for mode, entries in keys:

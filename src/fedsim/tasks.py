@@ -140,18 +140,26 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _cross_entropy(
+    logits: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(mean softmax cross-entropy, log-probabilities) of a batch."""
+    n = len(labels)
+    if n == 0:
+        raise ValueError("empty batch")
+    logp = _log_softmax(logits)
+    return float(-logp[np.arange(n), labels].mean()), logp
+
+
 def loss_and_grad(
     model: TaskModel, w: ParamSet, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ParamSet]:
     """Mean softmax cross-entropy over the batch and its exact gradient."""
-    n = len(labels)
-    if n == 0:
-        raise ValueError("empty batch")
     X = features
     logits, z1, hidden = _forward(model, w, X)
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), labels].mean())
+    loss, logp = _cross_entropy(logits, labels)
 
+    n = len(labels)
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
@@ -181,5 +189,5 @@ def evaluate(model: TaskModel, w: ParamSet, data: Dataset) -> tuple[float, float
     logits, _, _ = _forward(model, w, data.features)
     pred = np.argmax(logits, axis=1)
     accuracy = float(np.mean(pred == data.labels))
-    loss, _ = loss_and_grad(model, w, data.features, data.labels)
+    loss, _ = _cross_entropy(logits, data.labels)
     return accuracy, loss

@@ -29,9 +29,7 @@ from fedsim.engine import (
     LearnerProfile,
     ProtocolConfig,
     plan_semisync,
-    run_async,
-    run_semisync,
-    run_sync,
+    run_policy,
 )
 from fedsim.optimizers import OptimizerConfig, step_fedprox, step_momentum, step_vanilla
 from fedsim.params import ParamSet, equal, max_abs_diff, weighted_average, zeros_like
@@ -245,7 +243,7 @@ def idle_world(policy, rounds, lam=2.0):
     scheme = WeightingScheme("fedavg_static")
     cfg = ProtocolConfig(policy, opt, scheme, epochs=4, lam=lam,
                          rounds=rounds)
-    runner = run_sync if policy == "sync" else run_semisync
+    runner = run_policy
     return runner(cfg, profs, task, train, test, initial, seed=6), profs
 
 
@@ -290,7 +288,7 @@ def test_criterion_6_communication_accounting(announce):
         for policy, extra in (("sync", {"rounds": 4}),
                               ("semisync", {"rounds": 4, "lam": 2.0})):
             cfg = ProtocolConfig(policy, opt, scheme, epochs=2, **extra)
-            runner = run_sync if policy == "sync" else run_semisync
+            runner = run_policy
             log = runner(cfg, profs, task, train, test, initial, seed=4)
             check(log.update_requests == 4 * 6,
                   f"{policy} made {log.update_requests} requests, not 24")
@@ -306,7 +304,7 @@ def test_criterion_6_communication_accounting(announce):
         budget_ms = 2000.0
         cfg = ProtocolConfig("async", opt, scheme, epochs=1,
                              time_budget_ms=budget_ms)
-        log = run_async(cfg, profs, task, train, test, initial, seed=4)
+        log = run_policy(cfg, profs, task, train, test, initial, seed=4)
         counts = {0: 0, 1: 0, 2: 0}
         for _, kind, lid in log.events:
             if kind == "update_request":
@@ -374,15 +372,15 @@ def test_criterion_8_convergence_trend(announce):
             task, train, test, profiles, initial = trend_world(seed)
             sync_cfg = ProtocolConfig("sync", opt, scheme, epochs=4,
                                       rounds=12)
-            sync_log = run_sync(sync_cfg, profiles, task, train, test,
-                                initial, seed)
+            sync_log = run_policy(sync_cfg, profiles, task, train, test,
+                                  initial, seed)
             threshold = 0.6 * sync_log.evals[-1].accuracy
             plan = plan_semisync(2.0, profiles)
             rounds = math.ceil(sync_log.evals[-1].t_us / plan.t_max_us) + 2
             semi_cfg = ProtocolConfig("semisync", opt, scheme, epochs=4,
                                       lam=2.0, rounds=rounds)
-            semi_log = run_semisync(semi_cfg, profiles, task, train, test,
-                                    initial, seed)
+            semi_log = run_policy(semi_cfg, profiles, task, train, test,
+                                  initial, seed)
 
             def crossing(log):
                 for ev in log.evals:

@@ -15,10 +15,7 @@ from fedsim.engine import (
     _round_half_up,
     export_metrics,
     plan_semisync,
-    run_async,
     run_policy,
-    run_semisync,
-    run_sync,
 )
 from fedsim.optimizers import OptimizerConfig
 from fedsim.params import equal, max_abs_diff
@@ -128,7 +125,7 @@ def sync_fast_slow(rounds=2):
     profs = [profile(0, 30.0, chunks[0]), profile(1, 300.0, chunks[1],
                                                   device="slow")]
     cfg = ProtocolConfig("sync", OPT, STATIC, epochs=4, rounds=rounds)
-    return run_sync(cfg, profs, task, train, test, initial, seed=9), profs
+    return run_policy(cfg, profs, task, train, test, initial, seed=9), profs
 
 
 def test_sync_idle_worked_example():
@@ -159,7 +156,7 @@ def test_sync_homogeneous_zero_idle():
     task, train, test, chunks, initial = small_world(3, 100)
     profs = [profile(k, 50.0, chunks[k]) for k in range(3)]
     cfg = ProtocolConfig("sync", OPT, STATIC, epochs=2, rounds=2)
-    log = run_sync(cfg, profs, task, train, test, initial, seed=3)
+    log = run_policy(cfg, profs, task, train, test, initial, seed=3)
     assert all(idle == 0 for _, _, _, idle in log.utilization)
 
 
@@ -168,7 +165,7 @@ def test_sync_eval_every_includes_last_round():
     profs = [profile(k, 40.0, chunks[k]) for k in range(2)]
     cfg = ProtocolConfig("sync", OPT, STATIC, epochs=1, rounds=5,
                          eval_every=2)
-    log = run_sync(cfg, profs, task, train, test, initial, seed=3)
+    log = run_policy(cfg, profs, task, train, test, initial, seed=3)
     assert [ev.round_index for ev in log.evals] == [1, 3, 4]
 
 
@@ -183,7 +180,7 @@ def test_semisync_cold_start_then_planned_budgets():
     profs = [profile(0, 30.0, chunks[0]),
              profile(1, 300.0, chunks[1], device="slow")]
     cfg = ProtocolConfig("semisync", OPT, STATIC, lam=2.0, rounds=3)
-    log = run_semisync(cfg, profs, task, train, test, initial, seed=9)
+    log = run_policy(cfg, profs, task, train, test, initial, seed=9)
     plan = plan_semisync(2.0, profs)
     assert log.schedule == plan
     rows = {(lid, r): (a, i) for lid, r, a, i in log.utilization}
@@ -201,7 +198,7 @@ def test_semisync_scheduled_idle_below_one_batch():
     profs = [profile(0, 17.0, chunks[0]), profile(1, 130.0, chunks[1]),
              profile(2, 340.0, chunks[2], device="slow")]
     cfg = ProtocolConfig("semisync", OPT, STATIC, lam=1.5, rounds=4)
-    log = run_semisync(cfg, profs, task, train, test, initial, seed=11)
+    log = run_policy(cfg, profs, task, train, test, initial, seed=11)
     slowest_batch_us = max(p.time_per_batch_us for p in profs)
     for lid, r, active, idle in log.utilization:
         if r == 0:
@@ -213,7 +210,7 @@ def test_semisync_counters_exact():
     task, train, test, chunks, initial = small_world(4, 120)
     profs = [profile(k, 20.0 + 10 * k, chunks[k]) for k in range(4)]
     cfg = ProtocolConfig("semisync", OPT, STATIC, lam=2.0, rounds=5)
-    log = run_semisync(cfg, profs, task, train, test, initial, seed=2)
+    log = run_policy(cfg, profs, task, train, test, initial, seed=2)
     assert log.update_requests == 20
     assert log.models_exchanged == 40
     assert log.federation_rounds == 5
@@ -225,7 +222,7 @@ def async_world(budget_ms, weighting=STATIC, epochs=1, seed=7):
              profile(1, 30.0, chunks[1], device="slow")]
     cfg = ProtocolConfig("async", OPT, weighting, epochs=epochs,
                          time_budget_ms=budget_ms)
-    log = run_async(cfg, profs, task, train, test, initial, seed=seed)
+    log = run_policy(cfg, profs, task, train, test, initial, seed=seed)
     return log, profs
 
 

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedsim
 from fedsim.cli import main
 from fedsim.config import parse_config_text
 from fedsim.params import load
@@ -282,3 +285,19 @@ def test_cli_bench_smoke(capsys):
                  "--sizes", "200", "--repeats", "3"]) == 0
     out = capsys.readouterr().out
     assert "cached" in out and "recompute" in out
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is most of the package's import time; only bench-cache needs it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedsim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys, fedsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

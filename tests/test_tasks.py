@@ -117,6 +117,16 @@ def test_evaluate_zero_weights_balanced_accuracy():
     assert loss == pytest.approx(math.log(10.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("task", [SOFTMAX, MLP_RELU, MLP_TANH],
+                         ids=["softmax", "mlp_relu", "mlp_tanh"])
+def test_evaluate_loss_equals_loss_and_grad_bitwise(task):
+    data = gen_synthetic(4, 25, 6, 1.5, seed=13, sample_tag=1)
+    w = init_params(task, np.random.default_rng(14))
+    _, loss = evaluate(task, w, data)
+    expected, _ = loss_and_grad(task, w, data.features, data.labels)
+    assert loss == expected
+
+
 def test_evaluate_tie_breaks_to_lowest_class():
     task = TaskModel("softmax_regression", input_dim=2, num_classes=3)
     w = zero_params(task)
