@@ -33,7 +33,6 @@ from .engine import (
 )
 from .optimizers import (
     OptimizerConfig,
-    OptimizerState,
     epoch_batches,
     run_client_opt,
     step_fedprox,
@@ -83,7 +82,6 @@ __all__ = [
     "MetricsLog",
     "NonFiniteError",
     "OptimizerConfig",
-    "OptimizerState",
     "ParamSet",
     "PartitionError",
     "PartitionResult",

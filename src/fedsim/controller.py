@@ -140,19 +140,12 @@ def cached_update(
             raise DegenerateWeightError(
                 f"normalizer would become {new_normalizer}"
             )
-        if prev is None:
-            arrays = [
-                ws + value * m
-                for ws, m in zip(state.weighted_sum.arrays, model.arrays)
-            ]
-        else:
-            arrays = [
-                ws + value * m - prev.value * pm
-                for ws, m, pm in zip(
-                    state.weighted_sum.arrays, model.arrays, prev.model.arrays
-                )
-            ]
-        state.weighted_sum = ParamSet._wrap(state.weighted_sum.names, arrays)
+        flat = state.weighted_sum.flat + value * model.flat
+        if prev is not None:
+            flat -= prev.value * prev.model.flat
+        state.weighted_sum = ParamSet._wrap(
+            state.weighted_sum.structure(), flat
+        )
         state.normalizer = new_normalizer
         state.records[learner_id] = ContributionRecord(
             learner_id=learner_id,
@@ -237,11 +230,9 @@ def fedasync_update(
             alpha *= poly_staleness(state.version, fetch_version)
         current = get_community(state)
         _check_same_structure(current, model)
-        mixed = [
-            (1.0 - alpha) * c + alpha * m
-            for c, m in zip(current.arrays, model.arrays)
-        ]
-        state.broadcast_model = ParamSet._wrap(current.names, mixed)
+        state.broadcast_model = ParamSet._wrap(
+            current.structure(), (1.0 - alpha) * current.flat + alpha * model.flat
+        )
         state.version += 1
         return state.broadcast_model, alpha
 

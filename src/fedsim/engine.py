@@ -38,7 +38,7 @@ from .controller import (
     record_fetch,
 )
 from .optimizers import OptimizerConfig, epoch_batches, run_client_opt
-from .params import ParamSet, axpy, weighted_average
+from .params import ParamSet, weighted_average
 from .tasks import Dataset, TaskModel, evaluate, loss_and_grad
 
 POLICIES = ("sync", "semisync", "async")
@@ -207,7 +207,9 @@ def _client_update(
     if prox_rho > 0.0:
         def grad_fn(w, batch):
             _, g = loss_and_grad(task, w, X[batch], y[batch])
-            return axpy(prox_rho, axpy(-1.0, anchor, w), g)
+            return ParamSet._wrap(
+                g.structure(), prox_rho * (w.flat - anchor.flat) + g.flat
+            )
     else:
         def grad_fn(w, batch):
             _, g = loss_and_grad(task, w, X[batch], y[batch])

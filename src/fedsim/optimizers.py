@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .params import ParamSet, axpy, scale, zeros_like
+from .params import ParamSet, axpy, scale
 
 OPTIMIZER_KINDS = ("vanilla", "momentum", "fedprox")
 
@@ -48,14 +48,6 @@ class OptimizerConfig:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         if self.mu < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
-
-
-@dataclass
-class OptimizerState:
-    """Per-assignment solver state: momentum buffer and proximal anchor."""
-
-    u: ParamSet
-    anchor: ParamSet
 
 
 def step_vanilla(w: ParamSet, grad: ParamSet, cfg: OptimizerConfig) -> ParamSet:
@@ -114,18 +106,37 @@ def run_client_opt(
     ``grad_fn(w, batch)`` returns the minibatch gradient at ``w``. The
     proximal anchor (fedprox) is the starting model; the momentum buffer
     starts at zero. Returns the final weights and the number of steps taken.
+
+    The weights, the momentum buffer and the proximal drift are private flat
+    buffers updated in place, in the operation order of :func:`step_vanilla`,
+    :func:`step_momentum` and :func:`step_fedprox`, so the result is bit
+    for bit theirs. ``w`` is a read-only view of the live weights: it is
+    valid during the ``grad_fn`` call only and changes with the next step.
+    Divergence surfaces as :class:`~fedsim.params.NonFiniteError` from the
+    returned weights' check (a non-finite entry never turns finite again)
+    or, earlier, from ``grad_fn``.
     """
     if budget_batches < 1:
         raise ValueError(f"batch budget must be >= 1, got {budget_batches}")
-    w = start
-    state = OptimizerState(u=zeros_like(start), anchor=start)
+    anchor = start.flat
+    w = anchor.copy()
+    live = ParamSet._wrap(start.structure(), w.view())
+    eta = cfg.eta
+    u = np.zeros(w.size)  # momentum buffer
     for _ in range(budget_batches):
-        batch = next(batch_stream)
-        g = grad_fn(w, batch)
+        g = grad_fn(live, next(batch_stream)).flat
         if cfg.kind == "vanilla":
-            w = step_vanilla(w, g, cfg)
+            w -= eta * g
         elif cfg.kind == "momentum":
-            w, state.u = step_momentum(w, state.u, g, cfg)
+            u *= cfg.gamma
+            if cfg.eta_in_velocity:
+                u -= eta * g
+                w += u
+            else:
+                u += g
+                w -= eta * u
         else:
-            w = step_fedprox(w, state.anchor, g, cfg)
-    return w, budget_batches
+            drift = w - anchor
+            w -= eta * g
+            w -= (eta * cfg.mu) * drift
+    return ParamSet._wrap(start.structure(), w.copy()), budget_batches

@@ -1,18 +1,24 @@
 """Model parameter containers and the arithmetic used during aggregation.
 
 Every model that moves between learners and the controller is a ParamSet: an
-ordered collection of named dense float64 arrays. Instances are immutable so
-they can be shared freely across the simulation without defensive copies.
+ordered collection of named dense float64 layers. All layers live in one
+contiguous, read-only float64 vector (``flat``); the per-layer arrays are
+reshaped views into it, so each arithmetic helper below is one vector
+operation and one finiteness scan. Instances are immutable so they can be
+shared freely across the simulation without defensive copies.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
 SERIALIZATION_VERSION = 1
+
+Structure = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 class StructureError(ValueError):
@@ -31,7 +37,7 @@ class ParamSet:
     non-finite entries, so any ParamSet in circulation is finite.
     """
 
-    __slots__ = ("_names", "_arrays")
+    __slots__ = ("_structure", "_flat", "_arrays")
 
     def __init__(self, names: Sequence[str], arrays: Sequence[np.ndarray]):
         if len(names) != len(arrays):
@@ -42,56 +48,71 @@ class ParamSet:
             raise StructureError("a ParamSet needs at least one layer")
         if len(set(names)) != len(names):
             raise StructureError(f"duplicate layer names in {list(names)}")
-        frozen = []
-        for name, arr in zip(names, arrays):
-            a = np.array(arr, dtype=np.float64, copy=True)
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteError(f"layer {name!r} has NaN/Inf entries")
-            a.setflags(write=False)
-            frozen.append(a)
-        self._names = tuple(names)
-        self._arrays = tuple(frozen)
+        layers = [np.asarray(a, dtype=np.float64) for a in arrays]
+        structure = tuple((n, a.shape) for n, a in zip(names, layers))
+        # concatenate always allocates, so the inputs are copied.
+        self._init(structure, np.concatenate([a.ravel() for a in layers]))
 
     @classmethod
-    def _wrap(cls, names: tuple[str, ...], arrays: list[np.ndarray]) -> "ParamSet":
-        # Internal fast path for freshly allocated arrays: skips the copy but
-        # keeps the finiteness guarantee.
+    def _wrap(cls, structure: Structure, flat: np.ndarray) -> "ParamSet":
+        # Internal constructor: takes ownership of ``flat``, a float64 vector
+        # laid out as ``structure`` that no caller writes to afterwards. Skips
+        # the copy but keeps the finiteness guarantee.
         self = object.__new__(cls)
-        for name, a in zip(names, arrays):
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteError(f"layer {name!r} has NaN/Inf entries")
-            a.setflags(write=False)
-        self._names = names
-        self._arrays = tuple(arrays)
+        self._init(structure, flat)
         return self
+
+    def _init(self, structure: Structure, flat: np.ndarray) -> None:
+        # Freeze first: views taken afterwards inherit the read-only flag.
+        flat.setflags(write=False)
+        self._structure = structure
+        self._flat = flat
+        self._arrays = None
+        if not np.isfinite(flat).all():
+            for name, a in self:
+                if not np.isfinite(a).all():
+                    raise NonFiniteError(f"layer {name!r} has NaN/Inf entries")
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(n for n, _ in self._structure)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Every layer's entries, in layer order, as one read-only vector."""
+        return self._flat
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
+        # Built on first use: local training reads only ``flat`` of most sets.
+        if self._arrays is None:
+            arrays, lo = [], 0
+            for _, shape in self._structure:
+                hi = lo + math.prod(shape)
+                arrays.append(self._flat[lo:hi].reshape(shape))
+                lo = hi
+            self._arrays = tuple(arrays)
         return self._arrays
 
     @property
     def num_entries(self) -> int:
         """Total number of scalar parameters across all layers."""
-        return sum(a.size for a in self._arrays)
+        return self._flat.size
 
     def layer(self, name: str) -> np.ndarray:
-        try:
-            return self._arrays[self._names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
+        for (n, _), a in zip(self._structure, self.arrays):
+            if n == name:
+                return a
+        raise KeyError(name)
 
-    def structure(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        return tuple((n, a.shape) for n, a in zip(self._names, self._arrays))
+    def structure(self) -> Structure:
+        return self._structure
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._structure)
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._names, self._arrays))
+        return iter(zip(self.names, self.arrays))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}{a.shape}" for n, a in self)
@@ -107,22 +128,18 @@ def _check_same_structure(x: ParamSet, y: ParamSet) -> None:
 
 def zeros_like(proto: ParamSet) -> ParamSet:
     """All-zero ParamSet with the same layer names and shapes as ``proto``."""
-    return ParamSet._wrap(
-        proto.names, [np.zeros_like(a) for a in proto.arrays]
-    )
+    return ParamSet._wrap(proto.structure(), np.zeros_like(proto.flat))
 
 
 def axpy(alpha: float, x: ParamSet, y: ParamSet) -> ParamSet:
     """Elementwise ``alpha * x + y``."""
     _check_same_structure(x, y)
-    return ParamSet._wrap(
-        x.names, [alpha * ax + ay for ax, ay in zip(x.arrays, y.arrays)]
-    )
+    return ParamSet._wrap(x.structure(), alpha * x.flat + y.flat)
 
 
 def scale(alpha: float, x: ParamSet) -> ParamSet:
     """Elementwise ``alpha * x``."""
-    return ParamSet._wrap(x.names, [alpha * a for a in x.arrays])
+    return ParamSet._wrap(x.structure(), alpha * x.flat)
 
 
 def weighted_average(models: Sequence[ParamSet], weights: Sequence[float]) -> ParamSet:
@@ -146,21 +163,20 @@ def weighted_average(models: Sequence[ParamSet], weights: Sequence[float]) -> Pa
     if total <= 0.0:
         raise ValueError(f"weight sum must be positive, got {total}")
     first = models[0]
-    acc = [w[0] * a for a in first.arrays]
+    acc = w[0] * first.flat
     for wk, model in zip(w[1:], models[1:]):
         _check_same_structure(first, model)
-        for slot, a in zip(acc, model.arrays):
-            slot += wk * a
-    return ParamSet._wrap(first.names, [a / total for a in acc])
+        acc += wk * model.flat
+    acc /= total
+    return ParamSet._wrap(first.structure(), acc)
 
 
 def max_abs_diff(x: ParamSet, y: ParamSet) -> float:
     """Largest elementwise absolute difference between two ParamSets."""
     _check_same_structure(x, y)
-    return max(
-        float(np.max(np.abs(ax - ay))) if ax.size else 0.0
-        for ax, ay in zip(x.arrays, y.arrays)
-    )
+    if x.flat.size == 0:
+        return 0.0
+    return float(np.max(np.abs(x.flat - y.flat)))
 
 
 def allclose(x: ParamSet, y: ParamSet, atol: float = 1e-12) -> bool:
@@ -170,7 +186,7 @@ def allclose(x: ParamSet, y: ParamSet, atol: float = 1e-12) -> bool:
 def equal(x: ParamSet, y: ParamSet) -> bool:
     """True when every entry compares equal (no tolerance)."""
     _check_same_structure(x, y)
-    return all(np.array_equal(ax, ay) for ax, ay in zip(x.arrays, y.arrays))
+    return np.array_equal(x.flat, y.flat)
 
 
 def to_obj(ps: ParamSet) -> dict:

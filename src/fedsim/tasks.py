@@ -164,10 +164,7 @@ def loss_and_grad(
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
     if model.kind == "softmax_regression":
-        grad = ParamSet._wrap(
-            w.names, [X.T @ dlogits, dlogits.sum(axis=0)]
-        )
-        return loss, grad
+        return loss, _pack(w, [X.T @ dlogits, dlogits.sum(axis=0)])
     gW2 = hidden.T @ dlogits
     gb2 = dlogits.sum(axis=0)
     dh = dlogits @ w.layer("W2").T
@@ -175,10 +172,14 @@ def loss_and_grad(
         dz1 = dh * (z1 > 0.0)
     else:
         dz1 = dh * (1.0 - np.tanh(z1) ** 2)
-    grad = ParamSet._wrap(
-        w.names, [X.T @ dz1, dz1.sum(axis=0), gW2, gb2]
+    return loss, _pack(w, [X.T @ dz1, dz1.sum(axis=0), gW2, gb2])
+
+
+def _pack(w: ParamSet, layers: list[np.ndarray]) -> ParamSet:
+    """Fresh layers laid out like ``w``, as one ParamSet."""
+    return ParamSet._wrap(
+        w.structure(), np.concatenate([a.ravel() for a in layers])
     )
-    return loss, grad
 
 
 def evaluate(model: TaskModel, w: ParamSet, data: Dataset) -> tuple[float, float]:

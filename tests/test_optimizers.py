@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fedsim.engine import _TRAIN_STREAM, LearnerProfile, _client_update
 from fedsim.optimizers import (
     OptimizerConfig,
     epoch_batches,
@@ -11,7 +13,16 @@ from fedsim.optimizers import (
     step_momentum,
     step_vanilla,
 )
-from fedsim.params import ParamSet, equal, zeros_like
+from fedsim.params import NonFiniteError, ParamSet, axpy, equal, zeros_like
+from fedsim.tasks import TaskModel, gen_synthetic, init_params, loss_and_grad
+
+TASKS = {
+    "mlp1-relu": TaskModel("mlp1", 5, 3, hidden_dim=4, activation="relu"),
+    "mlp1-tanh": TaskModel("mlp1", 5, 3, hidden_dim=4, activation="tanh"),
+    "softmax": TaskModel("softmax_regression", 5, 3),
+}
+DATA = gen_synthetic(3, 10, 5, 1.0, seed=19)
+BATCH = 7  # 30 examples: every epoch ends on a short batch
 
 
 def scalar(v):
@@ -191,3 +202,130 @@ def test_epoch_batches_rejects_empty():
         next(epoch_batches(0, 4, rng))
     with pytest.raises(ValueError):
         next(epoch_batches(10, 0, rng))
+
+
+def reference_opt(start, budget, stream, cfg, grad_fn):
+    """Reference solver: folds the pure ParamSet step functions."""
+    w, u = start, zeros_like(start)
+    for _ in range(budget):
+        g = grad_fn(w, next(stream))
+        if cfg.kind == "vanilla":
+            w = step_vanilla(w, g, cfg)
+        elif cfg.kind == "momentum":
+            w, u = step_momentum(w, u, g, cfg)
+        else:
+            w = step_fedprox(w, start, g, cfg)
+    return w
+
+
+def ce_grad(task):
+    X, y = DATA.features, DATA.labels
+    return lambda w, batch: loss_and_grad(task, w, X[batch], y[batch])[1]
+
+
+def batches(seed):
+    return epoch_batches(len(DATA), BATCH, np.random.default_rng(seed))
+
+
+KINDS = ["vanilla", "momentum", "velocity", "fedprox"]
+
+
+def make_cfg(kind, eta, gamma, mu):
+    """``velocity`` is momentum with eta folded into the buffer."""
+    return OptimizerConfig("momentum" if kind == "velocity" else kind,
+                           eta=eta, gamma=gamma, mu=mu,
+                           eta_in_velocity=kind == "velocity")
+
+
+optimizer_configs = st.builds(
+    make_cfg,
+    st.sampled_from(KINDS),
+    st.floats(1e-3, 0.5),
+    st.floats(0.0, 0.95),
+    st.floats(0.0, 1.0),
+)
+property_settings = settings(max_examples=60, deadline=None, database=None)
+
+
+@property_settings
+@given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(sorted(TASKS)),
+       cfg=optimizer_configs, budget=st.integers(1, 50))
+def test_run_client_opt_bitwise_equals_step_functions(seed, task, cfg, budget):
+    model = TASKS[task]
+    start = init_params(model, np.random.default_rng(seed))
+    grad = ce_grad(model)
+    w, steps = run_client_opt(start, budget, batches(seed), cfg, grad)
+    assert steps == budget
+    assert equal(w, reference_opt(start, budget, batches(seed), cfg, grad))
+
+
+@property_settings
+@given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(sorted(TASKS)),
+       cfg=optimizer_configs, budget=st.integers(1, 50),
+       rho=st.floats(1e-4, 0.1), assignment=st.integers(0, 5))
+def test_prox_rho_gradient_bitwise_equals_axpy_form(
+    seed, task, cfg, budget, rho, assignment
+):
+    model = TASKS[task]
+    anchor = init_params(model, np.random.default_rng(seed))
+    profile = LearnerProfile(0, "fast", BATCH, 1.0, np.arange(len(DATA)))
+    w = _client_update(profile, DATA.features, DATA.labels, anchor, budget,
+                       model, cfg, seed, assignment, rho)
+    ce = ce_grad(model)
+
+    def prox_grad(w, batch):
+        return axpy(rho, axpy(-1.0, anchor, w), ce(w, batch))
+
+    stream = epoch_batches(
+        len(DATA), BATCH,
+        np.random.default_rng([seed, _TRAIN_STREAM, 0, assignment]),
+    )
+    assert equal(w, reference_opt(anchor, budget, stream, cfg, prox_grad))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
+    cfg = make_cfg(kind, eta=0.1, gamma=0.5, mu=0.1)
+    model = TASKS["mlp1-relu"]
+    start = init_params(model, np.random.default_rng(3))
+    before = start.flat.copy()
+    seen = []
+    ce = ce_grad(model)
+
+    def grad(w, batch):
+        seen.append(w)
+        with pytest.raises(ValueError):
+            w.flat[0] = 0.0  # the live weights are read-only to grad_fn
+        return ce(w, batch)
+
+    w, _ = run_client_opt(start, 6, batches(1), cfg, grad)
+    assert np.array_equal(start.flat, before)
+    assert not w.flat.flags.writeable
+    assert not np.shares_memory(w.flat, start.flat)
+    for live in seen:
+        assert live is not w
+        assert not np.shares_memory(w.flat, live.flat)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_client_opt_gradient_aliasing_the_weights(kind):
+    # A grad_fn may hand back the very view it was given; the in-place
+    # update must still read the gradient before overwriting the weights.
+    cfg = make_cfg(kind, eta=0.1, gamma=0.5, mu=0.3)
+    start = init_params(TASKS["softmax"], np.random.default_rng(4))
+    w, _ = run_client_opt(start, 5, batches(2), cfg, lambda w, b: w)
+    assert equal(w, reference_opt(start, 5, batches(2), cfg, lambda w, b: w))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_client_opt_divergence_raises_nonfinite(kind):
+    cfg = make_cfg(kind, eta=1e300, gamma=0.5, mu=0.1)
+    model = TASKS["mlp1-relu"]
+    start = init_params(model, np.random.default_rng(5))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        run_client_opt(start, 5, batches(3), cfg, ce_grad(model))
+    # A grad_fn that never inspects the weights: the returned weights' own
+    # check still refuses the overflowed result.
+    huge = ParamSet(start.names, [np.full(a.shape, 1e300) for a in start.arrays])
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        run_client_opt(start, 1, batches(3), cfg, lambda w, b: huge)

@@ -128,6 +128,26 @@ def test_constructor_copies_and_freezes():
         p.arrays[0][0, 0] = 5.0
 
 
+def test_flat_buffer_is_frozen_and_backs_the_layers():
+    a, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0])
+    p = ParamSet(["a", "b"], [a, b])
+    a[0, 0] = b[0] = 99.0
+    assert p.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0]
+    assert not np.shares_memory(p.flat, a) and not np.shares_memory(p.flat, b)
+    for layer in p.arrays:
+        assert np.shares_memory(layer, p.flat)
+        with pytest.raises(ValueError):
+            layer[...] = 0.0
+    with pytest.raises(ValueError):
+        p.flat[0] = 5.0
+    assert p.layer("b").tolist() == [7.0, 8.0]
+    assert p.num_entries == 8
+    for derived in (scale(2.0, p), axpy(1.0, p, p), zeros_like(p),
+                    weighted_average([p, p], [1.0, 2.0])):
+        assert not derived.flat.flags.writeable
+        assert not np.shares_memory(derived.flat, p.flat)
+
+
 def test_constructor_rejects_nonfinite():
     with pytest.raises(NonFiniteError):
         ParamSet(["w"], [np.array([[np.nan]])])

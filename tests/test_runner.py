@@ -186,6 +186,16 @@ def test_matrix_mode_one_cell_per_lambda(tmp_path):
     assert s1["schedule"]["t_max_ms"] != s2["schedule"]["t_max_ms"]
 
 
+def test_divergent_eta_fails_the_run(tmp_path, capsys):
+    text = SMALL_SYNC.format(out=tmp_path / "run").replace(
+        "[protocol]", "[optimizer]\nkind = vanilla\neta = 1e300\n[protocol]"
+    ).replace("input_dim = 6", "kind = mlp1\nhidden_dim = 5\ninput_dim = 6")
+    cfg = parse_config_text(text)
+    with np.errstate(all="ignore"):
+        assert run_experiment(cfg) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteError"
+
+
 def test_build_world_shapes():
     cfg = parse_config_text(SMALL_SYNC.format(out="unused"))
     train, test, result, devices, profiles = build_world(cfg, cfg.seed)
