@@ -14,7 +14,6 @@ from .controller import (
     cached_update,
     compute_contribution,
     fedasync_update,
-    get_community,
     init_community,
     poly_staleness,
     record_fetch,
@@ -103,7 +102,6 @@ __all__ = [
     "export_metrics",
     "fedasync_update",
     "gen_synthetic",
-    "get_community",
     "init_community",
     "init_params",
     "loss_and_grad",

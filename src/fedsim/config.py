@@ -83,7 +83,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "mixing": "0.5",
         "rho": "0.005",
         "staleness_adaptive": "true",
-        "guarded": "true",
     },
 }
 
@@ -334,7 +333,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     mixing = r.float_value("weighting", "mixing", minimum=0.0, exclusive=True)
     rho = r.float_value("weighting", "rho", minimum=0.0)
     staleness_adaptive = r.bool_value("weighting", "staleness_adaptive")
-    guarded = r.bool_value("weighting", "guarded")
 
     violations.extend(r.violations)
 
@@ -384,7 +382,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         )
         weighting = WeightingScheme(
             kind=scheme, mixing=mixing, rho=rho,
-            staleness_adaptive=staleness_adaptive, guarded=guarded,
+            staleness_adaptive=staleness_adaptive,
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None

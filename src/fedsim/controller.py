@@ -1,13 +1,18 @@
 """Community-model bookkeeping on the aggregation side.
 
-The controller keeps one contribution record per learner and maintains the
-weighted sum W = sum_k p_k * w_k together with the normalizer P = sum_k p_k.
-Replacing learner k's contribution then costs O(model size), independent of
-the number of learners:
+The controller keeps the community model it serves, one contribution record
+per learner, and the weighted sum W = sum_k p_k * w_k together with the
+normalizer P = sum_k p_k. Replacing learner k's contribution then costs
+O(model size), independent of the number of learners:
 
     P'  =  P + p_k' - p_k
     W'  =  W + p_k' * w_k' - p_k * w_k
     community model = W' / P'
+
+Under ``fedasync_poly`` a commit instead mixes the local model straight into
+the community model. Either way a commit computes every new value before it
+assigns any, so a commit that raises leaves the state as it was, and every
+fetch serves the model the last successful commit returned.
 
 Staleness-discounted weighting uses committed local steps: a contribution
 computed against an old community model counts less.
@@ -50,7 +55,6 @@ class WeightingScheme:
     mixing: float = 0.5
     rho: float = 0.005
     staleness_adaptive: bool = True
-    guarded: bool = True
 
     def __post_init__(self):
         if self.kind not in WEIGHTING_KINDS:
@@ -77,8 +81,7 @@ class CommunityState:
     records: dict[int, ContributionRecord]
     committed_steps: int              # total local steps committed so far
     version: int                      # number of commits applied
-    broadcast_model: ParamSet         # served while no contribution exists;
-                                      # also the mixed model under fedasync
+    model: ParamSet                   # the community model every fetch serves
     fetch_versions: dict[int, int] = field(default_factory=dict)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -91,17 +94,9 @@ def init_community(initial: ParamSet, learner_ids: list[int]) -> CommunityState:
         records={},
         committed_steps=0,
         version=0,
-        broadcast_model=initial,
+        model=initial,
         fetch_versions={k: 0 for k in learner_ids},
     )
-
-
-def get_community(state: CommunityState) -> ParamSet:
-    """Current community model: W / P, or the broadcast model before any
-    cache contribution exists."""
-    if state.normalizer > 0.0:
-        return scale(1.0 / state.normalizer, state.weighted_sum)
-    return state.broadcast_model
 
 
 def record_fetch(state: CommunityState, learner_id: int) -> tuple[ParamSet, int, int]:
@@ -112,7 +107,7 @@ def record_fetch(state: CommunityState, learner_id: int) -> tuple[ParamSet, int,
     """
     with state.lock:
         state.fetch_versions[learner_id] = state.version
-        return get_community(state), state.committed_steps, state.version
+        return state.model, state.committed_steps, state.version
 
 
 def cached_update(
@@ -123,8 +118,9 @@ def cached_update(
     steps: int,
 ) -> ParamSet:
     """Replace learner ``learner_id``'s contribution and return the new
-    community model. Mutates ``state``; cost is O(model size) regardless of
-    how many learners have contributed.
+    community model W / P. Mutates ``state`` only if every new value is
+    valid; cost is O(model size) regardless of how many learners have
+    contributed.
     """
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"contribution weight must be finite and >= 0, got {value}")
@@ -143,10 +139,11 @@ def cached_update(
         flat = state.weighted_sum.flat + value * model.flat
         if prev is not None:
             flat -= prev.value * prev.model.flat
-        state.weighted_sum = ParamSet._wrap(
-            state.weighted_sum.structure(), flat
-        )
+        weighted_sum = ParamSet._wrap(state.weighted_sum.structure(), flat)
+        community = scale(1.0 / new_normalizer, weighted_sum)
+        state.weighted_sum = weighted_sum
         state.normalizer = new_normalizer
+        state.model = community
         state.records[learner_id] = ContributionRecord(
             learner_id=learner_id,
             model=model,
@@ -156,28 +153,22 @@ def cached_update(
         )
         state.committed_steps += steps
         state.version += 1
-        return scale(1.0 / new_normalizer, state.weighted_sum)
+        return community
 
 
 def staleness_discount(
-    committed_now: int, fetch_steps: int, local_steps: int, guarded: bool = True
+    committed_now: int, fetch_steps: int, local_steps: int
 ) -> float:
-    """Inverse-square-root discount by steps committed since the fetch.
+    """Inverse-square-root discount ``(max(0, base) + 1) ** -0.5`` with
+    ``base = committed_now - fetch_steps - local_steps``.
 
-    ``base = committed_now - (fetch_steps + local_steps)`` counts the other
-    learners' steps that landed while this model was in flight. The guarded
-    form (default) returns ``(max(0, base) + 1) ** -0.5`` so a fresh commit
-    gets full weight; the raw form ``base ** -0.5`` is kept selectable but
-    is undefined for ``base <= 0``.
+    The engine passes the committed-step count from *before* this commit, so
+    ``base`` is the other learners' steps committed since the fetch minus
+    this learner's own ``local_steps``; a commit with ``base <= 0`` gets
+    full weight.
     """
     base = committed_now - fetch_steps - local_steps
-    if guarded:
-        return (max(0, base) + 1) ** -0.5
-    if base <= 0:
-        raise ValueError(
-            f"raw staleness discount undefined for base {base} <= 0"
-        )
-    return base ** -0.5
+    return (max(0, base) + 1) ** -0.5
 
 
 def poly_staleness(version_now: int, fetch_version: int) -> float:
@@ -199,9 +190,7 @@ def compute_contribution(
     if scheme.kind == "fedavg_static":
         return float(data_size)
     if scheme.kind == "fedrec_staleness":
-        return staleness_discount(
-            state.committed_steps, fetch_steps, local_steps, guarded=scheme.guarded
-        )
+        return staleness_discount(state.committed_steps, fetch_steps, local_steps)
     raise ValueError(
         "fedasync_poly commits through fedasync_update, not the cache"
     )
@@ -228,13 +217,13 @@ def fedasync_update(
         alpha = mixing
         if staleness_adaptive:
             alpha *= poly_staleness(state.version, fetch_version)
-        current = get_community(state)
+        current = state.model
         _check_same_structure(current, model)
-        state.broadcast_model = ParamSet._wrap(
+        state.model = ParamSet._wrap(
             current.structure(), (1.0 - alpha) * current.flat + alpha * model.flat
         )
         state.version += 1
-        return state.broadcast_model, alpha
+        return state.model, alpha
 
 
 def snapshot(state: CommunityState) -> dict:

@@ -219,7 +219,7 @@ def from_obj(obj: dict) -> ParamSet:
 
 def save(ps: ParamSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_obj(ps), fh)
+        fh.write(json.dumps(to_obj(ps)))  # the C encoder; same bytes
 
 
 def load(path: str) -> ParamSet:

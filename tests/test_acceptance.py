@@ -20,7 +20,6 @@ from fedsim.controller import (
     WeightingScheme,
     cached_update,
     fedasync_update,
-    get_community,
     init_community,
     poly_staleness,
     staleness_discount,

@@ -114,6 +114,10 @@ def test_unknown_section_and_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text("[protocol]\ncadence = 5\n")
     assert any("unknown key" in v for v in err.value.violations)
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[weighting]\nguarded = false\n")
+    assert any("unknown key" in v and "guarded" in v
+               for v in err.value.violations)
 
 
 def test_lambda_list_only_for_semisync():

@@ -1,9 +1,11 @@
 """Aggregation cache, staleness weighting, and the async mixing path."""
 
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fedsim.controller import (
     DegenerateWeightError,
@@ -11,7 +13,6 @@ from fedsim.controller import (
     cached_update,
     compute_contribution,
     fedasync_update,
-    get_community,
     init_community,
     poly_staleness,
     record_fetch,
@@ -19,6 +20,7 @@ from fedsim.controller import (
     staleness_discount,
 )
 from fedsim.params import (
+    NonFiniteError,
     ParamSet,
     StructureError,
     equal,
@@ -41,7 +43,7 @@ def test_initial_community_is_broadcast():
     rng = np.random.default_rng(1)
     initial = rand_params(rng)
     state = init_community(initial, [0, 1, 2])
-    assert equal(get_community(state), initial)
+    assert equal(state.model, initial)
     assert state.version == 0 and state.committed_steps == 0
 
 
@@ -50,7 +52,7 @@ def test_record_fetch_reports_counters():
     state = fresh_state(rng, [0, 1])
     model, steps, version = record_fetch(state, 1)
     assert steps == 0 and version == 0
-    assert equal(model, state.broadcast_model)
+    assert equal(model, state.model)
     cached_update(state, 0, rand_params(rng), 10.0, steps=7)
     model, steps, version = record_fetch(state, 1)
     assert steps == 7 and version == 1
@@ -143,10 +145,6 @@ def test_staleness_discount_pinned_values():
     # nothing landed in between: full weight
     assert staleness_discount(105, 100, 5) == 1.0
     assert staleness_discount(100, 100, 0) == 1.0
-    # raw form has no +1 cushion
-    assert staleness_discount(110, 100, 5, guarded=False) == 5.0 ** -0.5
-    with pytest.raises(ValueError):
-        staleness_discount(105, 100, 5, guarded=False)
 
 
 def test_staleness_discount_monotone():
@@ -191,7 +189,7 @@ def test_fedasync_update_alpha_and_mixing():
     for c, i, l in zip(out.arrays, initial.arrays, local.arrays):
         assert np.allclose(c, 0.5 * i + 0.5 * l, rtol=0, atol=1e-12)
     assert state.version == 1
-    assert equal(get_community(state), out)
+    assert equal(state.model, out)
 
 
 def test_fedasync_alpha_decays_with_version_gap():
@@ -282,5 +280,88 @@ def test_concurrent_commits_linearize():
     assert state.committed_steps == 2 * num_learners * per_thread
     finals = [plans[k][0][-1] for k in range(num_learners)]
     weights = [float(plans[k][1][-1]) for k in range(num_learners)]
-    assert max_abs_diff(get_community(state),
+    assert max_abs_diff(state.model,
                         weighted_average(finals, weights)) <= 1e-9
+
+
+def state_view(state):
+    """Every field but the lock, with the dicts copied: two views compare
+    equal only if no field was rebound or mutated in between."""
+    view = {f.name: getattr(state, f.name)
+            for f in dataclasses.fields(state) if f.name != "lock"}
+    return {k: dict(v) if isinstance(v, dict) else v for k, v in view.items()}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow -> NonFiniteError
+def test_failed_commit_of_subnormal_weight_leaves_state_untouched():
+    rng = np.random.default_rng(16)
+    state = fresh_state(rng, [0, 1])
+    served = record_fetch(state, 0)[0]
+    before = state_view(state)
+    with pytest.raises(NonFiniteError):
+        cached_update(state, 0, rand_params(rng), 5e-324, steps=1)
+    assert state_view(state) == before
+    assert equal(record_fetch(state, 1)[0], served)
+
+
+def entries(values):
+    return st.lists(values, min_size=7, max_size=7).map(
+        lambda xs: ParamSet(["a", "b"], [np.reshape(xs[:4], (2, 2)), xs[4:]])
+    )
+
+
+models = st.one_of(
+    entries(st.floats(-10.0, 10.0)),
+    entries(st.floats(allow_nan=False, allow_infinity=False)),
+)
+# Everything the API accepts, plus a few inputs it must reject untouched.
+weights = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.floats(min_value=0.0, allow_infinity=False, allow_nan=False),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308,
+                     -1.0, float("nan")]),
+)
+operations = st.one_of(
+    st.tuples(st.just("cache"), st.integers(0, 2), models, weights,
+              st.integers(0, 4)),
+    st.tuples(st.just("mix"), st.integers(0, 2), models,
+              st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 6),
+              st.booleans()),
+    st.tuples(st.just("fetch"), st.integers(0, 2)),
+)
+
+
+def ramp(c):
+    return ParamSet(["a", "b"], [np.full((2, 2), c), np.arange(3.0) * c])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow -> NonFiniteError
+@settings(max_examples=300, deadline=None)
+@given(initial=models, ops=st.lists(operations, max_size=25))
+@example(initial=ramp(0.0), ops=[("cache", 0, ramp(1.0), 2.0, 1),
+                                 ("mix", 1, ramp(3.0), 0.5, 1, True),
+                                 ("fetch", 0)])
+def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
+    initial, ops
+):
+    state = init_community(initial, [0, 1, 2])
+    served = initial
+    for op in ops:
+        before = state_view(state)
+        if op[0] == "fetch":
+            model, steps, version = record_fetch(state, op[1])
+            assert equal(model, served)
+            assert (steps, version) == (state.committed_steps, state.version)
+            continue
+        try:
+            if op[0] == "cache":
+                _, k, w, value, steps = op
+                served = cached_update(state, k, w, value, steps)
+            else:
+                _, k, w, mixing, fetch_version, adaptive = op
+                served, _ = fedasync_update(state, k, w, mixing,
+                                            fetch_version, adaptive)
+        except ValueError:  # includes NonFiniteError and the degenerate case
+            assert state_view(state) == before
+        else:
+            assert state.version == before["version"] + 1

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from fedsim.controller import WeightingScheme, get_community
+from fedsim.controller import WeightingScheme
 from fedsim.engine import (
     EvalSnapshot,
     LearnerProfile,
@@ -281,7 +281,7 @@ def test_async_fedasync_mixing_alphas():
     # community model is the broadcast model, not a cache average
     assert log.final_state is not None
     assert log.final_state.normalizer == 0.0
-    assert equal(get_community(log.final_state), log.final_model)
+    assert equal(log.final_state.model, log.final_model)
 
 
 def test_async_final_eval_present_and_final_model_consistent():

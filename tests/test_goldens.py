@@ -3,8 +3,8 @@
 Criterion 10 only shows that two reruns agree; these pins show that a
 refactor kept behaviour. Each cell takes one distinct path through the
 engine: barrier rounds (sync, semisync matrix), every async weighting
-scheme, every optimizer (momentum in both buffer forms), both task families
-and both evaluation cadences.
+scheme (fedasync in both alpha forms), every optimizer (momentum in both
+buffer forms), both task families and both evaluation cadences.
 ``config.txt`` echoes the config text and is skipped. Change a digest only
 for an intended behaviour change, and record why in CHANGES.md.
 """
@@ -53,12 +53,13 @@ mu = 0.01
 eta_in_velocity = {velocity}
 [weighting]
 scheme = {scheme}
+staleness_adaptive = {adaptive}
 """
 
 DEFAULTS = dict(seed=5, task="softmax_regression", activation="relu",
                 policy="sync", epochs=1, lam="2", budget=400, eval_every=1,
                 optimizer="vanilla", scheme="fedavg_static",
-                velocity="false")
+                velocity="false", adaptive="true")
 
 CELLS = {
     "sync": dict(epochs=2),
@@ -72,11 +73,33 @@ CELLS = {
                                    optimizer="momentum", budget=410,
                                    eval_every=2),
     "async_fedasync_poly": dict(policy="async", scheme="fedasync_poly"),
+    "async_fedasync_fixed_alpha": dict(policy="async", scheme="fedasync_poly",
+                                       adaptive="false"),
     "sync_mlp_momentum_velocity": dict(task="mlp1", optimizer="momentum",
                                        velocity="true"),
 }
 
 GOLDENS = {
+    "async_fedasync_fixed_alpha": {
+        "contributions.csv":
+            "c39b31cfbc45ad0bf49e25b5d24c38c563f9187b39dd8b8d39a2562bc8a3fef2",
+        "controller_snapshot.json":
+            "9f9562bb5294f58c3e7eb543040d4cb7e260135bf1a7d7a54a8284bf35fe183a",
+        "events.jsonl":
+            "2cc0e55b89eac052b2feed830cb207543fbbd5e70d6c0e2c2ddff69d2862f943",
+        "final_model.json":
+            "149214064aa8018df4f2341ef9bfd5c8e910e67665ddded963c6363f5569a92c",
+        "idle.csv":
+            "4458c76e09efc5f504e5f006f8ead387a20eb7e4964c29f9e224daa8ec255661",
+        "manifest.json":
+            "42d6f6db71082c5f975a25f19163ab59ac15673b75d0127f04018cf7dfd000d6",
+        "metrics.csv":
+            "ae5bcd283a1d28e88a3fe2e857d1a27a6987986e62c9343fde0c02c72277ad1e",
+        "partition_report.json":
+            "561473c2136aede3c421d5a3cf6317e8457e2463fc914d57764057216620ff93",
+        "summary.json":
+            "eb5f971f809d5cccdfe374ad71e4d460c04bcecf9255a9ad6784f35a29e48fc5",
+    },
     "async_fedasync_poly": {
         "contributions.csv":
             "8721eb0285d74f2c66924df48218d3623078efa706f0cb0744b5aa86eeff28c5",
