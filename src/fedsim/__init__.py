@@ -64,6 +64,7 @@ from .tasks import (
     gen_synthetic,
     init_params,
     loss_and_grad,
+    stacked_grad,
     zero_params,
 )
 
@@ -117,6 +118,7 @@ __all__ = [
     "run_policy",
     "scale",
     "snapshot",
+    "stacked_grad",
     "staleness_discount",
     "step_fedprox",
     "step_momentum",

@@ -18,6 +18,19 @@ from .config import ConfigError, parse_config
 from .runner import bench_cache, resolve_out_dir, run_experiment
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
@@ -40,14 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="time incremental aggregation against full recomputation",
     )
     bench_p.add_argument(
-        "--learners", type=int, nargs="+", default=[10, 100, 1000],
-        help="learner counts to sweep",
+        "--learners", type=_int_at_least(1), nargs="+",
+        default=[10, 100, 1000],
+        help="learner counts to sweep, at least two distinct",
     )
     bench_p.add_argument(
-        "--sizes", type=int, nargs="+", default=[10_000],
-        help="total model entries to sweep",
+        "--sizes", type=_int_at_least(3), nargs="+", default=[10_000],
+        help="total model entries to sweep (three layers, so at least 3)",
     )
-    bench_p.add_argument("--repeats", type=int, default=5)
+    bench_p.add_argument(
+        "--repeats", type=_int_at_least(2), default=5,
+        help="timed repeats per point (a line fit needs two)",
+    )
     bench_p.add_argument(
         "--out", default=None, help="write the timing table to this CSV file"
     )
@@ -55,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
         try:
             cfg = parse_config(args.config)
@@ -71,6 +89,9 @@ def main(argv: list[str] | None = None) -> int:
             seed_override=args.seed,
             partitions_only=args.report_partitions_only,
         )
+    if len(set(args.learners)) < 2:
+        parser.error("bench-cache: --learners needs at least two distinct "
+                     "counts to fit a line")
     out_path = resolve_out_dir(args.out) if args.out else None
     _, fits = bench_cache(
         learner_counts=tuple(args.learners),

@@ -8,13 +8,15 @@ Three update rules are supported:
 
 where ``anchor`` is the community model the learner received at fetch time.
 The momentum buffer starts at zero for every assignment, i.e. it is reset
-whenever a learner fetches a fresh community model.
+whenever a learner fetches a fresh community model. The ``step_*``
+functions are the reference form of each rule; :func:`run_client_opt`
+applies them in place to a whole cohort of learners at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,43 +93,77 @@ def epoch_batches(
             yield order[lo : lo + batch_size]
 
 
-GradFn = Callable[[ParamSet, np.ndarray], ParamSet]
+# grad_fn(W, rows, out): W (m, P) holds m learners' live weights and rows
+# (m, n) one batch of example indices per learner; writes the m minibatch
+# gradients into out (m, P).
+GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 def run_client_opt(
-    start: ParamSet,
-    budget_batches: int,
-    batch_stream: Iterator[np.ndarray],
+    starts: Sequence[ParamSet],
+    budgets: Sequence[int],
+    batch_streams: Sequence[Iterator[np.ndarray]],
     cfg: OptimizerConfig,
     grad_fn: GradFn,
-) -> tuple[ParamSet, int]:
-    """Run exactly ``budget_batches`` local steps from ``start``.
+    prox_rho: float = 0.0,
+) -> list[ParamSet]:
+    """Train K learners together; learner k runs ``budgets[k]`` local steps
+    from ``starts[k]`` on the batches ``batch_streams[k]`` yields.
 
-    ``grad_fn(w, batch)`` returns the minibatch gradient at ``w``. The
-    proximal anchor (fedprox) is the starting model; the momentum buffer
-    starts at zero. Returns the final weights and the number of steps taken.
+    Each learner's proximal anchor (fedprox) is its start and its momentum
+    buffer starts at zero. With ``prox_rho > 0`` every gradient gets the
+    pull ``prox_rho * (w - start)`` toward the start before the update.
+    Returns the final weights in input order.
 
-    The weights, the momentum buffer and the proximal drift are private flat
-    buffers updated in place, in the operation order of :func:`step_vanilla`,
-    :func:`step_momentum` and :func:`step_fedprox`, so the result is bit
-    for bit theirs. ``w`` is a read-only view of the live weights: it is
-    valid during the ``grad_fn`` call only and changes with the next step.
-    Divergence surfaces as :class:`~fedsim.params.NonFiniteError` from the
-    returned weights' check (a non-finite entry never turns finite again)
-    or, earlier, from ``grad_fn``.
+    Weights, momentum buffers and anchors are (K, P) buffers, one row
+    per learner, sorted by budget, largest first, so the learners still
+    training are always a prefix. Each step, the learners whose batches have
+    the same length share one ``grad_fn`` call; the weight rows it gets are
+    a read-only view valid during the call. The update then runs in place
+    over the prefix in the operation order of :func:`step_vanilla`,
+    :func:`step_momentum` and :func:`step_fedprox`, element by element, so
+    every row is bit for bit what training that learner alone gives.
+    Divergence surfaces as :class:`~fedsim.params.NonFiniteError` from
+    ``grad_fn`` or from the returned weights' check (a non-finite entry
+    never turns finite again).
     """
-    if budget_batches < 1:
-        raise ValueError(f"batch budget must be >= 1, got {budget_batches}")
-    anchor = start.flat
-    w = anchor.copy()
-    live = ParamSet._wrap(start.structure(), w.view())
+    if min(budgets) < 1:
+        raise ValueError(f"batch budget must be >= 1, got {min(budgets)}")
+    order = sorted(range(len(starts)), key=lambda k: -budgets[k])
+    W = np.stack([starts[k].flat for k in order])
+    # Anchors and momentum buffers exist only when an update reads them.
+    A = W.copy() if cfg.kind == "fedprox" or prox_rho > 0.0 else None
+    U = np.zeros(W.shape) if cfg.kind == "momentum" else None
+    G = np.empty_like(W)  # gradients
+    live = W.view()
+    live.setflags(write=False)
     eta = cfg.eta
-    u = np.zeros(w.size)  # momentum buffer
-    for _ in range(budget_batches):
-        g = grad_fn(live, next(batch_stream)).flat
+    streams = [batch_streams[k] for k in order]
+    row_budgets = [budgets[k] for k in order]
+    m = len(order)
+    for step in range(row_budgets[0]):
+        while row_budgets[m - 1] <= step:
+            m -= 1
+        by_length: dict[int, list[int]] = {}
+        batches = [next(s) for s in streams[:m]]
+        for i, batch in enumerate(batches):
+            by_length.setdefault(len(batch), []).append(i)
+        for idx in by_length.values():
+            rows = np.array([batches[i] for i in idx])
+            lo, hi = idx[0], idx[-1] + 1
+            if hi - lo == len(idx):
+                grad_fn(live[lo:hi], rows, G[lo:hi])
+            else:  # other lengths sit between these rows: gather, scatter
+                g = np.empty((len(idx), W.shape[1]))
+                grad_fn(W[idx], rows, g)
+                G[idx] = g
+        w, g = W[:m], G[:m]
+        if prox_rho > 0.0:
+            g += prox_rho * (w - A[:m])
         if cfg.kind == "vanilla":
             w -= eta * g
         elif cfg.kind == "momentum":
+            u = U[:m]
             u *= cfg.gamma
             if cfg.eta_in_velocity:
                 u -= eta * g
@@ -136,7 +172,10 @@ def run_client_opt(
                 u += g
                 w -= eta * u
         else:
-            drift = w - anchor
+            drift = w - A[:m]
             w -= eta * g
             w -= (eta * cfg.mu) * drift
-    return ParamSet._wrap(start.structure(), w.copy()), budget_batches
+    trained = [None] * len(order)
+    for row, k in enumerate(order):
+        trained[k] = ParamSet._wrap(starts[k].structure(), W[row].copy())
+    return trained

@@ -7,12 +7,13 @@ cluster per class, so experiments are reproducible end to end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParamSet
+from .params import NonFiniteError, ParamSet
 
 TASK_KINDS = ("softmax_regression", "mlp1")
 ACTIVATIONS = ("relu", "tanh")
@@ -111,75 +112,131 @@ def init_params(model: TaskModel, rng: np.random.Generator) -> ParamSet:
     )
 
 
-def zero_params(model: TaskModel) -> ParamSet:
-    """All-zero parameters for the given model shape."""
+@functools.lru_cache(maxsize=64)
+def _layout(model: TaskModel) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) of each layer inside a flat parameter row, in
+    ParamSet order (W, b or W1, b1, W2, b2)."""
     d, c = model.input_dim, model.num_classes
     if model.kind == "softmax_regression":
-        return ParamSet(("W", "b"), (np.zeros((d, c)), np.zeros(c)))
-    h = model.hidden_dim
-    return ParamSet(
-        ("W1", "b1", "W2", "b2"),
-        (np.zeros((d, h)), np.zeros(h), np.zeros((h, c)), np.zeros(c)),
+        shapes = [(d, c), (c,)]
+    else:
+        h = model.hidden_dim
+        shapes = [(d, h), (h,), (h, c), (c,)]
+    spans, lo = [], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        spans.append((lo, hi, shape))
+        lo = hi
+    return tuple(spans)
+
+
+def zero_params(model: TaskModel) -> ParamSet:
+    """All-zero parameters for the given model shape."""
+    names = ("W", "b") if model.kind == "softmax_regression" else (
+        "W1", "b1", "W2", "b2"
     )
+    return ParamSet(names, [np.zeros(shape) for _, _, shape in _layout(model)])
 
 
-def _forward(model: TaskModel, w: ParamSet, X: np.ndarray):
-    """Returns (logits, hidden pre-activation, hidden activation)."""
+def _split(model: TaskModel, rows: np.ndarray) -> list[np.ndarray]:
+    """Per-layer ``(G, *shape)`` views of stacked flat parameter rows."""
+    layout = _layout(model)
+    G, P = rows.shape
+    if P != layout[-1][1]:
+        raise ValueError(
+            f"{model.kind} has {layout[-1][1]} parameters, rows hold {P}"
+        )
+    return [rows[:, lo:hi].reshape(G, *shape) for lo, hi, shape in layout]
+
+
+def _forward(model: TaskModel, layers: list[np.ndarray], X: np.ndarray):
+    """Stacked forward pass of G models over G batches.
+
+    ``layers`` are :func:`_split` views of (G, P) parameter rows and ``X``
+    is (G, n, d). Returns (logits, hidden pre-activation, hidden
+    activation), each (G, n, ·).
+    """
     if model.kind == "softmax_regression":
-        return X @ w.layer("W") + w.layer("b"), None, None
-    z1 = X @ w.layer("W1") + w.layer("b1")
+        w, b = layers
+        return X @ w + b[:, None, :], None, None
+    w1, b1, w2, b2 = layers
+    z1 = X @ w1 + b1[:, None, :]
     if model.activation == "relu":
         h = np.maximum(z1, 0.0)
     else:
         h = np.tanh(z1)
-    return h @ w.layer("W2") + w.layer("b2"), z1, h
+    return h @ w2 + b2[:, None, :], z1, h
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """(mean softmax cross-entropy, log-probabilities) of a batch."""
+def _mean_nll(logp: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-likelihood of ``labels`` under one batch's (n, c)
+    log-probabilities."""
     n = len(labels)
+    return float(-logp[np.arange(n), labels].mean())
+
+
+def stacked_grad(
+    model: TaskModel,
+    W: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Exact mean cross-entropy gradients of G models on G batches.
+
+    Row g of ``W`` (G, P) holds one model's flat parameters, ``X[g]`` (n, d)
+    and ``y[g]`` (n,) its batch; row g of ``out`` (G, P) receives its
+    gradient, laid out like ``W``. Every product is a stacked
+    ``np.matmul`` whose per-row operands have the shapes and strides a lone
+    model's would, so BLAS gets the same call per row and each row is bit
+    for bit the gradient of that model alone (the goldens and the cohort
+    property tests check this). Returns the (G, n, c) log-probabilities; raises
+    :class:`~fedsim.params.NonFiniteError` when a gradient entry is NaN/Inf.
+    """
+    G, n = y.shape
     if n == 0:
         raise ValueError("empty batch")
+    layers = _split(model, W)
+    logits, z1, hidden = _forward(model, layers, X)
     logp = _log_softmax(logits)
-    return float(-logp[np.arange(n), labels].mean()), logp
+    dlogits = np.exp(logp)  # fresh and contiguous: the reshape is a view
+    dlogits.reshape(G * n, -1)[np.arange(G * n), y.ravel()] -= 1.0
+    dlogits /= n
+    grads = _split(model, out)
+    XT = X.transpose(0, 2, 1)
+    if model.kind == "softmax_regression":
+        np.matmul(XT, dlogits, out=grads[0])
+        np.add.reduce(dlogits, axis=1, out=grads[1])
+    else:
+        np.matmul(hidden.transpose(0, 2, 1), dlogits, out=grads[2])
+        np.add.reduce(dlogits, axis=1, out=grads[3])
+        dh = dlogits @ layers[2].transpose(0, 2, 1)
+        if model.activation == "relu":
+            dz1 = dh * (z1 > 0.0)
+        else:
+            dz1 = dh * (1.0 - np.tanh(z1) ** 2)
+        np.matmul(XT, dz1, out=grads[0])
+        np.add.reduce(dz1, axis=1, out=grads[1])
+    if not np.isfinite(out).all():
+        raise NonFiniteError("gradient has NaN/Inf entries")
+    return logp
 
 
 def loss_and_grad(
     model: TaskModel, w: ParamSet, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ParamSet]:
-    """Mean softmax cross-entropy over the batch and its exact gradient."""
-    X = features
-    logits, z1, hidden = _forward(model, w, X)
-    loss, logp = _cross_entropy(logits, labels)
+    """Mean softmax cross-entropy over the batch and its exact gradient.
 
-    n = len(labels)
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    if model.kind == "softmax_regression":
-        return loss, _pack(w, [X.T @ dlogits, dlogits.sum(axis=0)])
-    gW2 = hidden.T @ dlogits
-    gb2 = dlogits.sum(axis=0)
-    dh = dlogits @ w.layer("W2").T
-    if model.activation == "relu":
-        dz1 = dh * (z1 > 0.0)
-    else:
-        dz1 = dh * (1.0 - np.tanh(z1) ** 2)
-    return loss, _pack(w, [X.T @ dz1, dz1.sum(axis=0), gW2, gb2])
-
-
-def _pack(w: ParamSet, layers: list[np.ndarray]) -> ParamSet:
-    """Fresh layers laid out like ``w``, as one ParamSet."""
-    return ParamSet._wrap(
-        w.structure(), np.concatenate([a.ravel() for a in layers])
-    )
+    The G = 1 case of :func:`stacked_grad`.
+    """
+    out = np.empty((1, w.num_entries))
+    logp = stacked_grad(model, w.flat[None], features[None], labels[None], out)
+    return _mean_nll(logp[0], labels), ParamSet._wrap(w.structure(), out[0])
 
 
 def evaluate(model: TaskModel, w: ParamSet, data: Dataset) -> tuple[float, float]:
@@ -187,8 +244,8 @@ def evaluate(model: TaskModel, w: ParamSet, data: Dataset) -> tuple[float, float
 
     Prediction is argmax over logits; ties resolve to the lowest class id.
     """
-    logits, _, _ = _forward(model, w, data.features)
+    layers = _split(model, w.flat[None])
+    logits = _forward(model, layers, data.features[None])[0][0]
     pred = np.argmax(logits, axis=1)
     accuracy = float(np.mean(pred == data.labels))
-    loss, _ = _cross_entropy(logits, data.labels)
-    return accuracy, loss
+    return accuracy, _mean_nll(_log_softmax(logits), data.labels)

@@ -156,6 +156,18 @@ def test_staleness_discount_monotone():
         prev = s
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(committed=st.integers(0, 10**9), later=st.integers(0, 10**9),
+       fetch_steps=st.integers(0, 10**9), local_steps=st.integers(0, 10**9))
+def test_staleness_discount_properties(committed, later, fetch_steps,
+                                       local_steps):
+    now = staleness_discount(committed, fetch_steps, local_steps)
+    after = staleness_discount(committed + later, fetch_steps, local_steps)
+    assert 0.0 < after <= now <= 1.0
+    if committed - fetch_steps - local_steps <= 0:
+        assert now == 1.0
+
+
 def test_poly_staleness_pinned_values():
     assert poly_staleness(0, 0) == 1.0
     assert poly_staleness(3, 0) == 0.5

@@ -2,9 +2,11 @@
 
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim.controller import WeightingScheme
 from fedsim.engine import (
@@ -86,6 +88,41 @@ def test_plan_rounds_half_up():
     plan = plan_semisync(1.0, profs)
     assert plan.t_max_us == 2_500_000
     assert plan.batches == {0: 25, 1: 3}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    lam=st.floats(0.05, 20.0),
+    learners=st.lists(
+        st.tuples(
+            st.integers(1, 5000),  # shard size
+            st.integers(1, 200),  # batch size
+            st.floats(0.001, 2000.0),  # per-batch latency, ms
+        ),
+        min_size=1, max_size=12,
+    ),
+)
+def test_plan_semisync_invariants(lam, learners):
+    profs = [profile(k, t_ms, np.arange(size), batch_size=bs)
+             for k, (size, bs, t_ms) in enumerate(learners)]
+    # The horizon is lambda times the slowest epoch (fractional batches
+    # included), rounded half up to whole microseconds.
+    target = Fraction(lam) * max(
+        Fraction(p.data_size, p.batch_size) * p.time_per_batch_us
+        for p in profs
+    )
+    if _round_half_up(float(target)) < 1:
+        with pytest.raises(ValueError):
+            plan_semisync(lam, profs)
+        return
+    plan = plan_semisync(lam, profs)
+    assert abs(plan.t_max_us - target) <= Fraction(1, 2) + target * 1e-12
+    assert sorted(plan.batches) == list(range(len(profs)))
+    for p in profs:
+        b, tpb = plan.batches[p.learner_id], p.time_per_batch_us
+        assert b >= 1
+        if b > 1:  # the budget is the nearest whole number of batches
+            assert 2 * abs(b * tpb - plan.t_max_us) <= tpb
 
 
 def test_plan_rejects_bad_lambda():

@@ -1,10 +1,13 @@
 """Local solver update rules and the minibatch schedule."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim.engine import _TRAIN_STREAM, LearnerProfile, _client_update
+from fedsim import engine
+from fedsim.engine import _TRAIN_STREAM, LearnerProfile, _train_cohort
 from fedsim.optimizers import (
     OptimizerConfig,
     epoch_batches,
@@ -14,7 +17,13 @@ from fedsim.optimizers import (
     step_vanilla,
 )
 from fedsim.params import NonFiniteError, ParamSet, axpy, equal, zeros_like
-from fedsim.tasks import TaskModel, gen_synthetic, init_params, loss_and_grad
+from fedsim.tasks import (
+    TaskModel,
+    gen_synthetic,
+    init_params,
+    loss_and_grad,
+    stacked_grad,
+)
 
 TASKS = {
     "mlp1-relu": TaskModel("mlp1", 5, 3, hidden_dim=4, activation="relu"),
@@ -31,6 +40,19 @@ def scalar(v):
 
 def val(ps):
     return ps.arrays[0][0, 0]
+
+
+def one_stream():
+    return iter(lambda: np.arange(1), None)
+
+
+def fill(value):
+    """A cohort gradient that is ``value`` everywhere."""
+    return lambda W, rows, out: out.fill(value)
+
+
+def grad_is_weights(W, rows, out):
+    np.copyto(out, W)
 
 
 def test_momentum_two_step_hand_unrolled():
@@ -115,9 +137,14 @@ def test_vanilla_quadratic_contraction():
     # grad of 0.5*w^2 is w, so each step multiplies by (1 - eta):
     # three steps from 1.0 at eta=0.1 give 0.9^3 = 0.729.
     cfg = OptimizerConfig("vanilla", eta=0.1)
-    stream = iter(lambda: np.arange(1), None)
-    w, steps = run_client_opt(scalar(1.0), 3, stream, cfg, lambda w, b: w)
-    assert steps == 3
+    calls = []
+
+    def grad(W, rows, out):
+        calls.append(len(W))
+        grad_is_weights(W, rows, out)
+
+    [w] = run_client_opt([scalar(1.0)], [3], [one_stream()], cfg, grad)
+    assert calls == [1, 1, 1]
     assert val(w) == pytest.approx(0.729, abs=1e-12)
 
 
@@ -126,27 +153,24 @@ def test_run_client_opt_fedprox_anchor_is_start():
     # never moves anything: the anchor equals the start.
     cfg = OptimizerConfig("fedprox", eta=0.5, mu=0.9)
     start = scalar(4.0)
-    stream = iter(lambda: np.arange(1), None)
-    w, _ = run_client_opt(start, 5, stream, cfg, lambda w, b: zeros_like(w))
+    [w] = run_client_opt([start], [5], [one_stream()], cfg, fill(0.0))
     assert val(w) == val(start)
 
 
 def test_run_client_opt_momentum_buffer_starts_at_zero():
     cfg = OptimizerConfig("momentum", eta=1.0, gamma=0.5)
-    stream = iter(lambda: np.arange(1), None)
-    grad_one = lambda w, b: scalar(1.0)
-    w1, _ = run_client_opt(scalar(0.0), 2, stream, cfg, grad_one)
+    [w1] = run_client_opt([scalar(0.0)], [2], [one_stream()], cfg, fill(1.0))
     assert val(w1) == -2.5
     # a second call must not inherit the previous buffer
-    w2, _ = run_client_opt(scalar(0.0), 2, stream, cfg, grad_one)
+    [w2] = run_client_opt([scalar(0.0)], [2], [one_stream()], cfg, fill(1.0))
     assert val(w2) == -2.5
 
 
 def test_run_client_opt_rejects_zero_budget():
     cfg = OptimizerConfig("vanilla", eta=0.1)
-    stream = iter(lambda: np.arange(1), None)
     with pytest.raises(ValueError):
-        run_client_opt(scalar(1.0), 0, stream, cfg, lambda w, b: w)
+        run_client_opt([scalar(1.0), scalar(2.0)], [3, 0],
+                       [one_stream(), one_stream()], cfg, grad_is_weights)
 
 
 def test_config_validation():
@@ -223,6 +247,11 @@ def ce_grad(task):
     return lambda w, batch: loss_and_grad(task, w, X[batch], y[batch])[1]
 
 
+def stacked_ce(task):
+    X, y = DATA.features, DATA.labels
+    return lambda W, rows, out: stacked_grad(task, W, X[rows], y[rows], out)
+
+
 def batches(seed):
     return epoch_batches(len(DATA), BATCH, np.random.default_rng(seed))
 
@@ -253,10 +282,10 @@ property_settings = settings(max_examples=60, deadline=None, database=None)
 def test_run_client_opt_bitwise_equals_step_functions(seed, task, cfg, budget):
     model = TASKS[task]
     start = init_params(model, np.random.default_rng(seed))
-    grad = ce_grad(model)
-    w, steps = run_client_opt(start, budget, batches(seed), cfg, grad)
-    assert steps == budget
-    assert equal(w, reference_opt(start, budget, batches(seed), cfg, grad))
+    [w] = run_client_opt([start], [budget], [batches(seed)], cfg,
+                         stacked_ce(model))
+    assert equal(w, reference_opt(start, budget, batches(seed), cfg,
+                                  ce_grad(model)))
 
 
 @property_settings
@@ -269,8 +298,8 @@ def test_prox_rho_gradient_bitwise_equals_axpy_form(
     model = TASKS[task]
     anchor = init_params(model, np.random.default_rng(seed))
     profile = LearnerProfile(0, "fast", BATCH, 1.0, np.arange(len(DATA)))
-    w = _client_update(profile, DATA.features, DATA.labels, anchor, budget,
-                       model, cfg, seed, assignment, rho)
+    [w] = _train_cohort([(profile, anchor, budget, assignment)], model, DATA,
+                        cfg, seed, rho)
     ce = ce_grad(model)
 
     def prox_grad(w, batch):
@@ -290,30 +319,29 @@ def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
     start = init_params(model, np.random.default_rng(3))
     before = start.flat.copy()
     seen = []
-    ce = ce_grad(model)
+    ce = stacked_ce(model)
 
-    def grad(w, batch):
-        seen.append(w)
+    def grad(W, rows, out):
+        seen.append(W)
         with pytest.raises(ValueError):
-            w.flat[0] = 0.0  # the live weights are read-only to grad_fn
-        return ce(w, batch)
+            W[0, 0] = 0.0  # the live weights are read-only to grad_fn
+        ce(W, rows, out)
 
-    w, _ = run_client_opt(start, 6, batches(1), cfg, grad)
+    [w] = run_client_opt([start], [6], [batches(1)], cfg, grad)
     assert np.array_equal(start.flat, before)
     assert not w.flat.flags.writeable
     assert not np.shares_memory(w.flat, start.flat)
     for live in seen:
-        assert live is not w
-        assert not np.shares_memory(w.flat, live.flat)
+        assert not np.shares_memory(w.flat, live)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_run_client_opt_gradient_aliasing_the_weights(kind):
-    # A grad_fn may hand back the very view it was given; the in-place
-    # update must still read the gradient before overwriting the weights.
+    # A gradient equal to the weights: the in-place update must still read
+    # the gradient before overwriting the weights.
     cfg = make_cfg(kind, eta=0.1, gamma=0.5, mu=0.3)
     start = init_params(TASKS["softmax"], np.random.default_rng(4))
-    w, _ = run_client_opt(start, 5, batches(2), cfg, lambda w, b: w)
+    [w] = run_client_opt([start], [5], [batches(2)], cfg, grad_is_weights)
     assert equal(w, reference_opt(start, 5, batches(2), cfg, lambda w, b: w))
 
 
@@ -323,9 +351,114 @@ def test_run_client_opt_divergence_raises_nonfinite(kind):
     model = TASKS["mlp1-relu"]
     start = init_params(model, np.random.default_rng(5))
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-        run_client_opt(start, 5, batches(3), cfg, ce_grad(model))
+        run_client_opt([start], [5], [batches(3)], cfg, stacked_ce(model))
     # A grad_fn that never inspects the weights: the returned weights' own
     # check still refuses the overflowed result.
-    huge = ParamSet(start.names, [np.full(a.shape, 1e300) for a in start.arrays])
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-        run_client_opt(start, 1, batches(3), cfg, lambda w, b: huge)
+        run_client_opt([start], [1], [batches(3)], cfg, fill(1e300))
+
+
+def one_at_a_time(model, cohort, cfg, seed, rho):
+    """Reference for ``_train_cohort``: each learner alone, folding
+    ``loss_and_grad`` and the ``step_*`` functions."""
+    trained = []
+    for profile, anchor, budget, assignment in cohort:
+        X = DATA.features[profile.indices]
+        y = DATA.labels[profile.indices]
+
+        def grad(w, batch):
+            g = loss_and_grad(model, w, X[batch], y[batch])[1]
+            return axpy(rho, axpy(-1.0, anchor, w), g) if rho > 0 else g
+
+        stream = epoch_batches(
+            profile.data_size, profile.batch_size,
+            np.random.default_rng(
+                [seed, _TRAIN_STREAM, profile.learner_id, assignment]
+            ),
+        )
+        trained.append(reference_opt(anchor, budget, stream, cfg, grad))
+    return trained
+
+
+learner_specs = st.lists(
+    st.tuples(
+        st.integers(1, len(DATA)),  # shard size
+        st.integers(1, 8),  # batch size
+        st.integers(1, 25),  # budget
+        st.integers(0, 3),  # assignment
+    ),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(sorted(TASKS)),
+       cfg=optimizer_configs, specs=learner_specs,
+       rho=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
+       per_chunk=st.one_of(st.none(), st.integers(1, 12)))
+def test_cohort_training_bitwise_equals_one_learner_at_a_time(
+    seed, task, cfg, specs, rho, per_chunk
+):
+    """Stacked cohorts (ragged shards and budgets, every row its own
+    anchor, split into chunks) give each learner exactly the weights it
+    would reach training alone."""
+    model = TASKS[task]
+    rng = np.random.default_rng(seed)
+    cohort = []
+    for lid, (size, batch, budget, assignment) in enumerate(specs):
+        shard = rng.choice(len(DATA), size=size, replace=False)
+        profile = LearnerProfile(lid, "fast", batch, 1.0, shard)
+        cohort.append((profile, init_params(model, rng), budget, assignment))
+    entries = cohort[0][1].num_entries
+    cap = engine._COHORT_ENTRIES if per_chunk is None else per_chunk * entries
+    with mock.patch.object(engine, "_COHORT_ENTRIES", cap):
+        trained = list(_train_cohort(cohort, model, DATA, cfg, seed, rho))
+    expected = one_at_a_time(model, cohort, cfg, seed, rho)
+    assert len(trained) == len(expected)
+    for w, ref in zip(trained, expected):
+        assert equal(w, ref)
+
+
+def test_cohort_reads_learners_one_chunk_at_a_time():
+    # What bounds memory: a chunk's learners are read only when its first
+    # model is asked for, so a caller holds one chunk of anchors at a time.
+    model = TASKS["softmax"]
+    rng = np.random.default_rng(8)
+    shard = np.arange(len(DATA))
+    read = []
+
+    def learners():
+        for lid in range(5):
+            read.append(lid)
+            yield (LearnerProfile(lid, "fast", BATCH, 1.0, shard),
+                   init_params(model, rng), 3, 0)
+
+    cfg = OptimizerConfig("vanilla", eta=0.1)
+    entries = init_params(model, rng).num_entries
+    with mock.patch.object(engine, "_COHORT_ENTRIES", 2 * entries):
+        trained = _train_cohort(learners(), model, DATA, cfg, 1, 0.0)
+        assert read == []
+        next(trained)
+        assert read == [0, 1]
+        next(trained)
+        assert read == [0, 1]
+        next(trained)
+        assert read == [0, 1, 2, 3]
+
+
+def test_cohort_with_one_divergent_row_raises_nonfinite():
+    model = TASKS["mlp1-relu"]
+    rng = np.random.default_rng(6)
+    shard = np.arange(len(DATA))
+    cohort = [
+        (LearnerProfile(lid, "fast", BATCH, 1.0, shard),
+         init_params(model, rng), 4, 0)
+        for lid in range(3)
+    ]
+    # Finite weights whose hidden layer overflows the logits to NaN.
+    huge = ParamSet(cohort[1][1].names,
+                    [np.full(a.shape, 1e300) for a in cohort[1][1].arrays])
+    cohort[1] = (cohort[1][0], huge, 4, 0)
+    cfg = OptimizerConfig("vanilla", eta=0.1)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        list(_train_cohort(cohort, model, DATA, cfg, seed=1, prox_rho=0.0))

@@ -297,6 +297,22 @@ def test_cli_bench_smoke(capsys):
     assert "cached" in out and "recompute" in out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--repeats", "1"], "must be >= 2"),
+    (["--learners", "0", "4"], "must be >= 1"),
+    (["--learners", "8"], "at least two distinct"),
+    (["--learners", "8", "8"], "at least two distinct"),
+    (["--sizes", "2"], "must be >= 3"),
+    (["--repeats", "x"], "invalid int value"),
+])
+def test_cli_bench_rejects_out_of_range_arguments(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench-cache", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is most of the package's import time; only bench-cache needs it
     src = os.path.dirname(os.path.dirname(os.path.abspath(fedsim.__file__)))
