@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .config import ConfigError, parse_config
+from .partition import PartitionError
 from .runner import bench_cache, resolve_out_dir, run_experiment
 
 
@@ -41,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the experiment described by a config file")
     run_p.add_argument("config", help="path to the experiment config")
     run_p.add_argument("--out", default=None, help="output directory override")
-    run_p.add_argument("--seed", type=int, default=None, help="seed override")
+    run_p.add_argument(
+        "--seed", type=_int_at_least(0), default=None, help="seed override"
+    )
     run_p.add_argument(
         "--report-partitions-only",
         action="store_true",
@@ -83,12 +86,18 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 2
-        return run_experiment(
-            cfg,
-            out_override=args.out,
-            seed_override=args.seed,
-            partitions_only=args.report_partitions_only,
-        )
+        try:
+            return run_experiment(
+                cfg,
+                out_override=args.out,
+                seed_override=args.seed,
+                partitions_only=args.report_partitions_only,
+            )
+        except PartitionError as exc:
+            # Raised while building the world, before any output is written:
+            # the config asks for a partition this dataset cannot realize.
+            print(str(ConfigError([str(exc)])), file=sys.stderr)
+            return 2
     if len(set(args.learners)) < 2:
         parser.error("bench-cache: --learners needs at least two distinct "
                      "counts to fit a line")

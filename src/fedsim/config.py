@@ -1,21 +1,26 @@
 """Experiment configuration: flat INI-style key-value files with sections.
 
-Parsing is strict but total: every unknown section or key, failed cast, and
-domain violation is collected, and :class:`ConfigError` reports the whole
-list at once instead of stopping at the first problem. Every key has a
+Every key is declared once, in :data:`SCHEMA`, with its default and the
+parser that types and bounds it. Parsing is strict but total: every unknown
+section or key, failed cast, and domain violation is collected, and
+:class:`ConfigError` reports the whole list at once instead of stopping at
+the first problem. A key that fails its parser is left out of the parsed
+values, and a check across keys runs only when every key it reads parsed,
+so one bad value never reports a second, made-up one. Every key has a
 default, so an empty file is a valid experiment.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from .controller import WeightingScheme
-from .engine import ProtocolConfig
-from .optimizers import OptimizerConfig
-from .partition import PartitionSpec
-from .tasks import TaskModel
+from .controller import WEIGHTING_KINDS, WeightingScheme
+from .engine import POLICIES, ProtocolConfig, ms_to_us
+from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
+from .partition import CLASS_DISTS, SIZE_DISTS, PartitionSpec
+from .tasks import ACTIVATIONS, TASK_KINDS, TaskModel
 
 DEFAULT_SEED = 1990
 
@@ -35,56 +40,165 @@ PRESETS = {
     },
 }
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "experiment": {"seed": str(DEFAULT_SEED), "output": "runs/experiment",
-                   "preset": ""},
+
+# Parsers take (key, raw text) and return a typed value, or raise ValueError
+# whose args are the violation texts, without the "[section] key: " prefix.
+
+def _int(low=None):
+    def parse(key, raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{raw!r} is not an integer") from None
+        if low is not None and value < low:
+            raise ValueError(f"must satisfy {key} >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _float(low, strict=False, below=None, upto=None, spec=""):
+    """A number ``>= low`` (``> low`` if strict), optionally ``< below`` or
+    ``<= upto``; ``spec`` formats the value in the lower-bound message."""
+    def parse(key, raw):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"{raw!r} is not a number") from None
+        if value <= low if strict else value < low:
+            op = ">" if strict else ">="
+            raise ValueError(
+                f"must satisfy {key} {op} {low}, got {value:{spec}}"
+            )
+        if below is not None and value >= below:
+            raise ValueError(f"must satisfy {key} < {below}, got {value}")
+        if upto is not None and value > upto:
+            raise ValueError(f"must satisfy {key} <= {upto}, got {value}")
+        return value
+    return parse
+
+
+def _choice(options):
+    def parse(key, raw):
+        raw = raw.strip()
+        if raw not in options:
+            raise ValueError(f"{raw!r} not one of {sorted(options)}")
+        return raw
+    return parse
+
+
+def _bool(key, raw):
+    raw = raw.strip().lower()
+    if raw in ("true", "yes", "1", "on"):
+        return True
+    if raw in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"{raw!r} is not a boolean")
+
+
+def _text(key, raw):
+    return raw.strip()
+
+
+def _list(item, nonempty=False):
+    """Comma-separated ``item`` values; blank entries are skipped, and
+    every bad entry is reported."""
+    def parse(key, raw):
+        values, errors = [], []
+        for part in raw.split(","):
+            part = part.strip()
+            if part:
+                try:
+                    values.append(item(key, part))
+                except ValueError as exc:
+                    errors.extend(exc.args)
+        if nonempty and not values:
+            errors.append("needs at least one value")
+        if errors:
+            raise ValueError(*errors)
+        return tuple(values)
+    return parse
+
+
+def _latency(key, raw):
+    """Per-batch milliseconds; at least one whole clock microsecond."""
+    value = _float(0.0, strict=True)(key, raw)
+    if math.isfinite(value) and ms_to_us(value) < 1:
+        raise ValueError(
+            f"must round to at least 1 us (0.0005 ms), got {value}"
+        )
+    return value
+
+
+# section -> key -> (default text, parser)
+SCHEMA = {
+    "experiment": {
+        "seed": (str(DEFAULT_SEED), _int(0)),
+        "output": ("runs/experiment", _text),
+        "preset": ("", _text),
+    },
     "task": {
-        "kind": "softmax_regression",
-        "input_dim": "20",
-        "num_classes": "10",
-        "hidden_dim": "32",
-        "activation": "relu",
-        "per_class": "100",
-        "test_per_class": "50",
-        "cluster_spread": "1.0",
+        "kind": ("softmax_regression", _choice(TASK_KINDS)),
+        "input_dim": ("20", _int(1)),
+        "num_classes": ("10", _int(2)),
+        "hidden_dim": ("32", _int(1)),
+        "activation": ("relu", _choice(ACTIVATIONS)),
+        "per_class": ("100", _int(1)),
+        "test_per_class": ("50", _int(1)),
+        "cluster_spread": ("1.0", _float(0.0)),
     },
     "partition": {
-        "size_dist": "uniform",
-        "class_dist": "iid",
-        "classes_per_learner": "0",
-        "ratio": "1.3",
-        "exponent": "1.5",
-        "class_count_override": "",
+        "size_dist": ("uniform", _choice(SIZE_DISTS)),
+        "class_dist": ("iid", _choice(CLASS_DISTS)),
+        "classes_per_learner": ("0", _int(0)),
+        "ratio": ("1.3", _float(1.0, strict=True)),
+        "exponent": ("1.5", _float(0.0, strict=True)),
+        "class_count_override": ("", _list(_int())),
     },
     "learners": {
-        "num_fast": "5",
-        "num_slow": "5",
-        "t_beta_fast_ms": "30",
-        "t_beta_slow_ms": "300",
-        "batch_size": "100",
+        "num_fast": ("5", _int(0)),
+        "num_slow": ("5", _int(0)),
+        "t_beta_fast_ms": ("30", _latency),
+        "t_beta_slow_ms": ("300", _latency),
+        "batch_size": ("100", _int(1)),
     },
     "protocol": {
-        "policy": "sync",
-        "epochs": "4",
-        "lambda": "2",
-        "rounds": "10",
-        "time_budget_ms": "60000",
-        "eval_every": "1",
+        "policy": ("sync", _choice(POLICIES)),
+        "epochs": ("4", _int(1)),
+        "lambda": ("2", _list(_float(0.0, strict=True, spec="g"),
+                              nonempty=True)),
+        "rounds": ("10", _int(1)),
+        "time_budget_ms": ("60000", _float(0.0, strict=True)),
+        "eval_every": ("1", _int(1)),
     },
     "optimizer": {
-        "kind": "vanilla",
-        "eta": "0.05",
-        "gamma": "0.75",
-        "mu": "0.001",
-        "eta_in_velocity": "false",
+        "kind": ("vanilla", _choice(OPTIMIZER_KINDS)),
+        "eta": ("0.05", _float(0.0, strict=True)),
+        "gamma": ("0.75", _float(0.0, below=1)),
+        "mu": ("0.001", _float(0.0)),
+        "eta_in_velocity": ("false", _bool),
     },
     "weighting": {
-        "scheme": "fedavg_static",
-        "mixing": "0.5",
-        "rho": "0.005",
-        "staleness_adaptive": "true",
+        "scheme": ("fedavg_static", _choice(WEIGHTING_KINDS)),
+        "mixing": ("0.5", _float(0.0, strict=True, upto=1)),
+        "rho": ("0.005", _float(0.0)),
+        "staleness_adaptive": ("true", _bool),
     },
 }
+
+# Checks across keys of one section: (section, keys, rule, violation).
+# Each runs only when every key it reads parsed.
+_CHECKS = (
+    ("learners", ("num_fast", "num_slow"),
+     lambda fast, slow: fast + slow >= 1,
+     "[learners] num_fast + num_slow must be >= 1"),
+    ("partition", ("class_dist", "classes_per_learner", "class_count_override"),
+     lambda dist, count, override: dist != "non_iid" or count >= 1 or override,
+     "[partition] classes_per_learner: non_iid needs a value >= 1"),
+    ("protocol", ("policy", "lambda"),
+     lambda policy, lams: policy == "semisync" or len(lams) == 1,
+     "[protocol] lambda: a lambda list (matrix mode) requires "
+     "policy = semisync"),
+)
 
 
 class ConfigError(ValueError):
@@ -99,6 +213,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A parsed experiment. ``protocol`` holds the first lambda value; a
+    semisync run with several values runs one cell per value."""
+
     seed: int
     out_dir: str
     task: TaskModel
@@ -111,138 +228,14 @@ class ExperimentConfig:
     t_beta_fast_ms: float
     t_beta_slow_ms: float
     batch_size: int
-    policy: str
-    epochs: int
+    protocol: ProtocolConfig
     lambda_values: tuple[float, ...]
-    rounds: int
-    time_budget_ms: float
-    eval_every: int
-    optimizer: OptimizerConfig
-    weighting: WeightingScheme
     preset: str = ""
     source_text: str = ""
 
     @property
     def num_learners(self) -> int:
         return self.num_fast + self.num_slow
-
-    def protocol(self, lam: float) -> ProtocolConfig:
-        return ProtocolConfig(
-            policy=self.policy,
-            optimizer=self.optimizer,
-            weighting=self.weighting,
-            epochs=self.epochs,
-            lam=lam,
-            rounds=self.rounds,
-            time_budget_ms=self.time_budget_ms,
-            eval_every=self.eval_every,
-        )
-
-
-class _Reader:
-    """Pulls typed values out of raw section/key strings, collecting every
-    violation instead of raising on the first."""
-
-    def __init__(self, values: dict[tuple[str, str], str]):
-        self.values = values
-        self.violations: list[str] = []
-
-    def _raw(self, section: str, key: str) -> str:
-        return self.values[(section, key)]
-
-    def str_choice(self, section, key, choices=None) -> str:
-        raw = self._raw(section, key).strip()
-        if choices is not None and raw not in choices:
-            self.violations.append(
-                f"[{section}] {key}: {raw!r} not one of {sorted(choices)}"
-            )
-            return next(iter(choices))
-        return raw
-
-    def int_at_least(self, section, key, floor) -> int:
-        raw = self._raw(section, key)
-        try:
-            value = int(raw)
-        except ValueError:
-            self.violations.append(f"[{section}] {key}: {raw!r} is not an integer")
-            return floor
-        if value < floor:
-            self.violations.append(
-                f"[{section}] {key}: must satisfy {key} >= {floor}, got {value}"
-            )
-            return floor
-        return value
-
-    def float_value(self, section, key, minimum=None, exclusive=False) -> float:
-        raw = self._raw(section, key)
-        try:
-            value = float(raw)
-        except ValueError:
-            self.violations.append(f"[{section}] {key}: {raw!r} is not a number")
-            return 1.0 if minimum is None else minimum + 1.0
-        if minimum is not None:
-            bad = value <= minimum if exclusive else value < minimum
-            if bad:
-                op = ">" if exclusive else ">="
-                self.violations.append(
-                    f"[{section}] {key}: must satisfy {key} {op} {minimum}, "
-                    f"got {value}"
-                )
-                return minimum + 1.0
-        return value
-
-    def bool_value(self, section, key) -> bool:
-        raw = self._raw(section, key).strip().lower()
-        if raw in ("true", "yes", "1", "on"):
-            return True
-        if raw in ("false", "no", "0", "off"):
-            return False
-        self.violations.append(f"[{section}] {key}: {raw!r} is not a boolean")
-        return False
-
-    def float_list(self, section, key, minimum=None, exclusive=False):
-        raw = self._raw(section, key)
-        out = []
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                value = float(part)
-            except ValueError:
-                self.violations.append(
-                    f"[{section}] {key}: {part!r} is not a number"
-                )
-                continue
-            if minimum is not None:
-                bad = value <= minimum if exclusive else value < minimum
-                if bad:
-                    op = ">" if exclusive else ">="
-                    self.violations.append(
-                        f"[{section}] {key}: must satisfy {key} {op} {minimum}, "
-                        f"got {value:g}"
-                    )
-                    continue
-            out.append(value)
-        if not out:
-            self.violations.append(f"[{section}] {key}: needs at least one value")
-            out = [1.0]
-        return tuple(out)
-
-    def int_list(self, section, key):
-        raw = self._raw(section, key)
-        out = []
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            try:
-                out.append(int(part))
-            except ValueError:
-                self.violations.append(
-                    f"[{section}] {key}: {part!r} is not an integer"
-                )
-        return tuple(out)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -255,160 +248,71 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError([f"unparseable config: {exc}"]) from None
 
-    values = {
-        (section, key): default
-        for section, keys in _SCHEMA.items()
-        for key, default in keys.items()
+    raw = {
+        section: {key: default for key, (default, _) in keys.items()}
+        for section, keys in SCHEMA.items()
     }
-    preset_name = ""
-    if parser.has_option("experiment", "preset"):
-        preset_name = parser.get("experiment", "preset").strip()
-        if preset_name and preset_name not in PRESETS:
-            violations.append(
-                f"[experiment] preset: unknown preset {preset_name!r}, "
-                f"known: {sorted(PRESETS)}"
-            )
-            preset_name = ""
-    values.update(PRESETS.get(preset_name, {}))
+    preset = parser.get("experiment", "preset", fallback="").strip()
+    if preset and preset not in PRESETS:
+        violations.append(
+            f"[experiment] preset: unknown preset {preset!r}, "
+            f"known: {sorted(PRESETS)}"
+        )
+    for (section, key), value in PRESETS.get(preset, {}).items():
+        raw[section][key] = value
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SCHEMA:
             violations.append(f"unknown section [{section}]")
             continue
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+        for key, value in parser.items(section):
+            if key not in SCHEMA[section]:
                 violations.append(f"[{section}] unknown key {key!r}")
             else:
-                values[(section, key)] = raw
+                raw[section][key] = value
 
-    r = _Reader(values)
-    seed = r.int_at_least("experiment", "seed", 0)
-    out_dir = r._raw("experiment", "output").strip()
-
-    task_kind = r.str_choice("task", "kind", {"softmax_regression", "mlp1"})
-    input_dim = r.int_at_least("task", "input_dim", 1)
-    num_classes = r.int_at_least("task", "num_classes", 2)
-    hidden_dim = r.int_at_least("task", "hidden_dim", 1)
-    activation = r.str_choice("task", "activation", {"relu", "tanh"})
-    per_class = r.int_at_least("task", "per_class", 1)
-    test_per_class = r.int_at_least("task", "test_per_class", 1)
-    cluster_spread = r.float_value("task", "cluster_spread", minimum=0.0)
-
-    size_dist = r.str_choice(
-        "partition", "size_dist", {"uniform", "skewed", "powerlaw"}
-    )
-    class_dist = r.str_choice("partition", "class_dist", {"iid", "non_iid"})
-    classes_per_learner = r.int_at_least("partition", "classes_per_learner", 0)
-    ratio = r.float_value("partition", "ratio", minimum=1.0, exclusive=True)
-    exponent = r.float_value("partition", "exponent", minimum=0.0, exclusive=True)
-    override = r.int_list("partition", "class_count_override")
-
-    num_fast = r.int_at_least("learners", "num_fast", 0)
-    num_slow = r.int_at_least("learners", "num_slow", 0)
-    t_fast = r.float_value("learners", "t_beta_fast_ms", minimum=0.0, exclusive=True)
-    t_slow = r.float_value("learners", "t_beta_slow_ms", minimum=0.0, exclusive=True)
-    batch_size = r.int_at_least("learners", "batch_size", 1)
-
-    policy = r.str_choice("protocol", "policy", {"sync", "semisync", "async"})
-    epochs = r.int_at_least("protocol", "epochs", 1)
-    lambda_values = r.float_list("protocol", "lambda", minimum=0.0, exclusive=True)
-    rounds = r.int_at_least("protocol", "rounds", 1)
-    time_budget_ms = r.float_value(
-        "protocol", "time_budget_ms", minimum=0.0, exclusive=True
-    )
-    eval_every = r.int_at_least("protocol", "eval_every", 1)
-
-    opt_kind = r.str_choice(
-        "optimizer", "kind", {"vanilla", "momentum", "fedprox"}
-    )
-    eta = r.float_value("optimizer", "eta", minimum=0.0, exclusive=True)
-    gamma = r.float_value("optimizer", "gamma", minimum=0.0)
-    mu = r.float_value("optimizer", "mu", minimum=0.0)
-    eta_in_velocity = r.bool_value("optimizer", "eta_in_velocity")
-
-    scheme = r.str_choice(
-        "weighting", "scheme",
-        {"fedavg_static", "fedrec_staleness", "fedasync_poly"},
-    )
-    mixing = r.float_value("weighting", "mixing", minimum=0.0, exclusive=True)
-    rho = r.float_value("weighting", "rho", minimum=0.0)
-    staleness_adaptive = r.bool_value("weighting", "staleness_adaptive")
-
-    violations.extend(r.violations)
-
-    if num_fast + num_slow < 1:
-        violations.append("[learners] num_fast + num_slow must be >= 1")
-    if class_dist == "non_iid" and classes_per_learner < 1 and not override:
-        violations.append(
-            "[partition] classes_per_learner: non_iid needs a value >= 1"
-        )
-    if gamma >= 1.0:
-        violations.append(
-            f"[optimizer] gamma: must satisfy gamma < 1, got {gamma}"
-        )
-    if mixing > 1.0:
-        violations.append(
-            f"[weighting] mixing: must satisfy mixing <= 1, got {mixing}"
-        )
-    if policy != "semisync" and len(lambda_values) > 1:
-        violations.append(
-            "[protocol] lambda: a lambda list (matrix mode) requires "
-            "policy = semisync"
-        )
-
+    values: dict[str, dict] = {}
+    for section, keys in SCHEMA.items():
+        got = values[section] = {}
+        for key, (_, parse) in keys.items():
+            try:
+                got[key] = parse(key, raw[section][key])
+            except ValueError as exc:
+                violations.extend(f"[{section}] {key}: {m}" for m in exc.args)
+    for section, keys, rule, message in _CHECKS:
+        got = values[section]
+        if all(k in got for k in keys) and not rule(*(got[k] for k in keys)):
+            violations.append(message)
     if violations:
         raise ConfigError(violations)
 
+    experiment, task, learners, partition, protocol, weighting = (
+        values[s] for s in ("experiment", "task", "learners", "partition",
+                            "protocol", "weighting")
+    )
+    data = {k: task.pop(k)
+            for k in ("per_class", "test_per_class", "cluster_spread")}
+    lambda_values = protocol.pop("lambda")
     try:
-        task = TaskModel(
-            kind=task_kind,
-            input_dim=input_dim,
-            num_classes=num_classes,
-            hidden_dim=hidden_dim,
-            activation=activation,
+        task_model = TaskModel(**task)
+        partition_spec = PartitionSpec(
+            num_learners=learners["num_fast"] + learners["num_slow"],
+            **{**partition, "class_count_override":
+               partition["class_count_override"] or None},
         )
-        partition = PartitionSpec(
-            num_learners=num_fast + num_slow,
-            size_dist=size_dist,
-            class_dist=class_dist,
-            classes_per_learner=classes_per_learner,
-            ratio=ratio,
-            exponent=exponent,
-            class_count_override=override if override else None,
-        )
-        optimizer = OptimizerConfig(
-            kind=opt_kind, eta=eta, gamma=gamma, mu=mu,
-            eta_in_velocity=eta_in_velocity,
-        )
-        weighting = WeightingScheme(
-            kind=scheme, mixing=mixing, rho=rho,
-            staleness_adaptive=staleness_adaptive,
+        protocol_config = ProtocolConfig(
+            optimizer=OptimizerConfig(**values["optimizer"]),
+            weighting=WeightingScheme(kind=weighting.pop("scheme"),
+                                      **weighting),
+            lam=lambda_values[0], **protocol,
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     return ExperimentConfig(
-        seed=seed,
-        out_dir=out_dir,
-        task=task,
-        per_class=per_class,
-        test_per_class=test_per_class,
-        cluster_spread=cluster_spread,
-        partition=partition,
-        num_fast=num_fast,
-        num_slow=num_slow,
-        t_beta_fast_ms=t_fast,
-        t_beta_slow_ms=t_slow,
-        batch_size=batch_size,
-        policy=policy,
-        epochs=epochs,
-        lambda_values=lambda_values,
-        rounds=rounds,
-        time_budget_ms=time_budget_ms,
-        eval_every=eval_every,
-        optimizer=optimizer,
-        weighting=weighting,
-        preset=preset_name,
-        source_text=text,
+        seed=experiment["seed"], out_dir=experiment["output"],
+        preset=experiment["preset"], task=task_model,
+        partition=partition_spec, protocol=protocol_config,
+        lambda_values=lambda_values, source_text=text, **data, **learners,
     )
 
 

@@ -72,6 +72,11 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def ms_to_us(ms: float) -> int:
+    """``ms`` milliseconds in whole virtual-clock microseconds, half up."""
+    return _round_half_up(ms * 1000.0)
+
+
 @dataclass(frozen=True, eq=False)
 class LearnerProfile:
     """One simulated device: its data shard and per-batch latency."""
@@ -89,6 +94,13 @@ class LearnerProfile:
             raise ValueError(
                 f"time_per_batch_ms must be positive, got {self.time_per_batch_ms}"
             )
+        # A batch that takes 0 us never advances the clock: an async run
+        # would commit forever at one timestamp.
+        if math.isfinite(self.time_per_batch_ms) and self.time_per_batch_us < 1:
+            raise ValueError(
+                f"time_per_batch_ms must round to at least 1 us, got "
+                f"{self.time_per_batch_ms}"
+            )
         if len(self.indices) < 1:
             raise ValueError(f"learner {self.learner_id} has no data")
 
@@ -102,7 +114,7 @@ class LearnerProfile:
 
     @property
     def time_per_batch_us(self) -> int:
-        return _round_half_up(self.time_per_batch_ms * 1000.0)
+        return ms_to_us(self.time_per_batch_ms)
 
 
 @dataclass(frozen=True)
@@ -292,7 +304,7 @@ def run_policy(
         scheme.rho if not barrier and scheme.kind == "fedasync_poly" else 0.0
     )
     horizon_us = (
-        math.inf if barrier else _round_half_up(cfg.time_budget_ms * 1000.0)
+        math.inf if barrier else ms_to_us(cfg.time_budget_ms)
     )
     state = (
         None if barrier

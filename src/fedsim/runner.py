@@ -8,6 +8,7 @@ the ``bench-cache`` CLI subcommand.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -89,7 +90,7 @@ def run_experiment(
     base = resolve_out_dir(cfg.out_dir, out_override)
     train, test, result, devices, profiles = build_world(cfg, seed)
 
-    matrix = cfg.policy == "semisync" and len(cfg.lambda_values) > 1
+    matrix = cfg.protocol.policy == "semisync" and len(cfg.lambda_values) > 1
     cells = (
         [(f"lam-{lam:g}", lam) for lam in cfg.lambda_values]
         if matrix
@@ -116,9 +117,9 @@ def run_experiment(
             initial = init_params(
                 cfg.task, np.random.default_rng([seed, _INIT_STREAM])
             )
+            protocol = dataclasses.replace(cfg.protocol, lam=lam)
             log = run_policy(
-                cfg.protocol(lam), profiles, cfg.task, train, test, initial,
-                seed,
+                protocol, profiles, cfg.task, train, test, initial, seed
             )
             export_metrics(log, out_dir)
             if log.final_state is not None:
@@ -145,7 +146,7 @@ def run_experiment(
     manifest = {
         "schema_version": 1,
         "seed": seed,
-        "policy": cfg.policy,
+        "policy": cfg.protocol.policy,
         "cells": completed,
         "partitions_only": partitions_only,
     }

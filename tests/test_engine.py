@@ -142,6 +142,17 @@ def test_profile_derived_quantities():
     assert p.time_per_batch_us == 30_500
 
 
+def test_profile_rejects_sub_microsecond_batches():
+    # 0.0005 ms rounds up to one clock microsecond; below that a batch
+    # takes no virtual time and an async run would never end.
+    assert profile(0, 0.0005, np.arange(5)).time_per_batch_us == 1
+    for t_ms in (0.0004, 1e-9):
+        with pytest.raises(ValueError, match="at least 1 us"):
+            profile(0, t_ms, np.arange(5))
+    with pytest.raises(ValueError, match="positive"):
+        profile(0, 0.0, np.arange(5))
+
+
 def test_protocol_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig("gossip", OPT, STATIC)

@@ -244,6 +244,33 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.ini")]) == 2
 
 
+@pytest.mark.parametrize("edits, argv, message", [
+    ([], ["--seed", "-1"], "must be >= 0, got -1"),
+    ([("[learners]", "[partition]\nclass_dist = non_iid\n"
+                     "class_count_override = 11, 1, 1\n[learners]")], [],
+     "class quota 11 outside [1, 4]"),
+    ([("per_class = 60", "per_class = 1"), ("num_fast = 2", "num_fast = 8")],
+     [], "cannot split 4 examples across 9 learners"),
+], ids=["negative_seed", "class_quota", "too_few_examples"])
+def test_cli_setup_failures_exit_2(tmp_path, capsys, edits, argv, message):
+    # Failures found before the run starts are reported like config
+    # errors: one message, exit 2, no traceback and no output directory.
+    out = tmp_path / "run"
+    text = SMALL_SYNC.format(out=out)
+    for old, new in edits:
+        text = text.replace(old, new)
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    try:
+        code = main(["run", str(cfg_path), *argv])
+    except SystemExit as exc:  # argparse rejects the flag itself
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_partition_report_flag(tmp_path):
     out = tmp_path / "parts"
     cfg_path = tmp_path / "run.ini"
