@@ -57,13 +57,16 @@ def _int(low=None):
 
 
 def _float(low, strict=False, below=None, upto=None, spec=""):
-    """A number ``>= low`` (``> low`` if strict), optionally ``< below`` or
-    ``<= upto``; ``spec`` formats the value in the lower-bound message."""
+    """A finite number ``>= low`` (``> low`` if strict), optionally
+    ``< below`` or ``<= upto``; ``spec`` formats the value in the
+    lower-bound message."""
     def parse(key, raw):
         try:
             value = float(raw)
         except ValueError:
             raise ValueError(f"{raw!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be a finite number, got {value}")
         if value <= low if strict else value < low:
             op = ">" if strict else ">="
             raise ValueError(
@@ -122,7 +125,7 @@ def _list(item, nonempty=False):
 def _latency(key, raw):
     """Per-batch milliseconds; at least one whole clock microsecond."""
     value = _float(0.0, strict=True)(key, raw)
-    if math.isfinite(value) and ms_to_us(value) < 1:
+    if ms_to_us(value) < 1:
         raise ValueError(
             f"must round to at least 1 us (0.0005 ms), got {value}"
         )

@@ -30,7 +30,9 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from .params import ParamSet, _check_same_structure, scale, zeros_like
+import numpy as np
+
+from .params import ParamSet, _check_same_structure, zeros_like
 
 WEIGHTING_KINDS = ("fedavg_static", "fedrec_staleness", "fedasync_poly")
 
@@ -136,12 +138,21 @@ def cached_update(
             raise DegenerateWeightError(
                 f"normalizer would become {new_normalizer}"
             )
-        flat = state.weighted_sum.flat + value * model.flat
+        structure = state.weighted_sum.structure()
+        # Two new buffers: W, and W / P, whose buffer holds each product
+        # before it is folded into W.
+        served = np.multiply(value, model.flat)
+        flat = np.add(state.weighted_sum.flat, served)
         if prev is not None:
-            flat -= prev.value * prev.model.flat
-        weighted_sum = ParamSet._wrap(state.weighted_sum.structure(), flat)
-        community = scale(1.0 / new_normalizer, weighted_sum)
-        state.weighted_sum = weighted_sum
+            np.multiply(prev.value, prev.model.flat, out=served)
+            flat -= served
+        np.multiply(1.0 / new_normalizer, flat, out=served)
+        # One scan covers both. 1 / P is +0 (P overflowed), finite and > 0,
+        # or +inf (P subnormal), and in every case it turns a NaN or +-Inf
+        # entry of W into a non-finite entry of W / P (0 * inf and 0 * NaN
+        # are NaN).
+        community = ParamSet._wrap(structure, served)
+        state.weighted_sum = ParamSet._wrap(structure, flat, checked=True)
         state.normalizer = new_normalizer
         state.model = community
         state.records[learner_id] = ContributionRecord(
@@ -219,9 +230,9 @@ def fedasync_update(
             alpha *= poly_staleness(state.version, fetch_version)
         current = state.model
         _check_same_structure(current, model)
-        state.model = ParamSet._wrap(
-            current.structure(), (1.0 - alpha) * current.flat + alpha * model.flat
-        )
+        flat = (1.0 - alpha) * current.flat
+        flat += alpha * model.flat
+        state.model = ParamSet._wrap(current.structure(), flat)
         state.version += 1
         return state.model, alpha
 

@@ -119,10 +119,14 @@ def run_client_opt(
     per learner, sorted by budget, largest first, so the learners still
     training are always a prefix. Each step, the learners whose batches have
     the same length share one ``grad_fn`` call; the weight rows it gets are
-    a read-only view valid during the call. The update then runs in place
-    over the prefix in the operation order of :func:`step_vanilla`,
-    :func:`step_momentum` and :func:`step_fedprox`, element by element, so
-    every row is bit for bit what training that learner alone gives.
+    a read-only view valid during the call. The first step reads the starts
+    (a lone learner's in place, a cohort's stacked) and writes the new
+    weights out of place, so the starts serve as the proximal anchors; later
+    steps update in place over the prefix. Every update runs in the
+    operation order of :func:`step_vanilla`, :func:`step_momentum` and
+    :func:`step_fedprox`, element by element, so every row is bit for bit
+    what training that learner alone gives. A row whose budget is one step
+    was never shown to ``grad_fn`` and is returned without a copy.
     Divergence surfaces as :class:`~fedsim.params.NonFiniteError` from
     ``grad_fn`` or from the returned weights' check (a non-finite entry
     never turns finite again).
@@ -130,13 +134,19 @@ def run_client_opt(
     if min(budgets) < 1:
         raise ValueError(f"batch budget must be >= 1, got {min(budgets)}")
     order = sorted(range(len(starts)), key=lambda k: -budgets[k])
-    W = np.stack([starts[k].flat for k in order])
+    if len(order) == 1:
+        W = starts[order[0]].flat[None]  # a read-only view
+    else:
+        W = np.stack([starts[k].flat for k in order])
+        W.setflags(write=False)
     # Anchors and momentum buffers exist only when an update reads them.
-    A = W.copy() if cfg.kind == "fedprox" or prox_rho > 0.0 else None
+    # The starts serve as anchors: the first update writes out of place.
+    # Momentum buffers start at zero and take u *= gamma even on the first
+    # step, since 0.0 + (-0.0) is +0.0.
+    A = W if cfg.kind == "fedprox" or prox_rho > 0.0 else None
     U = np.zeros(W.shape) if cfg.kind == "momentum" else None
-    G = np.empty_like(W)  # gradients
-    live = W.view()
-    live.setflags(write=False)
+    G = np.empty(W.shape)  # gradients; each update scales them in place
+    live = W
     eta = cfg.eta
     streams = [batch_streams[k] for k in order]
     row_budgets = [budgets[k] for k in order]
@@ -158,24 +168,35 @@ def run_client_opt(
                 grad_fn(W[idx], rows, g)
                 G[idx] = g
         w, g = W[:m], G[:m]
+        if step == 0:
+            W = np.empty(W.shape)
+            live = W.view()
+            live.setflags(write=False)
+        new = W[:m]
         if prox_rho > 0.0:
             g += prox_rho * (w - A[:m])
         if cfg.kind == "vanilla":
-            w -= eta * g
+            g *= eta
+            np.subtract(w, g, out=new)
         elif cfg.kind == "momentum":
             u = U[:m]
             u *= cfg.gamma
             if cfg.eta_in_velocity:
-                u -= eta * g
-                w += u
+                g *= eta
+                u -= g
+                np.add(w, u, out=new)
             else:
                 u += g
-                w -= eta * u
+                np.multiply(eta, u, out=g)
+                np.subtract(w, g, out=new)
         else:
             drift = w - A[:m]
-            w -= eta * g
-            w -= (eta * cfg.mu) * drift
+            g *= eta
+            np.subtract(w, g, out=new)
+            drift *= eta * cfg.mu
+            new -= drift
     trained = [None] * len(order)
     for row, k in enumerate(order):
-        trained[k] = ParamSet._wrap(starts[k].structure(), W[row].copy())
+        flat = W[row] if row_budgets[row] == 1 else W[row].copy()
+        trained[k] = ParamSet._wrap(starts[k].structure(), flat)
     return trained

@@ -54,21 +54,26 @@ class ParamSet:
         self._init(structure, np.concatenate([a.ravel() for a in layers]))
 
     @classmethod
-    def _wrap(cls, structure: Structure, flat: np.ndarray) -> "ParamSet":
+    def _wrap(
+        cls, structure: Structure, flat: np.ndarray, checked: bool = False
+    ) -> "ParamSet":
         # Internal constructor: takes ownership of ``flat``, a float64 vector
         # laid out as ``structure`` that no caller writes to afterwards. Skips
-        # the copy but keeps the finiteness guarantee.
+        # the copy but keeps the finiteness guarantee; ``checked`` says the
+        # caller has already proved every entry finite.
         self = object.__new__(cls)
-        self._init(structure, flat)
+        self._init(structure, flat, checked)
         return self
 
-    def _init(self, structure: Structure, flat: np.ndarray) -> None:
+    def _init(
+        self, structure: Structure, flat: np.ndarray, checked: bool = False
+    ) -> None:
         # Freeze first: views taken afterwards inherit the read-only flag.
         flat.setflags(write=False)
         self._structure = structure
         self._flat = flat
         self._arrays = None
-        if not np.isfinite(flat).all():
+        if not (checked or all_finite(flat)):
             for name, a in self:
                 if not np.isfinite(a).all():
                     raise NonFiniteError(f"layer {name!r} has NaN/Inf entries")
@@ -117,6 +122,24 @@ class ParamSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}{a.shape}" for n, a in self)
         return f"ParamSet({inner})"
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, usually in one BLAS read of ``a``.
+
+    The dot product of ``a`` with itself sums squares, which are never
+    negative, so a NaN or +-Inf entry always makes it NaN or +Inf: a finite
+    result proves every entry finite. Only a non-finite result, which
+    entries past ~1e154 in magnitude also give by overflow, pays for the
+    exact scan and its boolean temporary. On a 2-core Xeon the dot took
+    ~13 us for 51,300 entries against ~22-28 us for the exact scan and
+    ~26 us for ``np.add.reduce``. Like the gradient kernel's matmuls,
+    OpenBLAS runs it on several threads past 10,000 entries unless its
+    thread count is pinned.
+    """
+    v = a.reshape(-1)
+    return math.isfinite(np.dot(v, v)) or bool(np.isfinite(a).all())
 
 
 def _check_same_structure(x: ParamSet, y: ParamSet) -> None:

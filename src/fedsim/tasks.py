@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import NonFiniteError, ParamSet
+from .params import NonFiniteError, ParamSet, all_finite
 
 TASK_KINDS = ("softmax_regression", "mlp1")
 ACTIVATIONS = ("relu", "tanh")
@@ -222,7 +222,7 @@ def stacked_grad(
             dz1 = dh * (1.0 - np.tanh(z1) ** 2)
         np.matmul(XT, dz1, out=grads[0])
         np.add.reduce(dz1, axis=1, out=grads[1])
-    if not np.isfinite(out).all():
+    if not all_finite(out):
         raise NonFiniteError("gradient has NaN/Inf entries")
     return logp
 

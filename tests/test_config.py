@@ -359,6 +359,14 @@ _PINNED = [
       "unknown section [bogus]",
       "[task] unknown key 'colour'",
       "[task] input_dim: must satisfy input_dim >= 1, got 0"]),
+    ("cluster_spread_nan", "[task]\ncluster_spread = nan\n",
+     ["[task] cluster_spread: must be a finite number, got nan"]),
+    ("latency_nan", "[learners]\nt_beta_fast_ms = nan\n",
+     ["[learners] t_beta_fast_ms: must be a finite number, got nan"]),
+    ("time_budget_inf", "[protocol]\npolicy = async\ntime_budget_ms = inf\n",
+     ["[protocol] time_budget_ms: must be a finite number, got inf"]),
+    ("lambda_minus_inf", "[protocol]\npolicy = semisync\nlambda = 1, -inf\n",
+     ["[protocol] lambda: must be a finite number, got -inf"]),
 ]
 
 

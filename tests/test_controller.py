@@ -377,3 +377,91 @@ def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
             assert state_view(state) == before
         else:
             assert state.version == before["version"] + 1
+
+
+def reference_commit(state, learner_id, model, value):
+    """``cached_update``'s arithmetic written out with temporaries and a
+    finiteness scan of each new buffer: (weighted sum, served model)."""
+    if not value >= 0 or value == float("inf"):
+        raise ValueError
+    prev = state.records.get(learner_id)
+    normalizer = state.normalizer + value
+    if prev is not None:
+        normalizer -= prev.value
+    if normalizer <= 0.0:
+        raise DegenerateWeightError
+    flat = state.weighted_sum.flat + value * model.flat
+    if prev is not None:
+        flat -= prev.value * prev.model.flat
+    if not np.isfinite(flat).all():
+        raise NonFiniteError
+    served = (1.0 / normalizer) * flat
+    if not np.isfinite(served).all():
+        raise NonFiniteError
+    return flat, served
+
+
+def reference_mix(state, model, alpha):
+    flat = (1.0 - alpha) * state.model.flat + alpha * model.flat
+    if not np.isfinite(flat).all():
+        raise NonFiniteError
+    return flat
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # includes NonFiniteError and the degenerate case
+        return type(exc)
+
+
+def bits(flat):
+    return flat.tobytes()  # tells -0.0 from +0.0, unlike ==
+
+
+huge = ParamSet(["a", "b"], [np.full((2, 2), 1e308), np.full(3, -1e308)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow -> NonFiniteError
+@settings(max_examples=300, deadline=None)
+@given(initial=models, ops=st.lists(operations, max_size=25))
+@example(  # P overflows to inf with an infinite weighted sum, then a finite one
+    initial=ramp(0.0),
+    ops=[("cache", 0, ramp(1e-300), 1.7976931348623157e308, 1),
+         ("cache", 1, huge, 1.7976931348623157e308, 1),
+         ("cache", 1, ramp(1e-300), 1.7976931348623157e308, 1)],
+)
+@example(initial=ramp(0.0), ops=[("cache", 0, ramp(-0.0), 5e-324, 1),
+                                 ("cache", 1, ramp(-1.0), 1.0, 1)])
+def test_commits_match_the_formula_with_temporaries_and_two_scans(
+    initial, ops
+):
+    """Two new buffers and one scan per commit: the same raise or
+    no-raise outcome as the plain formula, and the same bits."""
+    state = init_community(initial, [0, 1, 2])
+    for op in ops:
+        if op[0] == "fetch":
+            record_fetch(state, op[1])
+        elif op[0] == "cache":
+            _, k, w, value, steps = op
+            expected = outcome(reference_commit, state, k, w, value)
+            got = outcome(cached_update, state, k, w, value, max(steps, 1))
+            if isinstance(expected, type):
+                assert got is expected
+            else:
+                assert bits(state.weighted_sum.flat) == bits(expected[0])
+                assert bits(got.flat) == bits(expected[1])
+        else:
+            _, k, w, mixing, fetch_version, adaptive = op
+            fetch_version = min(fetch_version, state.version)
+            alpha = mixing * (
+                poly_staleness(state.version, fetch_version) if adaptive
+                else 1.0
+            )
+            expected = outcome(reference_mix, state, w, alpha)
+            got = outcome(fedasync_update, state, k, w, mixing,
+                          fetch_version, adaptive)
+            if isinstance(expected, type):
+                assert got is expected
+            else:
+                assert bits(got[0].flat) == bits(expected)

@@ -14,6 +14,7 @@ from fedsim.engine import (
     LearnerProfile,
     MetricsLog,
     ProtocolConfig,
+    _EVENT_RANK,
     _round_half_up,
     export_metrics,
     plan_semisync,
@@ -412,3 +413,19 @@ def test_export_metrics_float_round_trip(tmp_path):
     assert float(row[3]) == 1.0 / 3.0
     assert float(row[4]) == 0.1 + 0.2
     assert row[0] == "1.234"
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=st.lists(st.tuples(st.integers(0, 10**13),
+                                 st.sampled_from(sorted(_EVENT_RANK)),
+                                 st.integers(-1, 10**4)), max_size=20))
+def test_events_jsonl_lines_are_sorted_key_json(events, tmp_path_factory):
+    log = MetricsLog(policy="async", seed=0, events=events)
+    out = tmp_path_factory.mktemp("events")
+    lines = open(export_metrics(log, str(out))["events"]).read().splitlines()
+    expected = [
+        json.dumps({"virtual_ms": t / 1000.0, "kind": kind, "learner": lid},
+                   sort_keys=True)
+        for t, kind, lid in log.sorted_events()
+    ]
+    assert lines == (expected or [""])

@@ -4,7 +4,8 @@ Criterion 10 only shows that two reruns agree; these pins show that a
 refactor kept behaviour. Each cell takes one distinct path through the
 engine: barrier rounds (sync, semisync matrix), every async weighting
 scheme (fedasync in both alpha forms), every optimizer (momentum in both
-buffer forms), both task families and both evaluation cadences.
+buffer forms), both task families, both evaluation cadences, and a model
+too wide to stack, whose every arrival trains one step alone.
 ``config.txt`` echoes the config text and is skipped. Change a digest only
 for an intended behaviour change, and record why in CHANGES.md.
 """
@@ -22,22 +23,22 @@ TEMPLATE = """
 seed = {seed}
 [task]
 kind = {task}
-input_dim = 6
-num_classes = 4
+input_dim = {input_dim}
+num_classes = {num_classes}
 hidden_dim = 8
 activation = {activation}
-per_class = 30
-test_per_class = 10
+per_class = {per_class}
+test_per_class = {test_per_class}
 [partition]
 size_dist = powerlaw
 class_dist = non_iid
-classes_per_learner = 2
+classes_per_learner = {classes_per_learner}
 [learners]
 num_fast = 2
 num_slow = 2
 t_beta_fast_ms = 5
 t_beta_slow_ms = 40
-batch_size = 10
+batch_size = {batch_size}
 [protocol]
 policy = {policy}
 epochs = {epochs}
@@ -57,6 +58,8 @@ staleness_adaptive = {adaptive}
 """
 
 DEFAULTS = dict(seed=5, task="softmax_regression", activation="relu",
+                input_dim=6, num_classes=4, per_class=30, test_per_class=10,
+                classes_per_learner=2, batch_size=10,
                 policy="sync", epochs=1, lam="2", budget=400, eval_every=1,
                 optimizer="vanilla", scheme="fedavg_static",
                 velocity="false", adaptive="true")
@@ -77,6 +80,13 @@ CELLS = {
                                        adaptive="false"),
     "sync_mlp_momentum_velocity": dict(task="mlp1", optimizer="momentum",
                                        velocity="true"),
+    # A 20,100-entry softmax (past half of engine._COHORT_ENTRIES, so every
+    # learner trains alone) and batches larger than any shard: each arrival
+    # is one lone learner-step, committed through the cache on its own.
+    "async_wide_lone_step": dict(policy="async", scheme="fedrec_staleness",
+                                 input_dim=200, num_classes=100, per_class=4,
+                                 test_per_class=2, classes_per_learner=25,
+                                 batch_size=1000),
 }
 
 GOLDENS = {
@@ -159,6 +169,26 @@ GOLDENS = {
             "561473c2136aede3c421d5a3cf6317e8457e2463fc914d57764057216620ff93",
         "summary.json":
             "a5997396135a0eaf9568a72323de12aa2c9fd8d8d22ac74623db983fd97dc532",
+    },
+    "async_wide_lone_step": {
+        "contributions.csv":
+            "7b14e117f679adbdbbe991e979b5604a314a9e754f409e6aaa6bb97a10c59cbc",
+        "controller_snapshot.json":
+            "e6b5d813fc634cfa7f987cbe77e8629ccccc9f68d1bf4254d87ef9f59c2ccdce",
+        "events.jsonl":
+            "b558bad57ae8e4bbf24b57df42d51b572abe2de9b6c8f5b8e469b69bce3d7ce4",
+        "final_model.json":
+            "bb10cdcc13d59af00a46ea122ecfaa828636b786a11c3c22c1707d24d15eebe0",
+        "idle.csv":
+            "506692b441a89e9aabc168db2285711ecaa3606a6118c822e13daed9c57fb327",
+        "manifest.json":
+            "42d6f6db71082c5f975a25f19163ab59ac15673b75d0127f04018cf7dfd000d6",
+        "metrics.csv":
+            "95c402293f2b928f0377f5a5d367fcbfa9533c5cc6e1a8a63bcd5861b91f301b",
+        "partition_report.json":
+            "7af2b03c44dc046f20176e59cddb64137998f417970ed93a614f12315697803e",
+        "summary.json":
+            "416a4c67e9ce89915992040678d39001258a2dde08b7d37eb3f4fba6e57a47c0",
     },
     "semisync_matrix": {
         "lam-1/contributions.csv":

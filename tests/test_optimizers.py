@@ -336,6 +336,37 @@ def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("budgets", [[1], [1, 3, 1]])
+def test_run_client_opt_one_step_rows_are_private_without_a_copy(kind,
+                                                                 budgets):
+    # A lone learner's start is read in place and a row trained one step
+    # is returned without a copy-out; neither may leak: every result is
+    # frozen and shares memory with no start and no view grad_fn saw.
+    cfg = make_cfg(kind, eta=0.1, gamma=0.5, mu=0.1)
+    model = TASKS["softmax"]
+    rng = np.random.default_rng(7)
+    starts = [init_params(model, rng) for _ in budgets]
+    seen = []
+    ce = stacked_ce(model)
+
+    def grad(W, rows, out):
+        seen.append(W)
+        with pytest.raises(ValueError):
+            W[0, 0] = 0.0
+        ce(W, rows, out)
+
+    trained = run_client_opt(starts, budgets,
+                             [batches(i) for i in range(len(budgets))],
+                             cfg, grad)
+    for i, (w, start, budget) in enumerate(zip(trained, starts, budgets)):
+        assert equal(w, reference_opt(start, budget, batches(i), cfg,
+                                      ce_grad(model)))
+        assert not w.flat.flags.writeable
+        assert not any(np.shares_memory(w.flat, s.flat) for s in starts)
+        assert not any(np.shares_memory(w.flat, live) for live in seen)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_run_client_opt_gradient_aliasing_the_weights(kind):
     # A gradient equal to the weights: the in-place update must still read
     # the gradient before overwriting the weights.

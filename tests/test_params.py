@@ -1,15 +1,19 @@
 """Parameter container and flat arithmetic."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedsim.params import (
     NonFiniteError,
     ParamSet,
     SERIALIZATION_VERSION,
     StructureError,
+    all_finite,
     allclose,
     axpy,
     equal,
@@ -198,3 +202,25 @@ def test_save_load_file(tmp_path):
     save(p, path)
     q = load(path)
     assert equal(p, q)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                               min_side=0, max_side=6),
+                  elements=st.floats()))
+@example(np.array([1e308, 1e308]))
+@example(np.array([1e200, -3.0]))
+@example(np.array([1.7976931348623157e308, -1.7976931348623157e308, 1e308]))
+@example(np.array([np.inf, -np.inf]))
+@example(np.array([[1.0, np.nan], [2.0, 3.0]]))
+@example(np.array([-np.inf]))
+@example(np.array([]))
+def test_all_finite_equals_exact_scan(a):
+    # Entries whose squares overflow take the exact scan, quietly.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(a) == bool(np.isfinite(a).all())
+
+
+def test_huge_finite_entries_make_a_paramset():
+    ps = make([("w", [1e308, 1e200]), ("b", [-1e308])])
+    assert ps.flat.tolist() == [1e308, 1e200, -1e308]
