@@ -26,7 +26,6 @@ from .engine import (
     MetricsLog,
     ProtocolConfig,
     SchedulePlan,
-    export_metrics,
     plan_semisync,
     run_policy,
 )
@@ -56,7 +55,7 @@ from .partition import (
     assign_to_devices,
     make_sizes,
 )
-from .runner import bench_cache, build_world, run_experiment
+from .runner import bench_cache, build_world, export_metrics, run_experiment
 from .tasks import (
     Dataset,
     TaskModel,

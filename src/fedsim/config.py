@@ -122,14 +122,18 @@ def _list(item, nonempty=False):
     return parse
 
 
-def _latency(key, raw):
-    """Per-batch milliseconds; at least one whole clock microsecond."""
-    value = _float(0.0, strict=True)(key, raw)
-    if ms_to_us(value) < 1:
-        raise ValueError(
-            f"must round to at least 1 us (0.0005 ms), got {value}"
-        )
-    return value
+def _clock_ms(min_us):
+    """Milliseconds > 0 that round to at least ``min_us`` whole clock
+    microseconds; a count past the float range fails in ``ms_to_us``."""
+    def parse(key, raw):
+        value = _float(0.0, strict=True)(key, raw)
+        if ms_to_us(value) < min_us:
+            raise ValueError(
+                f"must round to at least {min_us} us "
+                f"({(min_us - 0.5) / 1000:g} ms), got {value}"
+            )
+        return value
+    return parse
 
 
 # section -> key -> (default text, parser)
@@ -160,8 +164,8 @@ SCHEMA = {
     "learners": {
         "num_fast": ("5", _int(0)),
         "num_slow": ("5", _int(0)),
-        "t_beta_fast_ms": ("30", _latency),
-        "t_beta_slow_ms": ("300", _latency),
+        "t_beta_fast_ms": ("30", _clock_ms(1)),
+        "t_beta_slow_ms": ("300", _clock_ms(1)),
         "batch_size": ("100", _int(1)),
     },
     "protocol": {
@@ -170,7 +174,7 @@ SCHEMA = {
         "lambda": ("2", _list(_float(0.0, strict=True, spec="g"),
                               nonempty=True)),
         "rounds": ("10", _int(1)),
-        "time_budget_ms": ("60000", _float(0.0, strict=True)),
+        "time_budget_ms": ("60000", _clock_ms(0)),
         "eval_every": ("1", _int(1)),
     },
     "optimizer": {

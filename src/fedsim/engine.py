@@ -14,16 +14,15 @@ how many batches a learner trains per assignment:
 
 The clock counts integer microseconds. Nothing here measures wall time, so
 two runs with the same inputs produce identical logs; evaluation happens
-outside the clock and costs zero virtual time.
+outside the clock and costs zero virtual time. A run returns its
+:class:`MetricsLog` and writes no file: :mod:`fedsim.runner` writes them.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -73,8 +72,14 @@ def _round_half_up(x: float) -> int:
 
 
 def ms_to_us(ms: float) -> int:
-    """``ms`` milliseconds in whole virtual-clock microseconds, half up."""
-    return _round_half_up(ms * 1000.0)
+    """``ms`` milliseconds in whole virtual-clock microseconds, half up.
+
+    Raises ValueError when the microsecond count is not a finite float.
+    """
+    us = ms * 1000.0
+    if not math.isfinite(us):
+        raise ValueError(f"{ms!r} ms is not a finite number of microseconds")
+    return _round_half_up(us)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +100,9 @@ class LearnerProfile:
                 f"time_per_batch_ms must be positive, got {self.time_per_batch_ms}"
             )
         # A batch that takes 0 us never advances the clock: an async run
-        # would commit forever at one timestamp.
-        if math.isfinite(self.time_per_batch_ms) and self.time_per_batch_us < 1:
+        # would commit forever at one timestamp. ms_to_us raises for a
+        # latency the clock cannot count.
+        if self.time_per_batch_us < 1:
             raise ValueError(
                 f"time_per_batch_ms must round to at least 1 us, got "
                 f"{self.time_per_batch_ms}"
@@ -200,6 +206,8 @@ def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
     horizon = max(
         (p.data_size / p.batch_size) * p.time_per_batch_us for p in profiles
     )
+    if not math.isfinite(lam * horizon):
+        raise ValueError(f"lambda {lam!r} overflows the microsecond clock")
     t_max_us = _round_half_up(lam * horizon)
     if t_max_us < 1:
         raise ValueError("schedule horizon rounded to zero microseconds")
@@ -292,13 +300,6 @@ def run_policy(
     if cfg.policy == "semisync":
         log.schedule = plan_semisync(cfg.lam, profiles)
 
-    def budget(p: LearnerProfile, assignment: int) -> int:
-        if log.schedule is None:
-            return cfg.epochs * p.batches_per_epoch
-        if assignment == 0:
-            return p.batches_per_epoch
-        return log.schedule.batches[p.learner_id]
-
     scheme = cfg.weighting
     prox_rho = (
         scheme.rho if not barrier and scheme.kind == "fedasync_poly" else 0.0
@@ -310,31 +311,31 @@ def run_policy(
         None if barrier
         else init_community(initial, [p.learner_id for p in profiles])
     )
-    by_id = {p.learner_id: p for p in profiles}
     w_c = initial
-    fetch_count = dict.fromkeys(by_id, 0)
-    # learner id -> (anchor, fetch steps, fetch version, assignment, fetch time)
-    pending: dict[int, tuple[ParamSet, int, int, int, int]] = {}
+    # learner id -> (profile, anchor, budget, assignment, fetch time,
+    # fetch steps, fetch version) of its assignment in flight. A refetch
+    # replaces the entry, so an old anchor dies once its learner commits.
+    flight: dict[int, tuple] = {}
     heap: list[tuple[int, int]] = []
 
-    def fetch(p: LearnerProfile, t: int) -> None:
+    def fetch(p: LearnerProfile, t: int, assignment: int) -> None:
         lid = p.learner_id
-        served = (w_c, 0, 0) if barrier else record_fetch(state, lid)
-        assignment = fetch_count[lid]
-        fetch_count[lid] += 1
-        pending[lid] = (*served, assignment, t)
+        anchor, steps, version = (
+            (w_c, 0, 0) if barrier else record_fetch(state, lid)
+        )
+        if log.schedule is None:
+            budget = cfg.epochs * p.batches_per_epoch
+        elif assignment == 0:
+            budget = p.batches_per_epoch
+        else:
+            budget = log.schedule.batches[lid]
+        flight[lid] = (p, anchor, budget, assignment, t, steps, version)
         log.events.append((t, "fetch", lid))
         log.events.append((t, "train_start", lid))
-        finish = t + budget(p, assignment) * p.time_per_batch_us
-        heapq.heappush(heap, (finish, lid))
-
-    def assignment_of(lid: int) -> tuple[LearnerProfile, ParamSet, int, int]:
-        p = by_id[lid]
-        anchor, _, _, assignment, _ = pending[lid]
-        return p, anchor, budget(p, assignment), assignment
+        heapq.heappush(heap, (t + budget * p.time_per_batch_us, lid))
 
     for p in profiles:
-        fetch(p, 0)
+        fetch(p, 0, 0)
     groups = 0
     while heap and heap[0][0] <= horizon_us:
         if barrier:
@@ -349,14 +350,14 @@ def run_policy(
         # Read lazily, one chunk at a time, before any learner of the chunk
         # commits and refetches: old anchors die as their learners refetch.
         trained = _train_cohort(
-            (assignment_of(lid) for _, lid in arrivals),
+            (flight[lid][:4] for _, lid in arrivals),
             task, train, cfg.optimizer, seed, prox_rho,
         )
         models, weights = [], []
         for (finish, lid), w_k in zip(arrivals, trained):
-            p = by_id[lid]
-            _, fetch_steps, fetch_version, assignment, start = pending[lid]
-            steps = budget(p, assignment)
+            p, _, steps, assignment, start, fetch_steps, fetch_version = (
+                flight[lid]
+            )
             log.events.append((finish, "train_end", lid))
             log.events.append((finish, "update_request", lid))
             log.update_requests += 1
@@ -378,14 +379,14 @@ def run_policy(
             log.contributions.append((t, lid, value))
             if not barrier:
                 log.events.append((t, "community_commit", lid))
-                fetch(p, t)
+                fetch(p, t, assignment + 1)
         if barrier:
             w_c = weighted_average(models, weights)
             log.federation_rounds += 1
             log.events.append((t, "community_commit", -1))
             if log.federation_rounds < cfg.rounds:
                 for p in profiles:
-                    fetch(p, t)
+                    fetch(p, t, log.federation_rounds)
         groups += 1
         if groups % cfg.eval_every == 0 or not heap or heap[0][0] > horizon_us:
             accuracy, loss = evaluate(task, w_c, test)
@@ -396,76 +397,3 @@ def run_policy(
     log.final_model = w_c
     log.final_state = state
     return log
-
-
-def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
-    """Write the run's metrics files; returns {logical name: path}.
-
-    Output is formatted so identical logs serialize to identical bytes:
-    metrics.csv (one row per evaluation), idle.csv (per learner and round),
-    events.jsonl (the ordered event stream) and summary.json.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    lines = ["virtual_ms,update_requests,round,accuracy,loss"]
-    for ev in log.evals:
-        lines.append(
-            f"{ev.t_us / 1000.0:.3f},{ev.update_requests},{ev.round_index},"
-            f"{ev.accuracy!r},{ev.loss!r}"
-        )
-    paths["metrics"] = os.path.join(out_dir, "metrics.csv")
-    _write_text(paths["metrics"], "\n".join(lines) + "\n")
-
-    lines = ["learner_id,round,active_ms,idle_ms"]
-    for lid, r, active_us, idle_us in log.utilization:
-        lines.append(
-            f"{lid},{r},{active_us / 1000.0:.3f},{idle_us / 1000.0:.3f}"
-        )
-    paths["idle"] = os.path.join(out_dir, "idle.csv")
-    _write_text(paths["idle"], "\n".join(lines) + "\n")
-
-    # The text json.dumps(..., sort_keys=True) gives, without its per-call
-    # cost: keys in sorted order, float repr for the time.
-    lines = [
-        f'{{"kind": "{kind}", "learner": {lid}, "virtual_ms": {t / 1000.0!r}}}'
-        for t, kind, lid in log.sorted_events()
-    ]
-    paths["events"] = os.path.join(out_dir, "events.jsonl")
-    _write_text(paths["events"], "\n".join(lines) + "\n")
-
-    lines = ["virtual_ms,learner_id,weight"]
-    for t, lid, value in log.contributions:
-        lines.append(f"{t / 1000.0:.3f},{lid},{value!r}")
-    paths["contributions"] = os.path.join(out_dir, "contributions.csv")
-    _write_text(paths["contributions"], "\n".join(lines) + "\n")
-
-    summary = {
-        "schema_version": 1,
-        "policy": log.policy,
-        "seed": log.seed,
-        "update_requests": log.update_requests,
-        "models_exchanged": log.models_exchanged,
-        "federation_rounds": log.federation_rounds,
-        "evaluations": len(log.evals),
-        "final_accuracy": log.evals[-1].accuracy if log.evals else None,
-        "final_loss": log.evals[-1].loss if log.evals else None,
-        "total_virtual_ms": (
-            max(t for t, _, _ in log.events) / 1000.0 if log.events else 0.0
-        ),
-    }
-    if log.schedule is not None:
-        summary["schedule"] = {
-            "t_max_ms": log.schedule.t_max_us / 1000.0,
-            "batches": {str(k): v for k, v in sorted(log.schedule.batches.items())},
-        }
-    paths["summary"] = os.path.join(out_dir, "summary.json")
-    _write_text(
-        paths["summary"], json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    return paths
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

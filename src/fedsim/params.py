@@ -91,12 +91,10 @@ class ParamSet:
     def arrays(self) -> tuple[np.ndarray, ...]:
         # Built on first use: local training reads only ``flat`` of most sets.
         if self._arrays is None:
-            arrays, lo = [], 0
-            for _, shape in self._structure:
-                hi = lo + math.prod(shape)
-                arrays.append(self._flat[lo:hi].reshape(shape))
-                lo = hi
-            self._arrays = tuple(arrays)
+            self._arrays = tuple(
+                self._flat[lo:hi].reshape(shape)
+                for lo, hi, shape in layer_spans(self._structure)
+            )
         return self._arrays
 
     @property
@@ -122,6 +120,19 @@ class ParamSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}{a.shape}" for n, a in self)
         return f"ParamSet({inner})"
+
+
+def layer_spans(
+    structure: Structure,
+) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) of each layer of ``structure`` inside the flat
+    vector, in layer order."""
+    spans, lo = [], 0
+    for _, shape in structure:
+        hi = lo + math.prod(shape)
+        spans.append((lo, hi, shape))
+        lo = hi
+    return tuple(spans)
 
 
 @np.errstate(over="ignore", invalid="ignore")

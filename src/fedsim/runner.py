@@ -2,8 +2,9 @@
 
 Turns a parsed :class:`ExperimentConfig` into datasets, partitions, learner
 profiles and a protocol run, then writes every artifact needed to reproduce
-and inspect the run. Also hosts the aggregation-cost microbenchmark behind
-the ``bench-cache`` CLI subcommand.
+and inspect the run: each file a cell or a run writes is written here, the
+metrics files by :func:`export_metrics`. Also hosts the aggregation-cost
+microbenchmark behind the ``bench-cache`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import params
 from .config import ExperimentConfig
 from .controller import init_community, cached_update, snapshot
-from .engine import LearnerProfile, run_policy, export_metrics
+from .engine import LearnerProfile, MetricsLog, run_policy
 from .params import ParamSet
 from .partition import assign_classes, assign_to_devices, make_sizes
 from .tasks import gen_synthetic, init_params
@@ -73,6 +74,76 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_json(path: str, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
+    """Write the run's metrics files; returns {logical name: path}.
+
+    Output is formatted so identical logs serialize to identical bytes:
+    metrics.csv (one row per evaluation), idle.csv (per learner and round),
+    events.jsonl (the ordered event stream) and summary.json.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+
+    lines = ["virtual_ms,update_requests,round,accuracy,loss"]
+    for ev in log.evals:
+        lines.append(
+            f"{ev.t_us / 1000.0:.3f},{ev.update_requests},{ev.round_index},"
+            f"{ev.accuracy!r},{ev.loss!r}"
+        )
+    paths["metrics"] = os.path.join(out_dir, "metrics.csv")
+    _write_text(paths["metrics"], "\n".join(lines) + "\n")
+
+    lines = ["learner_id,round,active_ms,idle_ms"]
+    for lid, r, active_us, idle_us in log.utilization:
+        lines.append(
+            f"{lid},{r},{active_us / 1000.0:.3f},{idle_us / 1000.0:.3f}"
+        )
+    paths["idle"] = os.path.join(out_dir, "idle.csv")
+    _write_text(paths["idle"], "\n".join(lines) + "\n")
+
+    # The text json.dumps(..., sort_keys=True) gives, without its per-call
+    # cost: keys in sorted order, float repr for the time.
+    lines = [
+        f'{{"kind": "{kind}", "learner": {lid}, "virtual_ms": {t / 1000.0!r}}}'
+        for t, kind, lid in log.sorted_events()
+    ]
+    paths["events"] = os.path.join(out_dir, "events.jsonl")
+    _write_text(paths["events"], "\n".join(lines) + "\n")
+
+    lines = ["virtual_ms,learner_id,weight"]
+    for t, lid, value in log.contributions:
+        lines.append(f"{t / 1000.0:.3f},{lid},{value!r}")
+    paths["contributions"] = os.path.join(out_dir, "contributions.csv")
+    _write_text(paths["contributions"], "\n".join(lines) + "\n")
+
+    summary = {
+        "schema_version": 1,
+        "policy": log.policy,
+        "seed": log.seed,
+        "update_requests": log.update_requests,
+        "models_exchanged": log.models_exchanged,
+        "federation_rounds": log.federation_rounds,
+        "evaluations": len(log.evals),
+        "final_accuracy": log.evals[-1].accuracy if log.evals else None,
+        "final_loss": log.evals[-1].loss if log.evals else None,
+        "total_virtual_ms": (
+            max(t for t, _, _ in log.events) / 1000.0 if log.events else 0.0
+        ),
+    }
+    if log.schedule is not None:
+        summary["schedule"] = {
+            "t_max_ms": log.schedule.t_max_us / 1000.0,
+            "batches": {str(k): v for k, v in sorted(log.schedule.batches.items())},
+        }
+    paths["summary"] = os.path.join(out_dir, "summary.json")
+    _write_json(paths["summary"], summary)
+    return paths
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_override: str | None = None,
@@ -107,28 +178,21 @@ def run_experiment(
         try:
             os.makedirs(out_dir, exist_ok=True)
             _write_text(os.path.join(out_dir, "config.txt"), cfg.source_text)
-            _write_text(
-                os.path.join(out_dir, "partition_report.json"),
-                json.dumps(report, indent=2, sort_keys=True) + "\n",
-            )
-            if partitions_only:
-                completed.append(cell_name or ".")
-                continue
-            initial = init_params(
-                cfg.task, np.random.default_rng([seed, _INIT_STREAM])
-            )
-            protocol = dataclasses.replace(cfg.protocol, lam=lam)
-            log = run_policy(
-                protocol, profiles, cfg.task, train, test, initial, seed
-            )
-            export_metrics(log, out_dir)
-            if log.final_state is not None:
-                _write_text(
-                    os.path.join(out_dir, "controller_snapshot.json"),
-                    json.dumps(snapshot(log.final_state), indent=2,
-                               sort_keys=True) + "\n",
+            _write_json(os.path.join(out_dir, "partition_report.json"), report)
+            if not partitions_only:
+                initial = init_params(
+                    cfg.task, np.random.default_rng([seed, _INIT_STREAM])
                 )
-            if log.final_model is not None:
+                protocol = dataclasses.replace(cfg.protocol, lam=lam)
+                log = run_policy(
+                    protocol, profiles, cfg.task, train, test, initial, seed
+                )
+                export_metrics(log, out_dir)
+                if log.final_state is not None:
+                    _write_json(
+                        os.path.join(out_dir, "controller_snapshot.json"),
+                        snapshot(log.final_state),
+                    )
                 params.save(
                     log.final_model, os.path.join(out_dir, "final_model.json")
                 )
@@ -150,10 +214,7 @@ def run_experiment(
         "cells": completed,
         "partitions_only": partitions_only,
     }
-    _write_text(
-        os.path.join(base, "manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    _write_json(os.path.join(base, "manifest.json"), manifest)
     return 0
 
 

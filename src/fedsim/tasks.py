@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import NonFiniteError, ParamSet, all_finite
+from .params import NonFiniteError, ParamSet, Structure, all_finite, layer_spans
 
 TASK_KINDS = ("softmax_regression", "mlp1")
 ACTIVATIONS = ("relu", "tanh")
@@ -90,52 +90,40 @@ def gen_synthetic(
     return Dataset(features, labels, num_classes, seed=seed, class_means=means)
 
 
-def init_params(model: TaskModel, rng: np.random.Generator) -> ParamSet:
-    """Uniform(-r, r) weight init with r = 1/sqrt(fan_in); zero biases."""
+def _structure(model: TaskModel) -> Structure:
+    """Each layer's (name, shape), in ParamSet order."""
     d, c = model.input_dim, model.num_classes
     if model.kind == "softmax_regression":
-        r = 1.0 / math.sqrt(d)
-        return ParamSet(
-            ("W", "b"), (rng.uniform(-r, r, size=(d, c)), np.zeros(c))
-        )
+        return (("W", (d, c)), ("b", (c,)))
     h = model.hidden_dim
-    r1 = 1.0 / math.sqrt(d)
-    r2 = 1.0 / math.sqrt(h)
-    return ParamSet(
-        ("W1", "b1", "W2", "b2"),
-        (
-            rng.uniform(-r1, r1, size=(d, h)),
-            np.zeros(h),
-            rng.uniform(-r2, r2, size=(h, c)),
-            np.zeros(c),
-        ),
-    )
+    return (("W1", (d, h)), ("b1", (h,)), ("W2", (h, c)), ("b2", (c,)))
+
+
+def init_params(model: TaskModel, rng: np.random.Generator) -> ParamSet:
+    """Uniform(-r, r) weight init with r = 1/sqrt(fan_in); zero biases.
+
+    The weight matrices draw from ``rng`` in layer order.
+    """
+    structure = _structure(model)
+    arrays = []
+    for _, shape in structure:
+        r = 1.0 / math.sqrt(shape[0])
+        arrays.append(
+            rng.uniform(-r, r, size=shape) if len(shape) == 2
+            else np.zeros(shape)
+        )
+    return ParamSet([name for name, _ in structure], arrays)
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(model: TaskModel) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(start, stop, shape) of each layer inside a flat parameter row, in
-    ParamSet order (W, b or W1, b1, W2, b2)."""
-    d, c = model.input_dim, model.num_classes
-    if model.kind == "softmax_regression":
-        shapes = [(d, c), (c,)]
-    else:
-        h = model.hidden_dim
-        shapes = [(d, h), (h,), (h, c), (c,)]
-    spans, lo = [], 0
-    for shape in shapes:
-        hi = lo + math.prod(shape)
-        spans.append((lo, hi, shape))
-        lo = hi
-    return tuple(spans)
+    """(start, stop, shape) of each layer inside a flat parameter row."""
+    return layer_spans(_structure(model))
 
 
 def zero_params(model: TaskModel) -> ParamSet:
     """All-zero parameters for the given model shape."""
-    names = ("W", "b") if model.kind == "softmax_regression" else (
-        "W1", "b1", "W2", "b2"
-    )
-    return ParamSet(names, [np.zeros(shape) for _, _, shape in _layout(model)])
+    return ParamSet._wrap(_structure(model), np.zeros(_layout(model)[-1][1]))
 
 
 def _split(model: TaskModel, rows: np.ndarray) -> list[np.ndarray]:

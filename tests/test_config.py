@@ -367,6 +367,13 @@ _PINNED = [
      ["[protocol] time_budget_ms: must be a finite number, got inf"]),
     ("lambda_minus_inf", "[protocol]\npolicy = semisync\nlambda = 1, -inf\n",
      ["[protocol] lambda: must be a finite number, got -inf"]),
+    ("latency_past_clock", "[learners]\nt_beta_slow_ms = 1e306\n",
+     ["[learners] t_beta_slow_ms: 1e+306 ms is not a finite number of "
+      "microseconds"]),
+    ("time_budget_past_clock",
+     "[protocol]\npolicy = async\ntime_budget_ms = 1e306\n",
+     ["[protocol] time_budget_ms: 1e+306 ms is not a finite number of "
+      "microseconds"]),
 ]
 
 

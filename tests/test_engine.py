@@ -1,6 +1,7 @@
 """Virtual-time engine: schedule planning, the three policies, exports."""
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -16,12 +17,12 @@ from fedsim.engine import (
     ProtocolConfig,
     _EVENT_RANK,
     _round_half_up,
-    export_metrics,
     plan_semisync,
     run_policy,
 )
 from fedsim.optimizers import OptimizerConfig
 from fedsim.params import equal, max_abs_diff
+from fedsim.runner import export_metrics
 from fedsim.tasks import TaskModel, evaluate, gen_synthetic, init_params
 
 OPT = OptimizerConfig("vanilla", eta=0.05)
@@ -152,6 +153,20 @@ def test_profile_rejects_sub_microsecond_batches():
             profile(0, t_ms, np.arange(5))
     with pytest.raises(ValueError, match="positive"):
         profile(0, 0.0, np.arange(5))
+
+
+@pytest.mark.parametrize("t_ms", [1e306, math.inf])
+def test_profile_rejects_latency_past_the_clock(t_ms):
+    # The microsecond count overflows a float: the profile refuses it when
+    # built instead of raising OverflowError when first used.
+    with pytest.raises(ValueError, match="not a finite number of micro"):
+        profile(0, t_ms, np.arange(5))
+
+
+def test_plan_rejects_horizon_past_the_clock():
+    profs = [profile(0, 30.0, np.arange(100))]
+    with pytest.raises(ValueError, match="lambda 1e\\+306 overflows"):
+        plan_semisync(1e306, profs)
 
 
 def test_protocol_config_validation():

@@ -251,7 +251,10 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
      "class quota 11 outside [1, 4]"),
     ([("per_class = 60", "per_class = 1"), ("num_fast = 2", "num_fast = 8")],
      [], "cannot split 4 examples across 9 learners"),
-], ids=["negative_seed", "class_quota", "too_few_examples"])
+    ([("t_beta_fast_ms = 10", "t_beta_fast_ms = 1e306")], [],
+     "t_beta_fast_ms: 1e+306 ms is not a finite number of microseconds"),
+], ids=["negative_seed", "class_quota", "too_few_examples",
+        "latency_past_clock"])
 def test_cli_setup_failures_exit_2(tmp_path, capsys, edits, argv, message):
     # Failures found before the run starts are reported like config
     # errors: one message, exit 2, no traceback and no output directory.
