@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -292,7 +293,9 @@ def run_policy(
     from a model committed in its own group, so this is the same as
     training them one by one. The
     community model is evaluated after every ``cfg.eval_every``-th group
-    and after the last one.
+    and after the last one. A group that would close past the float range,
+    where exported times stop being numbers, raises ValueError before it
+    trains.
     """
     profiles = sorted(profiles, key=lambda p: p.learner_id)
     log = MetricsLog(policy=cfg.policy, seed=seed)
@@ -347,6 +350,8 @@ def run_policy(
             arrivals = []
             while heap and heap[0][0] == t:
                 arrivals.append(heapq.heappop(heap))
+        if t > sys.float_info.max:
+            raise ValueError(f"virtual time {t} us is past the float range")
         # Read lazily, one chunk at a time, before any learner of the chunk
         # commits and refetches: old anchors die as their learners refetch.
         trained = _train_cohort(

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -155,7 +156,9 @@ def run_experiment(
     A semisync lambda list fans out into one output directory per value
     (matrix mode); otherwise the run writes directly into the output
     directory. Each cell directory contains the byte-exact config echo, the
-    partition report, the metrics files and the final community model.
+    partition report, the metrics files and the final community model. A
+    cell that fails writes no file and ends the run; ``manifest.json`` is
+    written last, once every cell has completed.
     """
     seed = cfg.seed if seed_override is None else seed_override
     base = resolve_out_dir(cfg.out_dir, out_override)
@@ -176,28 +179,36 @@ def run_experiment(
     for cell_name, lam in cells:
         out_dir = os.path.join(base, cell_name) if cell_name else base
         try:
-            os.makedirs(out_dir, exist_ok=True)
-            _write_text(os.path.join(out_dir, "config.txt"), cfg.source_text)
-            _write_json(os.path.join(out_dir, "partition_report.json"), report)
-            if not partitions_only:
-                initial = init_params(
-                    cfg.task, np.random.default_rng([seed, _INIT_STREAM])
-                )
-                protocol = dataclasses.replace(cfg.protocol, lam=lam)
-                log = run_policy(
-                    protocol, profiles, cfg.task, train, test, initial, seed
-                )
-                export_metrics(log, out_dir)
-                if log.final_state is not None:
-                    _write_json(
-                        os.path.join(out_dir, "controller_snapshot.json"),
-                        snapshot(log.final_state),
+            # Every file is built in a temp directory and moved into the
+            # cell only once all of them exist, so a failed cell writes none.
+            os.makedirs(base, exist_ok=True)
+            with tempfile.TemporaryDirectory(prefix=".cell-", dir=base) as tmp:
+                _write_text(os.path.join(tmp, "config.txt"), cfg.source_text)
+                _write_json(os.path.join(tmp, "partition_report.json"), report)
+                if not partitions_only:
+                    initial = init_params(
+                        cfg.task, np.random.default_rng([seed, _INIT_STREAM])
                     )
-                params.save(
-                    log.final_model, os.path.join(out_dir, "final_model.json")
-                )
+                    protocol = dataclasses.replace(cfg.protocol, lam=lam)
+                    log = run_policy(
+                        protocol, profiles, cfg.task, train, test, initial, seed
+                    )
+                    export_metrics(log, tmp)
+                    if log.final_state is not None:
+                        _write_json(
+                            os.path.join(tmp, "controller_snapshot.json"),
+                            snapshot(log.final_state),
+                        )
+                    params.save(
+                        log.final_model, os.path.join(tmp, "final_model.json")
+                    )
+                os.makedirs(out_dir, exist_ok=True)
+                for name in os.listdir(tmp):
+                    os.replace(
+                        os.path.join(tmp, name), os.path.join(out_dir, name)
+                    )
             completed.append(cell_name or ".")
-        except Exception as exc:  # pragma: no cover - defensive surface
+        except Exception as exc:
             print(
                 json.dumps(
                     {"error": type(exc).__name__, "cell": cell_name or ".",

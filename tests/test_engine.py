@@ -169,6 +169,16 @@ def test_plan_rejects_horizon_past_the_clock():
         plan_semisync(1e306, profs)
 
 
+def test_barrier_round_past_the_float_range_raises():
+    # 1e305 ms per batch is a count the clock holds, but 100 batches end the
+    # round past the float range: the run refuses it before training.
+    task, train, test, chunks, initial = small_world(2, 500)
+    profs = [profile(0, 30.0, chunks[0]), profile(1, 1e305, chunks[1])]
+    cfg = ProtocolConfig("sync", OPT, STATIC, epochs=4, rounds=1)
+    with pytest.raises(ValueError, match="past the float range"):
+        run_policy(cfg, profs, task, train, test, initial, seed=3)
+
+
 def test_protocol_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig("gossip", OPT, STATIC)

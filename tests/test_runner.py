@@ -194,6 +194,38 @@ def test_divergent_eta_fails_the_run(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert run_experiment(cfg) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteError"
+    assert os.listdir(tmp_path) == ["run"]
+    assert os.listdir(tmp_path / "run") == []
+
+
+@pytest.mark.parametrize("text", [
+    # The semisync horizon overflows the clock.
+    "[protocol]\npolicy = semisync\nlambda = 1e306\n",
+    # A sync round of many 1e305 ms batches ends past the float range.
+    "[learners]\nt_beta_slow_ms = 1e305\n[protocol]\nrounds = 1\n",
+])
+def test_cli_failed_cell_writes_nothing(tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.ini"]
+    assert os.listdir(out) == []
+
+
+def test_cli_async_arrival_past_the_float_range_exits_0(tmp_path):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        "[learners]\nt_beta_slow_ms = 1e305\n"
+        "[protocol]\npolicy = async\ntime_budget_ms = 2000\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.load(open(out / "summary.json"))
+    assert summary["total_virtual_ms"] <= 2000.0
+    assert sorted(os.listdir(tmp_path)) == ["out", "run.ini"]
+    assert not [name for name in os.listdir(out) if name.startswith(".")]
 
 
 def test_build_world_shapes():
