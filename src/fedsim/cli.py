@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 2
         try:
@@ -115,7 +115,3 @@ def main(argv: list[str] | None = None) -> int:
             f"p={fit['slope_pvalue']:.3f}  R^2={fit['r_squared']:.3f}"
         )
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

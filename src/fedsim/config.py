@@ -208,6 +208,11 @@ _CHECKS = (
 )
 
 
+def cell_name(lam: float) -> str:
+    """The output directory of the semisync matrix cell run at ``lam``."""
+    return f"lam-{lam:g}"
+
+
 class ConfigError(ValueError):
     """Invalid experiment config; ``violations`` lists every problem."""
 
@@ -249,7 +254,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a config document; raises :class:`ConfigError`
     carrying all violations if anything is wrong."""
     violations: list[str] = []
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can spell a newline, so [DEFAULT] is an ordinary section
+    # (an unknown one) instead of defaults for every other section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -290,6 +297,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         got = values[section]
         if all(k in got for k in keys) and not rule(*(got[k] for k in keys)):
             violations.append(message)
+    got = values["protocol"]
+    if got.get("policy") == "semisync":  # one cell per lambda value
+        cells: dict[str, float] = {}
+        for lam in got.get("lambda", ()):
+            name = cell_name(lam)
+            if name in cells:
+                violations.append(f"[protocol] lambda: {cells[name]!r} and "
+                                  f"{lam!r} share the cell {name}")
+            cells.setdefault(name, lam)
     if violations:
         raise ConfigError(violations)
 

@@ -18,9 +18,10 @@ Staleness-discounted weighting uses committed local steps: a contribution
 computed against an old community model counts less.
 
 ``record_fetch``, ``cached_update``, ``fedasync_update`` and ``snapshot`` are
-public, and a caller may drive them from several threads. Each reads and
-rewrites several fields of the shared state, so each holds the state's lock:
-concurrent commits apply one at a time and none is lost. The engine's event
+public, and a caller may drive them from several threads. Each reads
+several fields of the shared state, and the two commits rewrite them, so
+each holds the state's lock: a reader sees the state between two commits,
+and concurrent commits apply one at a time with none lost. The engine's event
 loop is single-threaded and never contends for it.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParamSet, _check_same_structure, zeros_like
+from .params import ParamSet, _check_same_structure
 
 WEIGHTING_KINDS = ("fedavg_static", "fedrec_staleness", "fedasync_poly")
 
@@ -69,46 +70,42 @@ class WeightingScheme:
 
 @dataclass
 class ContributionRecord:
-    learner_id: int
     model: ParamSet
     value: float        # p_k, this contribution's aggregation weight
-    fetch_steps: int    # community step counter when the model was fetched
+    fetch_version: int  # community version when the model was fetched
     local_steps: int    # batches applied locally to produce the model
 
 
 @dataclass
 class CommunityState:
-    weighted_sum: ParamSet            # sum_k p_k * w_k
+    weighted_sum: np.ndarray          # sum_k p_k * w_k, laid out as model.flat
     normalizer: float                 # sum_k p_k
     records: dict[int, ContributionRecord]
     committed_steps: int              # total local steps committed so far
     version: int                      # number of commits applied
     model: ParamSet                   # the community model every fetch serves
-    fetch_versions: dict[int, int] = field(default_factory=dict)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
-def init_community(initial: ParamSet, learner_ids: list[int]) -> CommunityState:
+def init_community(initial: ParamSet) -> CommunityState:
     """Fresh controller state broadcasting ``initial`` to every learner."""
     return CommunityState(
-        weighted_sum=zeros_like(initial),
+        weighted_sum=np.zeros_like(initial.flat),
         normalizer=0.0,
         records={},
         committed_steps=0,
         version=0,
         model=initial,
-        fetch_versions={k: 0 for k in learner_ids},
     )
 
 
-def record_fetch(state: CommunityState, learner_id: int) -> tuple[ParamSet, int, int]:
-    """Serve the community model and remember what the learner saw.
+def record_fetch(state: CommunityState) -> tuple[ParamSet, int, int]:
+    """Serve the community model with the two counters it was served at.
 
-    Returns (model, committed steps at fetch, version at fetch); the two
-    counters feed the staleness computations at commit time.
+    Returns (model, committed steps at fetch, version at fetch); the caller
+    hands the counters back at commit time for the staleness computations.
     """
     with state.lock:
-        state.fetch_versions[learner_id] = state.version
         return state.model, state.committed_steps, state.version
 
 
@@ -118,18 +115,20 @@ def cached_update(
     model: ParamSet,
     value: float,
     steps: int,
+    fetch_version: int,
 ) -> ParamSet:
-    """Replace learner ``learner_id``'s contribution and return the new
-    community model W / P. Mutates ``state`` only if every new value is
-    valid; cost is O(model size) regardless of how many learners have
-    contributed.
+    """Replace learner ``learner_id``'s contribution, a model trained
+    ``steps`` batches from the community version ``fetch_version``, and
+    return the new community model W / P. Mutates ``state`` only if every
+    new value is valid; cost is O(model size) regardless of how many
+    learners have contributed.
     """
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"contribution weight must be finite and >= 0, got {value}")
     if steps < 1:
         raise ValueError(f"a contribution needs >= 1 local steps, got {steps}")
     with state.lock:
-        _check_same_structure(state.weighted_sum, model)
+        _check_same_structure(state.model, model)
         prev = state.records.get(learner_id)
         new_normalizer = state.normalizer + value
         if prev is not None:
@@ -138,28 +137,26 @@ def cached_update(
             raise DegenerateWeightError(
                 f"normalizer would become {new_normalizer}"
             )
-        structure = state.weighted_sum.structure()
         # Two new buffers: W, and W / P, whose buffer holds each product
         # before it is folded into W.
         served = np.multiply(value, model.flat)
-        flat = np.add(state.weighted_sum.flat, served)
+        flat = np.add(state.weighted_sum, served)
         if prev is not None:
             np.multiply(prev.value, prev.model.flat, out=served)
             flat -= served
         np.multiply(1.0 / new_normalizer, flat, out=served)
-        # One scan covers both. 1 / P is +0 (P overflowed), finite and > 0,
-        # or +inf (P subnormal), and in every case it turns a NaN or +-Inf
-        # entry of W into a non-finite entry of W / P (0 * inf and 0 * NaN
-        # are NaN).
-        community = ParamSet._wrap(structure, served)
-        state.weighted_sum = ParamSet._wrap(structure, flat, checked=True)
+        # Only W / P is scanned, and it covers W too. 1 / P is +0 (P
+        # overflowed), finite and > 0, or +inf (P subnormal), and in every
+        # case it turns a NaN or +-Inf entry of W into a non-finite entry of
+        # W / P (0 * inf and 0 * NaN are NaN).
+        community = ParamSet._wrap(state.model.structure(), served)
+        state.weighted_sum = flat
         state.normalizer = new_normalizer
         state.model = community
         state.records[learner_id] = ContributionRecord(
-            learner_id=learner_id,
             model=model,
             value=value,
-            fetch_steps=state.fetch_versions.get(learner_id, 0),
+            fetch_version=fetch_version,
             local_steps=steps,
         )
         state.committed_steps += steps
@@ -249,7 +246,9 @@ def snapshot(state: CommunityState) -> dict:
                 str(k): {
                     "value": rec.value,
                     "local_steps": rec.local_steps,
-                    "fetch_steps": rec.fetch_steps,
+                    # The key says steps but the value is the fetch
+                    # version (ROADMAP item 6).
+                    "fetch_steps": rec.fetch_version,
                 }
                 for k, rec in sorted(state.records.items())
             },

@@ -176,11 +176,15 @@ class MetricsLog:
     utilization: list[tuple[int, int, int, int]] = field(default_factory=list)
     # (t_us, learner_id, aggregation weight)
     contributions: list[tuple[int, int, float]] = field(default_factory=list)
-    update_requests: int = 0
     federation_rounds: int = 0
     schedule: SchedulePlan | None = None
     final_state: CommunityState | None = None
     final_model: ParamSet | None = None
+
+    @property
+    def update_requests(self) -> int:
+        # Every update request, committed or averaged, adds one row.
+        return len(self.contributions)
 
     @property
     def models_exchanged(self) -> int:
@@ -310,21 +314,19 @@ def run_policy(
     horizon_us = (
         math.inf if barrier else ms_to_us(cfg.time_budget_ms)
     )
-    state = (
-        None if barrier
-        else init_community(initial, [p.learner_id for p in profiles])
-    )
+    state = None if barrier else init_community(initial)
     w_c = initial
     # learner id -> (profile, anchor, budget, assignment, fetch time,
-    # fetch steps, fetch version) of its assignment in flight. A refetch
-    # replaces the entry, so an old anchor dies once its learner commits.
+    # fetch steps, fetch version) of its assignment in flight, the one
+    # record of what it fetched. A refetch replaces the entry, so an old
+    # anchor dies once its learner commits.
     flight: dict[int, tuple] = {}
     heap: list[tuple[int, int]] = []
 
     def fetch(p: LearnerProfile, t: int, assignment: int) -> None:
         lid = p.learner_id
         anchor, steps, version = (
-            (w_c, 0, 0) if barrier else record_fetch(state, lid)
+            (w_c, 0, 0) if barrier else record_fetch(state)
         )
         if log.schedule is None:
             budget = cfg.epochs * p.batches_per_epoch
@@ -365,7 +367,6 @@ def run_policy(
             )
             log.events.append((finish, "train_end", lid))
             log.events.append((finish, "update_request", lid))
-            log.update_requests += 1
             log.utilization.append((lid, assignment, finish - start, t - finish))
             if barrier:
                 value = float(p.data_size)
@@ -380,7 +381,9 @@ def run_policy(
                 value = compute_contribution(
                     scheme, state, p.data_size, fetch_steps, steps
                 )
-                w_c = cached_update(state, lid, w_k, value, steps)
+                w_c = cached_update(
+                    state, lid, w_k, value, steps, fetch_version
+                )
             log.contributions.append((t, lid, value))
             if not barrier:
                 log.events.append((t, "community_commit", lid))

@@ -54,26 +54,21 @@ class ParamSet:
         self._init(structure, np.concatenate([a.ravel() for a in layers]))
 
     @classmethod
-    def _wrap(
-        cls, structure: Structure, flat: np.ndarray, checked: bool = False
-    ) -> "ParamSet":
+    def _wrap(cls, structure: Structure, flat: np.ndarray) -> "ParamSet":
         # Internal constructor: takes ownership of ``flat``, a float64 vector
         # laid out as ``structure`` that no caller writes to afterwards. Skips
-        # the copy but keeps the finiteness guarantee; ``checked`` says the
-        # caller has already proved every entry finite.
+        # the copy but keeps the finiteness guarantee.
         self = object.__new__(cls)
-        self._init(structure, flat, checked)
+        self._init(structure, flat)
         return self
 
-    def _init(
-        self, structure: Structure, flat: np.ndarray, checked: bool = False
-    ) -> None:
+    def _init(self, structure: Structure, flat: np.ndarray) -> None:
         # Freeze first: views taken afterwards inherit the read-only flag.
         flat.setflags(write=False)
         self._structure = structure
         self._flat = flat
         self._arrays = None
-        if not (checked or all_finite(flat)):
+        if not all_finite(flat):
             for name, a in self:
                 if not np.isfinite(a).all():
                     raise NonFiniteError(f"layer {name!r} has NaN/Inf entries")
@@ -211,10 +206,6 @@ def max_abs_diff(x: ParamSet, y: ParamSet) -> float:
     if x.flat.size == 0:
         return 0.0
     return float(np.max(np.abs(x.flat - y.flat)))
-
-
-def allclose(x: ParamSet, y: ParamSet, atol: float = 1e-12) -> bool:
-    return max_abs_diff(x, y) <= atol
 
 
 def equal(x: ParamSet, y: ParamSet) -> bool:

@@ -8,9 +8,8 @@ same spec, sizes and dataset it always produces the same partitions.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,11 +79,10 @@ class PartitionSpec:
 class PartitionResult:
     indices: list[np.ndarray]
     owned_classes: list[tuple[int, ...]]
-    sizes: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.sizes:
-            self.sizes = [len(ix) for ix in self.indices]
+    @property
+    def sizes(self) -> list[int]:
+        return [len(ix) for ix in self.indices]
 
     def class_histogram(self, dataset: Dataset) -> list[dict[int, int]]:
         out = []
@@ -100,16 +98,13 @@ class PartitionResult:
             "learners": [
                 {
                     "learner_id": k,
-                    "size": int(self.sizes[k]),
+                    "size": len(self.indices[k]),
                     "owned_classes": list(self.owned_classes[k]),
                     "class_histogram": {str(c): n for c, n in hist[k].items()},
                 }
                 for k in range(len(self.indices))
             ],
         }
-
-    def to_json(self, dataset: Dataset) -> str:
-        return json.dumps(self.to_obj(dataset), indent=2, sort_keys=True)
 
 
 def _largest_remainder(total: int, proportions: np.ndarray) -> list[int]:
@@ -294,11 +289,12 @@ def assign_to_devices(result: PartitionResult, device_order: list[str]) -> list[
         raise PartitionError(
             f"{len(device_order)} device slots for {n} partitions"
         )
-    if len(set(result.sizes)) <= 1:
+    sizes = result.sizes
+    if len(set(sizes)) <= 1:
         return list(device_order)
     fast = [d for d in device_order if d == "fast"]
     slow = [d for d in device_order if d != "fast"]
-    ranks = sorted(range(n), key=lambda k: (-result.sizes[k], k))
+    ranks = sorted(range(n), key=lambda k: (-sizes[k], k))
     devices = [""] * n
     for i, k in enumerate(ranks):
         prefer_fast = i % 2 == 0

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import params
-from .config import ExperimentConfig
+from .config import ExperimentConfig, cell_name
 from .controller import init_community, cached_update, snapshot
 from .engine import LearnerProfile, MetricsLog, run_policy
 from .params import ParamSet
@@ -43,7 +43,8 @@ def resolve_out_dir(configured: str, override: str | None = None) -> str:
 
 
 def build_world(cfg: ExperimentConfig, seed: int):
-    """Datasets, partitions, device mapping and learner profiles for a run."""
+    """Train and test sets, the partition and the learner profiles (each
+    with its device class) for a run."""
     train = gen_synthetic(
         cfg.task.num_classes, cfg.per_class, cfg.task.input_dim,
         cfg.cluster_spread, seed, sample_tag=0,
@@ -67,7 +68,7 @@ def build_world(cfg: ExperimentConfig, seed: int):
         )
         for k in range(cfg.num_learners)
     ]
-    return train, test, result, devices, profiles
+    return train, test, result, profiles
 
 
 def _write_text(path: str, text: str) -> None:
@@ -162,22 +163,22 @@ def run_experiment(
     """
     seed = cfg.seed if seed_override is None else seed_override
     base = resolve_out_dir(cfg.out_dir, out_override)
-    train, test, result, devices, profiles = build_world(cfg, seed)
+    train, test, result, profiles = build_world(cfg, seed)
 
     matrix = cfg.protocol.policy == "semisync" and len(cfg.lambda_values) > 1
     cells = (
-        [(f"lam-{lam:g}", lam) for lam in cfg.lambda_values]
+        [(cell_name(lam), lam) for lam in cfg.lambda_values]
         if matrix
         else [("", cfg.lambda_values[0])]
     )
 
     report = result.to_obj(train)
-    for entry, device in zip(report["learners"], devices):
-        entry["device_class"] = device
+    for entry, p in zip(report["learners"], profiles):
+        entry["device_class"] = p.device_class
 
     completed = []
-    for cell_name, lam in cells:
-        out_dir = os.path.join(base, cell_name) if cell_name else base
+    for cell, lam in cells:
+        out_dir = os.path.join(base, cell) if cell else base
         try:
             # Every file is built in a temp directory and moved into the
             # cell only once all of them exist, so a failed cell writes none.
@@ -207,11 +208,11 @@ def run_experiment(
                     os.replace(
                         os.path.join(tmp, name), os.path.join(out_dir, name)
                     )
-            completed.append(cell_name or ".")
+            completed.append(cell or ".")
         except Exception as exc:
             print(
                 json.dumps(
-                    {"error": type(exc).__name__, "cell": cell_name or ".",
+                    {"error": type(exc).__name__, "cell": cell or ".",
                      "detail": str(exc)},
                     sort_keys=True,
                 ),
@@ -262,11 +263,11 @@ def bench_cache(
         ]
         saturated = []
         for n in learner_counts:
-            state = init_community(params.zeros_like(fresh[0]), list(range(n)))
+            state = init_community(params.zeros_like(fresh[0]))
             weights = rng.uniform(1.0, 100.0, size=n)
             for k in range(n):
                 cached_update(
-                    state, k, fresh[k % len(fresh)], float(weights[k]), 1
+                    state, k, fresh[k % len(fresh)], float(weights[k]), 1, 0
                 )
             saturated.append((n, state, weights))
         # Each repeat visits every learner count in turn, so drift in host
@@ -276,12 +277,12 @@ def bench_cache(
                 # One untimed commit first: the first call after switching
                 # states runs on cold caches, and at ~50 us a call that
                 # alone can read as a slope in N.
-                cached_update(state, 0, fresh[0], float(weights[0]), 1)
+                cached_update(state, 0, fresh[0], float(weights[0]), 1, 0)
                 t0 = time.perf_counter()
                 for i in range(inner):
                     cached_update(
                         state, i % n, fresh[i % len(fresh)],
-                        float(weights[i % n]), 1,
+                        float(weights[i % n]), 1, 0,
                     )
                 dt = (time.perf_counter() - t0) / inner
                 rows.append(("cached", n, entries, rep, dt))

@@ -53,7 +53,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    seed: int = 0
     class_means: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -87,7 +86,7 @@ def gen_synthetic(
         num_classes * per_class, input_dim
     )
     labels = np.repeat(np.arange(num_classes), per_class)
-    return Dataset(features, labels, num_classes, seed=seed, class_means=means)
+    return Dataset(features, labels, num_classes, class_means=means)
 
 
 def _structure(model: TaskModel) -> Structure:

@@ -118,7 +118,7 @@ def test_criterion_2_cache_equals_recompute(announce):
         proto = rand_model(rng)
         check(proto.num_entries == 10_000,
               f"model carries {proto.num_entries} entries, wanted 10000")
-        state = init_community(proto, list(range(10)))
+        state = init_community(proto)
         latest = {}
         worst = 0.0
         for _ in range(100):
@@ -126,7 +126,7 @@ def test_criterion_2_cache_equals_recompute(announce):
             w = rand_model(rng)
             p = float(rng.uniform(0.5, 20.0))
             steps = int(rng.integers(1, 9))
-            out = cached_update(state, k, w, p, steps)
+            out = cached_update(state, k, w, p, steps, 0)
             latest[k] = (w, p)
             oracle = weighted_average(
                 [latest[j][0] for j in sorted(latest)],
@@ -335,7 +335,7 @@ def test_criterion_7_staleness_weights(announce):
         rng = np.random.default_rng(12)
         proto = ParamSet(["w"], [rng.standard_normal((4, 4))])
         for gap, expect in gaps.items():
-            state = init_community(proto, [0])
+            state = init_community(proto)
             state.version = gap
             _, alpha = fedasync_update(
                 state, 0, ParamSet(["w"], [rng.standard_normal((4, 4))]),

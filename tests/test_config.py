@@ -236,6 +236,13 @@ _PINNED = [
       "known: ['cifar10-like', 'cifar100-like']"]),
     ("unknown_section", "[network]\nbandwidth = 10\n",
      ["unknown section [network]"]),
+    # configparser would read [DEFAULT] as defaults for every section.
+    ("default_section_alone", "[DEFAULT]\nseed = 5\n",
+     ["unknown section [DEFAULT]"]),
+    ("default_section_known_key", "[DEFAULT]\nkind = mlp1\n[task]\n",
+     ["unknown section [DEFAULT]"]),
+    ("default_section_unknown_key", "[DEFAULT]\nbogus = 1\n[task]\n",
+     ["unknown section [DEFAULT]"]),
     ("unknown_key", "[protocol]\ncadence = 5\n",
      ["[protocol] unknown key 'cadence'"]),
     ("unparseable", "just some words\n",
@@ -306,6 +313,11 @@ _PINNED = [
       "[protocol] lambda: must satisfy lambda > 0.0, got -2"]),
     ("lambda_empty", "[protocol]\nlambda = ,\n",
      ["[protocol] lambda: needs at least one value"]),
+    ("lambdas_share_a_cell",
+     "[protocol]\npolicy = semisync\nlambda = 1, 2, 2.0000001\n",
+     ["[protocol] lambda: 2.0 and 2.0000001 share the cell lam-2"]),
+    ("lambdas_repeated", "[protocol]\npolicy = semisync\nlambda = 2, 2\n",
+     ["[protocol] lambda: 2.0 and 2.0 share the cell lam-2"]),
     ("epochs_rounds_eval_zero",
      "[protocol]\nepochs = 0\nrounds = 0\neval_every = 0\n",
      ["[protocol] epochs: must satisfy epochs >= 1, got 0",

@@ -35,35 +35,34 @@ def rand_params(rng, shapes=((5, 3), (3,))):
                     [rng.standard_normal(s) for s in shapes])
 
 
-def fresh_state(rng, ids):
-    return init_community(rand_params(rng), list(ids))
+def fresh_state(rng):
+    return init_community(rand_params(rng))
 
 
 def test_initial_community_is_broadcast():
     rng = np.random.default_rng(1)
     initial = rand_params(rng)
-    state = init_community(initial, [0, 1, 2])
+    state = init_community(initial)
     assert equal(state.model, initial)
     assert state.version == 0 and state.committed_steps == 0
 
 
 def test_record_fetch_reports_counters():
     rng = np.random.default_rng(2)
-    state = fresh_state(rng, [0, 1])
-    model, steps, version = record_fetch(state, 1)
+    state = fresh_state(rng)
+    model, steps, version = record_fetch(state)
     assert steps == 0 and version == 0
     assert equal(model, state.model)
-    cached_update(state, 0, rand_params(rng), 10.0, steps=7)
-    model, steps, version = record_fetch(state, 1)
+    cached_update(state, 0, rand_params(rng), 10.0, steps=7, fetch_version=0)
+    model, steps, version = record_fetch(state)
     assert steps == 7 and version == 1
-    assert state.fetch_versions[1] == 1
 
 
 def test_single_contribution_dominates():
     rng = np.random.default_rng(3)
-    state = fresh_state(rng, [0])
+    state = fresh_state(rng)
     w = rand_params(rng)
-    out = cached_update(state, 0, w, 123.0, steps=5)
+    out = cached_update(state, 0, w, 123.0, steps=5, fetch_version=0)
     assert max_abs_diff(out, w) <= 1e-12
     assert state.normalizer == 123.0
     assert state.committed_steps == 5
@@ -72,12 +71,12 @@ def test_single_contribution_dominates():
 
 def test_replacement_uses_latest_contribution_only():
     rng = np.random.default_rng(4)
-    state = fresh_state(rng, [0, 1])
+    state = fresh_state(rng)
     a0, a1 = rand_params(rng), rand_params(rng)
     b = rand_params(rng)
-    cached_update(state, 0, a0, 2.0, steps=1)
-    cached_update(state, 1, b, 3.0, steps=1)
-    out = cached_update(state, 0, a1, 5.0, steps=1)
+    cached_update(state, 0, a0, 2.0, steps=1, fetch_version=0)
+    cached_update(state, 1, b, 3.0, steps=1, fetch_version=0)
+    out = cached_update(state, 0, a1, 5.0, steps=1, fetch_version=0)
     expect = weighted_average([a1, b], [5.0, 3.0])
     assert max_abs_diff(out, expect) <= 1e-12
     assert state.normalizer == pytest.approx(8.0)
@@ -87,14 +86,14 @@ def test_replacement_uses_latest_contribution_only():
 def test_cache_matches_full_recompute_interleaved():
     """Incremental updates against recomputing from every live record."""
     rng = np.random.default_rng(5)
-    ids = list(range(10))
-    state = fresh_state(rng, ids)
+    state = fresh_state(rng)
     latest = {}
     for step in range(100):
         k = int(rng.integers(0, 10))
         w = rand_params(rng)
         p = float(rng.uniform(0.5, 20.0))
-        out = cached_update(state, k, w, p, steps=int(rng.integers(1, 9)))
+        out = cached_update(state, k, w, p, steps=int(rng.integers(1, 9)),
+                            fetch_version=0)
         latest[k] = (w, p)
         models = [latest[j][0] for j in sorted(latest)]
         weights = [latest[j][1] for j in sorted(latest)]
@@ -107,18 +106,19 @@ def test_cache_scale_invariance():
                 float(rng.uniform(0.1, 5.0))) for _ in range(40)]
     outs = []
     for c in (1.0, 1000.0):
-        state = init_community(updates[0][1], [0, 1, 2, 3])
+        state = init_community(updates[0][1])
         for k, w, p in updates:
-            out = cached_update(state, k, w, c * p, steps=1)
+            out = cached_update(state, k, w, c * p, steps=1, fetch_version=0)
         outs.append(out)
     assert max_abs_diff(outs[0], outs[1]) <= 1e-12
 
 
 def test_cached_update_rejects_degenerate_total():
     rng = np.random.default_rng(7)
-    state = fresh_state(rng, [0])
+    state = fresh_state(rng)
     with pytest.raises(DegenerateWeightError):
-        cached_update(state, 0, rand_params(rng), 0.0, steps=1)
+        cached_update(state, 0, rand_params(rng), 0.0, steps=1,
+                      fetch_version=0)
     # and the state must be untouched afterwards
     assert state.normalizer == 0.0 and state.version == 0
     assert not state.records
@@ -126,17 +126,17 @@ def test_cached_update_rejects_degenerate_total():
 
 def test_cached_update_validates_inputs():
     rng = np.random.default_rng(8)
-    state = fresh_state(rng, [0])
+    state = fresh_state(rng)
     w = rand_params(rng)
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, float("nan"), steps=1)
+        cached_update(state, 0, w, float("nan"), steps=1, fetch_version=0)
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, -1.0, steps=1)
+        cached_update(state, 0, w, -1.0, steps=1, fetch_version=0)
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, 1.0, steps=0)
+        cached_update(state, 0, w, 1.0, steps=0, fetch_version=0)
     bad = ParamSet(["other"], [np.zeros((2, 2))])
     with pytest.raises(StructureError):
-        cached_update(state, 0, bad, 1.0, steps=1)
+        cached_update(state, 0, bad, 1.0, steps=1, fetch_version=0)
 
 
 def test_staleness_discount_pinned_values():
@@ -179,7 +179,7 @@ def test_poly_staleness_pinned_values():
 
 def test_compute_contribution_dispatch():
     rng = np.random.default_rng(9)
-    state = fresh_state(rng, [0])
+    state = fresh_state(rng)
     static = WeightingScheme("fedavg_static")
     assert compute_contribution(static, state, 1234, 0, 5) == 1234.0
     rec = WeightingScheme("fedrec_staleness")
@@ -193,7 +193,7 @@ def test_compute_contribution_dispatch():
 def test_fedasync_update_alpha_and_mixing():
     rng = np.random.default_rng(10)
     initial = rand_params(rng)
-    state = init_community(initial, [0])
+    state = init_community(initial)
     local = rand_params(rng)
     # fresh fetch: gap 0, alpha = mixing
     out, alpha = fedasync_update(state, 0, local, 0.5, fetch_version=0)
@@ -206,7 +206,7 @@ def test_fedasync_update_alpha_and_mixing():
 
 def test_fedasync_alpha_decays_with_version_gap():
     rng = np.random.default_rng(11)
-    state = init_community(rand_params(rng), [0])
+    state = init_community(rand_params(rng))
     local = rand_params(rng)
     state.version = 3
     _, alpha = fedasync_update(state, 0, local, 1.0, fetch_version=0)
@@ -218,7 +218,7 @@ def test_fedasync_alpha_decays_with_version_gap():
 
 def test_fedasync_fixed_alpha_mode():
     rng = np.random.default_rng(12)
-    state = init_community(rand_params(rng), [0])
+    state = init_community(rand_params(rng))
     state.version = 50
     _, alpha = fedasync_update(state, 0, rand_params(rng), 0.25,
                                fetch_version=0, staleness_adaptive=False)
@@ -227,7 +227,7 @@ def test_fedasync_fixed_alpha_mode():
 
 def test_fedasync_rejects_bad_mixing():
     rng = np.random.default_rng(13)
-    state = init_community(rand_params(rng), [0])
+    state = init_community(rand_params(rng))
     with pytest.raises(ValueError):
         fedasync_update(state, 0, rand_params(rng), 0.0, fetch_version=0)
     with pytest.raises(ValueError):
@@ -246,8 +246,8 @@ def test_weighting_scheme_validation():
 
 def test_snapshot_shape():
     rng = np.random.default_rng(14)
-    state = fresh_state(rng, [0, 1])
-    cached_update(state, 1, rand_params(rng), 4.0, steps=3)
+    state = fresh_state(rng)
+    cached_update(state, 1, rand_params(rng), 4.0, steps=3, fetch_version=0)
     snap = snapshot(state)
     assert snap["format_version"] == 1
     assert snap["version"] == 1
@@ -262,7 +262,7 @@ def test_concurrent_commits_linearize():
     weighted average of each learner's final contribution."""
     rng = np.random.default_rng(15)
     num_learners, per_thread = 8, 50
-    state = fresh_state(rng, range(num_learners))
+    state = fresh_state(rng)
     plans = []
     for k in range(num_learners):
         models = [rand_params(np.random.default_rng([20, k, i]))
@@ -276,7 +276,7 @@ def test_concurrent_commits_linearize():
         try:
             models, values = plans[k]
             for w, p in zip(models, values):
-                cached_update(state, k, w, float(p), steps=2)
+                cached_update(state, k, w, float(p), steps=2, fetch_version=0)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -307,13 +307,14 @@ def state_view(state):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow -> NonFiniteError
 def test_failed_commit_of_subnormal_weight_leaves_state_untouched():
     rng = np.random.default_rng(16)
-    state = fresh_state(rng, [0, 1])
-    served = record_fetch(state, 0)[0]
+    state = fresh_state(rng)
+    served = record_fetch(state)[0]
     before = state_view(state)
     with pytest.raises(NonFiniteError):
-        cached_update(state, 0, rand_params(rng), 5e-324, steps=1)
+        cached_update(state, 0, rand_params(rng), 5e-324, steps=1,
+                      fetch_version=0)
     assert state_view(state) == before
-    assert equal(record_fetch(state, 1)[0], served)
+    assert equal(record_fetch(state)[0], served)
 
 
 def entries(values):
@@ -356,19 +357,19 @@ def ramp(c):
 def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
     initial, ops
 ):
-    state = init_community(initial, [0, 1, 2])
+    state = init_community(initial)
     served = initial
     for op in ops:
         before = state_view(state)
         if op[0] == "fetch":
-            model, steps, version = record_fetch(state, op[1])
+            model, steps, version = record_fetch(state)
             assert equal(model, served)
             assert (steps, version) == (state.committed_steps, state.version)
             continue
         try:
             if op[0] == "cache":
                 _, k, w, value, steps = op
-                served = cached_update(state, k, w, value, steps)
+                served = cached_update(state, k, w, value, steps, 0)
             else:
                 _, k, w, mixing, fetch_version, adaptive = op
                 served, _ = fedasync_update(state, k, w, mixing,
@@ -390,7 +391,7 @@ def reference_commit(state, learner_id, model, value):
         normalizer -= prev.value
     if normalizer <= 0.0:
         raise DegenerateWeightError
-    flat = state.weighted_sum.flat + value * model.flat
+    flat = state.weighted_sum + value * model.flat
     if prev is not None:
         flat -= prev.value * prev.model.flat
     if not np.isfinite(flat).all():
@@ -438,18 +439,18 @@ def test_commits_match_the_formula_with_temporaries_and_two_scans(
 ):
     """Two new buffers and one scan per commit: the same raise or
     no-raise outcome as the plain formula, and the same bits."""
-    state = init_community(initial, [0, 1, 2])
+    state = init_community(initial)
     for op in ops:
         if op[0] == "fetch":
-            record_fetch(state, op[1])
+            record_fetch(state)
         elif op[0] == "cache":
             _, k, w, value, steps = op
             expected = outcome(reference_commit, state, k, w, value)
-            got = outcome(cached_update, state, k, w, value, max(steps, 1))
+            got = outcome(cached_update, state, k, w, value, max(steps, 1), 0)
             if isinstance(expected, type):
                 assert got is expected
             else:
-                assert bits(state.weighted_sum.flat) == bits(expected[0])
+                assert bits(state.weighted_sum) == bits(expected[0])
                 assert bits(got.flat) == bits(expected[1])
         else:
             _, k, w, mixing, fetch_version, adaptive = op

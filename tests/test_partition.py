@@ -1,7 +1,5 @@
 """Data partitioning: sizes, class quotas, assignment, device mapping."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -230,7 +228,7 @@ def test_partition_report_json_shape():
     spec = PartitionSpec(num_learners=3, class_dist="non_iid",
                          classes_per_learner=2)
     data, sizes, res = build(spec, 4, 30)
-    obj = json.loads(res.to_json(data))
+    obj = res.to_obj(data)
     assert obj["format_version"] == 1
     assert len(obj["learners"]) == 3
     for k, entry in enumerate(obj["learners"]):

@@ -230,10 +230,11 @@ def test_cli_async_arrival_past_the_float_range_exits_0(tmp_path):
 
 def test_build_world_shapes():
     cfg = parse_config_text(SMALL_SYNC.format(out="unused"))
-    train, test, result, devices, profiles = build_world(cfg, cfg.seed)
+    train, test, result, profiles = build_world(cfg, cfg.seed)
     assert len(train.labels) == 240
     assert len(test.labels) == 60
     assert len(profiles) == 3
+    devices = [p.device_class for p in profiles]
     assert sorted(devices) == ["fast", "fast", "slow"]
     for prof in profiles:
         assert prof.time_per_batch_ms in (10.0, 60.0)
@@ -285,8 +286,10 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
      [], "cannot split 4 examples across 9 learners"),
     ([("t_beta_fast_ms = 10", "t_beta_fast_ms = 1e306")], [],
      "t_beta_fast_ms: 1e+306 ms is not a finite number of microseconds"),
+    ([("policy = sync", "policy = semisync\nlambda = 2, 2.0000001")], [],
+     "[protocol] lambda: 2.0 and 2.0000001 share the cell lam-2"),
 ], ids=["negative_seed", "class_quota", "too_few_examples",
-        "latency_past_clock"])
+        "latency_past_clock", "lambdas_share_a_cell"])
 def test_cli_setup_failures_exit_2(tmp_path, capsys, edits, argv, message):
     # Failures found before the run starts are reported like config
     # errors: one message, exit 2, no traceback and no output directory.
@@ -304,6 +307,20 @@ def test_cli_setup_failures_exit_2(tmp_path, capsys, edits, argv, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("head", [
+    b"# caf\xe9 config\n",  # Latin-1, not UTF-8
+    b"\xff\xfe",  # a UTF-16 byte-order mark
+])
+def test_cli_config_not_utf8_is_exit_2(tmp_path, capsys, head):
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_bytes(head + SMALL_SYNC.format(out=out).encode())
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["run.ini"]
 
 
 def test_cli_partition_report_flag(tmp_path):

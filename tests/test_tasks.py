@@ -134,7 +134,6 @@ def test_evaluate_tie_breaks_to_lowest_class():
         features=np.array([[1.0, 0.0], [0.0, 1.0]]),
         labels=np.array([0, 2]),
         num_classes=3,
-        seed=0,
         class_means=np.zeros((3, 2)),
     )
     acc, _ = evaluate(task, w, data)
