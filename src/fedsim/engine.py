@@ -38,9 +38,9 @@ from .controller import (
     init_community,
     record_fetch,
 )
-from .optimizers import OptimizerConfig, epoch_batches, run_client_opt
-from .params import ParamSet, weighted_average
-from .tasks import Dataset, TaskModel, evaluate, stacked_grad
+from .optimizers import OptimizerConfig, assignment_batches, run_client_opt
+from .params import ParamSet, StructureError, weighted_average
+from .tasks import Dataset, TaskModel, evaluate, model_structure, stacked_grad
 
 POLICIES = ("sync", "semisync", "async")
 
@@ -201,7 +201,8 @@ def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
     """Size per-round batch budgets from the slowest full-epoch time.
 
     The horizon is ``lam`` times the largest (shard batches * per-batch
-    latency) product across learners; every learner then fits as many
+    latency) product across learners, rounded half up to whole
+    microseconds and at least 1 us; every learner then fits as many
     batches as the horizon allows (round half up, at least one).
     """
     if not profiles:
@@ -213,9 +214,7 @@ def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
     )
     if not math.isfinite(lam * horizon):
         raise ValueError(f"lambda {lam!r} overflows the microsecond clock")
-    t_max_us = _round_half_up(lam * horizon)
-    if t_max_us < 1:
-        raise ValueError("schedule horizon rounded to zero microseconds")
+    t_max_us = max(1, _round_half_up(lam * horizon))
     batches = {
         p.learner_id: max(1, _round_half_up(t_max_us / p.time_per_batch_us))
         for p in profiles
@@ -234,33 +233,42 @@ def _train_cohort(
     """Train each ``(profile, anchor, budget, assignment)`` of ``cohort``.
 
     Learner k trains ``budget`` batches from ``anchor`` on its shard, in the
-    batch order its (seed, learner, assignment) stream draws. The learners
-    train in stacked chunks of at most ``_COHORT_ENTRIES`` learners x
-    parameters, and every result is bit for bit what training that learner
-    alone gives. Yields the weights in cohort order. ``cohort`` is read one
-    chunk at a time, when the caller asks for the chunk's first model, so a
-    caller that commits each model as it comes holds one chunk of anchors
-    and models at a time.
+    batch order its (seed, learner, assignment) stream draws; its batch rows
+    for the whole assignment are drawn at once
+    (:func:`~fedsim.optimizers.assignment_batches`). The learners train in
+    stacked chunks of at most ``_COHORT_ENTRIES`` learners x parameters,
+    and every result is bit for bit what training that learner alone gives.
+    Each chunk's anchors must have the task's layer structure
+    (:class:`~fedsim.params.StructureError` otherwise), since
+    :func:`~fedsim.optimizers.run_client_opt` splits the chunk's buffers
+    into the task's layer views once. Yields the weights in cohort order.
+    ``cohort`` is read one chunk at a time, when the caller asks for the
+    chunk's first model, so a caller that commits each model as it comes
+    holds one chunk of anchors and models at a time.
     """
     def grad_fn(W, rows, out):
         stacked_grad(task, W, train.features[rows], train.labels[rows], out)
 
-    def batch_rows(p: LearnerProfile, assignment: int):
-        rng = np.random.default_rng(
-            [seed, _TRAIN_STREAM, p.learner_id, assignment]
-        )
-        for batch in epoch_batches(p.data_size, p.batch_size, rng):
-            yield p.indices[batch]
-
+    structure = model_structure(task)
     learners = iter(cohort)
     for first in learners:  # one chunk per pass
+        if first[1].structure() != structure:
+            raise StructureError(f"{task.kind} needs layers {structure}")
         size = max(1, _COHORT_ENTRIES // first[1].num_entries)
         chunk = [first, *itertools.islice(learners, size - 1)]
+        rows = [
+            assignment_batches(
+                p.indices, p.batch_size, budget,
+                np.random.default_rng(
+                    [seed, _TRAIN_STREAM, p.learner_id, assignment]
+                ),
+            )
+            for p, _, budget, assignment in chunk
+        ]
         yield from run_client_opt(
             [anchor for _, anchor, _, _ in chunk],
-            [steps for _, _, steps, _ in chunk],
-            [batch_rows(p, assignment) for p, _, _, assignment in chunk],
-            opt_cfg, grad_fn, prox_rho,
+            [budget for _, _, budget, _ in chunk],
+            rows, opt_cfg, grad_fn, prox_rho,
         )
 
 

@@ -16,11 +16,20 @@ applies them in place to a whole cohort of learners at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .params import ParamSet, axpy, scale
+from .params import (
+    NonFiniteError,
+    ParamSet,
+    _check_same_structure,
+    all_finite,
+    axpy,
+    layer_spans,
+    scale,
+    split_rows,
+)
 
 OPTIMIZER_KINDS = ("vanilla", "momentum", "fedprox")
 
@@ -81,28 +90,60 @@ def epoch_batches(
 
     Each epoch emits ceil(num_examples / batch_size) batches; the last one
     may be short. The stream is infinite, so a fractional final epoch simply
-    consumes a prefix of the freshly shuffled order.
+    consumes a prefix of the freshly shuffled order. This is the definition
+    of the batch order; :func:`assignment_batches` draws the same batches
+    for a whole assignment at once.
     """
-    if num_examples <= 0:
-        raise ValueError("cannot draw batches from an empty local dataset")
-    if batch_size <= 0:
-        raise ValueError(f"batch size must be positive, got {batch_size}")
+    _check_batching(num_examples, batch_size)
     while True:
         order = rng.permutation(num_examples)
         for lo in range(0, num_examples, batch_size):
             yield order[lo : lo + batch_size]
 
 
-# grad_fn(W, rows, out): W (m, P) holds m learners' live weights and rows
-# (m, n) one batch of example indices per learner; writes the m minibatch
-# gradients into out (m, P).
-GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+def assignment_batches(
+    indices: np.ndarray, batch_size: int, budget: int,
+    rng: np.random.Generator,
+) -> list[np.ndarray]:
+    """The first ``budget`` batches of
+    ``epoch_batches(len(indices), batch_size, rng)``, mapped through
+    ``indices``, as views into one array.
+
+    Draws the same ceil(budget / batches per epoch) permutations from
+    ``rng`` in the same order and maps them through ``indices`` in one
+    fancy index, so an assignment costs no generator and no index per step.
+    """
+    n = len(indices)
+    _check_batching(n, batch_size)
+    per_epoch = -(-n // batch_size)
+    epochs = -(-budget // per_epoch)
+    rows = indices[np.concatenate([rng.permutation(n) for _ in range(epochs)])]
+    batches = []
+    for step in range(budget):
+        epoch, batch = divmod(step, per_epoch)
+        lo = epoch * n + batch * batch_size
+        batches.append(rows[lo : min(lo + batch_size, (epoch + 1) * n)])
+    return batches
+
+
+def _check_batching(num_examples: int, batch_size: int) -> None:
+    if num_examples <= 0:
+        raise ValueError("cannot draw batches from an empty local dataset")
+    if batch_size <= 0:
+        raise ValueError(f"batch size must be positive, got {batch_size}")
+
+
+# grad_fn(W, rows, out): W and out are per-layer (m, *shape) views
+# (split_rows) of m learners' live weights and of their gradient rows, and
+# rows (m, n) holds one batch of example indices per learner; writes the m
+# minibatch gradients into out.
+GradFn = Callable[[list, np.ndarray, list], None]
 
 
 def run_client_opt(
     starts: Sequence[ParamSet],
     budgets: Sequence[int],
-    batch_streams: Sequence[Iterator[np.ndarray]],
+    batch_streams: Sequence[Iterable[np.ndarray]],
     cfg: OptimizerConfig,
     grad_fn: GradFn,
     prox_rho: float = 0.0,
@@ -113,29 +154,40 @@ def run_client_opt(
     Each learner's proximal anchor (fedprox) is its start and its momentum
     buffer starts at zero. With ``prox_rho > 0`` every gradient gets the
     pull ``prox_rho * (w - start)`` toward the start before the update.
-    Returns the final weights in input order.
+    Returns the final weights in input order. The starts must share one
+    layer structure (:class:`~fedsim.params.StructureError` otherwise).
 
     Weights, momentum buffers and anchors are (K, P) buffers, one row
     per learner, sorted by budget, largest first, so the learners still
-    training are always a prefix. Each step, the learners whose batches have
-    the same length share one ``grad_fn`` call; the weight rows it gets are
-    a read-only view valid during the call. The first step reads the starts
+    training are always a prefix. The weight and gradient buffers are split
+    into per-layer views once, and each ``grad_fn`` call gets those views
+    sliced to its row range (unsliced when it covers every row). Each step,
+    the learners whose batches have the same length share one ``grad_fn``
+    call; the weight views it gets are read-only and valid during the call.
+    Learners of one length that are not adjacent rows go through gathered
+    temporaries, split per call. The gradients of every step are scanned
+    before the update, and a NaN/Inf entry raises
+    :class:`~fedsim.params.NonFiniteError`. The first step reads the starts
     (a lone learner's in place, a cohort's stacked) and writes the new
     weights out of place, so the starts serve as the proximal anchors; later
     steps update in place over the prefix. Every update runs in the
     operation order of :func:`step_vanilla`, :func:`step_momentum` and
     :func:`step_fedprox`, element by element, so every row is bit for bit
     what training that learner alone gives. A row whose budget is one step
-    was never shown to ``grad_fn`` and is returned without a copy.
-    Divergence surfaces as :class:`~fedsim.params.NonFiniteError` from
-    ``grad_fn`` or from the returned weights' check (a non-finite entry
-    never turns finite again).
+    was never shown to ``grad_fn`` and is returned without a copy. The
+    returned weights are checked too (a non-finite entry never turns finite
+    again).
     """
     if min(budgets) < 1:
         raise ValueError(f"batch budget must be >= 1, got {min(budgets)}")
     order = sorted(range(len(starts)), key=lambda k: -budgets[k])
+    first = starts[order[0]]
+    for start in starts:
+        _check_same_structure(first, start)
+    structure = first.structure()
+    spans = layer_spans(structure)
     if len(order) == 1:
-        W = starts[order[0]].flat[None]  # a read-only view
+        W = first.flat[None]  # a read-only view
     else:
         W = np.stack([starts[k].flat for k in order])
         W.setflags(write=False)
@@ -146,9 +198,9 @@ def run_client_opt(
     A = W if cfg.kind == "fedprox" or prox_rho > 0.0 else None
     U = np.zeros(W.shape) if cfg.kind == "momentum" else None
     G = np.empty(W.shape)  # gradients; each update scales them in place
-    live = W
+    weights, grads = split_rows(spans, W), split_rows(spans, G)
     eta = cfg.eta
-    streams = [batch_streams[k] for k in order]
+    streams = [iter(batch_streams[k]) for k in order]
     row_budgets = [budgets[k] for k in order]
     m = len(order)
     for step in range(row_budgets[0]):
@@ -159,19 +211,28 @@ def run_client_opt(
         for i, batch in enumerate(batches):
             by_length.setdefault(len(batch), []).append(i)
         for idx in by_length.values():
-            rows = np.array([batches[i] for i in idx])
             lo, hi = idx[0], idx[-1] + 1
-            if hi - lo == len(idx):
-                grad_fn(live[lo:hi], rows, G[lo:hi])
+            if len(idx) == 1:
+                rows = batches[lo][None]
+            else:
+                rows = np.array([batches[i] for i in idx])
+            if len(idx) == len(W):  # every row: the views need no slice
+                grad_fn(weights, rows, grads)
+            elif hi - lo == len(idx):
+                grad_fn([w[lo:hi] for w in weights], rows,
+                        [g[lo:hi] for g in grads])
             else:  # other lengths sit between these rows: gather, scatter
                 g = np.empty((len(idx), W.shape[1]))
-                grad_fn(W[idx], rows, g)
+                grad_fn(split_rows(spans, W[idx]), rows, split_rows(spans, g))
                 G[idx] = g
         w, g = W[:m], G[:m]
+        if not all_finite(g):
+            raise NonFiniteError("gradient has NaN/Inf entries")
         if step == 0:
             W = np.empty(W.shape)
             live = W.view()
             live.setflags(write=False)
+            weights = split_rows(spans, live)
         new = W[:m]
         if prox_rho > 0.0:
             g += prox_rho * (w - A[:m])
@@ -198,5 +259,5 @@ def run_client_opt(
     trained = [None] * len(order)
     for row, k in enumerate(order):
         flat = W[row] if row_budgets[row] == 1 else W[row].copy()
-        trained[k] = ParamSet._wrap(starts[k].structure(), flat)
+        trained[k] = ParamSet._wrap(structure, flat)
     return trained

@@ -130,6 +130,22 @@ def layer_spans(
     return tuple(spans)
 
 
+def split_rows(
+    spans: tuple[tuple[int, int, tuple[int, ...]], ...], rows: np.ndarray
+) -> list[np.ndarray]:
+    """Per-layer ``(G, *shape)`` views of ``rows`` (G, P), G flat parameter
+    vectors laid out as ``spans`` (:func:`layer_spans`).
+
+    Raises :class:`StructureError` when P is not the layout's entry count.
+    """
+    G, P = rows.shape
+    if P != spans[-1][1]:
+        raise StructureError(
+            f"rows hold {P} entries, the layout has {spans[-1][1]}"
+        )
+    return [rows[:, lo:hi].reshape(G, *shape) for lo, hi, shape in spans]
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def all_finite(a: np.ndarray) -> bool:
     """``np.isfinite(a).all()``, usually in one BLAS read of ``a``.

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import NonFiniteError, ParamSet, Structure, all_finite, layer_spans
+from .params import ParamSet, Structure, layer_spans, split_rows
 
 TASK_KINDS = ("softmax_regression", "mlp1")
 ACTIVATIONS = ("relu", "tanh")
@@ -89,7 +89,7 @@ def gen_synthetic(
     return Dataset(features, labels, num_classes, class_means=means)
 
 
-def _structure(model: TaskModel) -> Structure:
+def model_structure(model: TaskModel) -> Structure:
     """Each layer's (name, shape), in ParamSet order."""
     d, c = model.input_dim, model.num_classes
     if model.kind == "softmax_regression":
@@ -103,7 +103,7 @@ def init_params(model: TaskModel, rng: np.random.Generator) -> ParamSet:
 
     The weight matrices draw from ``rng`` in layer order.
     """
-    structure = _structure(model)
+    structure = model_structure(model)
     arrays = []
     for _, shape in structure:
         r = 1.0 / math.sqrt(shape[0])
@@ -117,47 +117,51 @@ def init_params(model: TaskModel, rng: np.random.Generator) -> ParamSet:
 @functools.lru_cache(maxsize=64)
 def _layout(model: TaskModel) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(start, stop, shape) of each layer inside a flat parameter row."""
-    return layer_spans(_structure(model))
+    return layer_spans(model_structure(model))
 
 
 def zero_params(model: TaskModel) -> ParamSet:
     """All-zero parameters for the given model shape."""
-    return ParamSet._wrap(_structure(model), np.zeros(_layout(model)[-1][1]))
+    return ParamSet._wrap(
+        model_structure(model), np.zeros(_layout(model)[-1][1])
+    )
 
 
 def _split(model: TaskModel, rows: np.ndarray) -> list[np.ndarray]:
     """Per-layer ``(G, *shape)`` views of stacked flat parameter rows."""
-    layout = _layout(model)
-    G, P = rows.shape
-    if P != layout[-1][1]:
-        raise ValueError(
-            f"{model.kind} has {layout[-1][1]} parameters, rows hold {P}"
-        )
-    return [rows[:, lo:hi].reshape(G, *shape) for lo, hi, shape in layout]
+    return split_rows(_layout(model), rows)
 
 
 def _forward(model: TaskModel, layers: list[np.ndarray], X: np.ndarray):
     """Stacked forward pass of G models over G batches.
 
-    ``layers`` are :func:`_split` views of (G, P) parameter rows and ``X``
-    is (G, n, d). Returns (logits, hidden pre-activation, hidden
-    activation), each (G, n, ·).
+    ``layers`` are per-layer views of (G, P) parameter rows and ``X`` is
+    (G, n, d). Returns (logits, hidden activation), each (G, n, ·) and
+    fresh; the hidden activation is None for softmax regression.
     """
     if model.kind == "softmax_regression":
         w, b = layers
-        return X @ w + b[:, None, :], None, None
+        logits = X @ w
+        logits += b[:, None, :]
+        return logits, None
     w1, b1, w2, b2 = layers
-    z1 = X @ w1 + b1[:, None, :]
+    h = X @ w1
+    h += b1[:, None, :]
     if model.activation == "relu":
-        h = np.maximum(z1, 0.0)
+        np.maximum(h, 0.0, out=h)
     else:
-        h = np.tanh(z1)
-    return h @ w2 + b2[:, None, :], z1, h
+        np.tanh(h, out=h)
+    logits = h @ w2
+    logits += b2[:, None, :]
+    return logits, h
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-probabilities over the last axis, computed in place in
+    ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
 def _mean_nll(logp: np.ndarray, labels: np.ndarray) -> float:
@@ -169,32 +173,35 @@ def _mean_nll(logp: np.ndarray, labels: np.ndarray) -> float:
 
 def stacked_grad(
     model: TaskModel,
-    W: np.ndarray,
+    layers: list[np.ndarray],
     X: np.ndarray,
     y: np.ndarray,
-    out: np.ndarray,
+    grads: list[np.ndarray],
 ) -> np.ndarray:
     """Exact mean cross-entropy gradients of G models on G batches.
 
-    Row g of ``W`` (G, P) holds one model's flat parameters, ``X[g]`` (n, d)
-    and ``y[g]`` (n,) its batch; row g of ``out`` (G, P) receives its
-    gradient, laid out like ``W``. Every product is a stacked
-    ``np.matmul`` whose per-row operands have the shapes and strides a lone
-    model's would, so BLAS gets the same call per row and each row is bit
-    for bit the gradient of that model alone (the goldens and the cohort
-    property tests check this). Returns the (G, n, c) log-probabilities; raises
-    :class:`~fedsim.params.NonFiniteError` when a gradient entry is NaN/Inf.
+    ``layers`` holds the G models' weights and ``grads`` receives their
+    gradients, each as per-layer ``(G, *shape)`` views of (G, P) flat rows
+    in the model's layout (:func:`~fedsim.params.split_rows`); the caller
+    splits its buffers once and slices the views per row range. ``X[g]``
+    (n, d) and ``y[g]`` (n,) are model g's batch. Every product is a
+    stacked ``np.matmul`` whose per-row operands have the shapes and strides
+    a lone model's would, so BLAS gets the same call per row and each row is
+    bit for bit the gradient of that model alone (the goldens and the cohort
+    property tests check this). The forward pass and the log-softmax run in
+    place in fresh buffers. Returns the (G, n, c) log-probabilities. The
+    gradients are not scanned: a caller that keeps them checks them, as
+    :func:`~fedsim.optimizers.run_client_opt` does every step.
     """
     G, n = y.shape
     if n == 0:
         raise ValueError("empty batch")
-    layers = _split(model, W)
-    logits, z1, hidden = _forward(model, layers, X)
+    logits, hidden = _forward(model, layers, X)
     logp = _log_softmax(logits)
     dlogits = np.exp(logp)  # fresh and contiguous: the reshape is a view
-    dlogits.reshape(G * n, -1)[np.arange(G * n), y.ravel()] -= 1.0
+    c = dlogits.shape[-1]
+    dlogits.reshape(-1)[np.arange(0, G * n * c, c) + y.ravel()] -= 1.0
     dlogits /= n
-    grads = _split(model, out)
     XT = X.transpose(0, 2, 1)
     if model.kind == "softmax_regression":
         np.matmul(XT, dlogits, out=grads[0])
@@ -202,15 +209,14 @@ def stacked_grad(
     else:
         np.matmul(hidden.transpose(0, 2, 1), dlogits, out=grads[2])
         np.add.reduce(dlogits, axis=1, out=grads[3])
-        dh = dlogits @ layers[2].transpose(0, 2, 1)
+        dz1 = dlogits @ layers[2].transpose(0, 2, 1)
+        # The activation's derivative, taken from its output.
         if model.activation == "relu":
-            dz1 = dh * (z1 > 0.0)
+            dz1 *= hidden > 0.0
         else:
-            dz1 = dh * (1.0 - np.tanh(z1) ** 2)
+            dz1 *= 1.0 - hidden ** 2
         np.matmul(XT, dz1, out=grads[0])
         np.add.reduce(dz1, axis=1, out=grads[1])
-    if not all_finite(out):
-        raise NonFiniteError("gradient has NaN/Inf entries")
     return logp
 
 
@@ -222,7 +228,8 @@ def loss_and_grad(
     The G = 1 case of :func:`stacked_grad`.
     """
     out = np.empty((1, w.num_entries))
-    logp = stacked_grad(model, w.flat[None], features[None], labels[None], out)
+    logp = stacked_grad(model, _split(model, w.flat[None]), features[None],
+                        labels[None], _split(model, out))
     return _mean_nll(logp[0], labels), ParamSet._wrap(w.structure(), out[0])
 
 

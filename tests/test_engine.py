@@ -108,17 +108,17 @@ def test_plan_semisync_invariants(lam, learners):
     profs = [profile(k, t_ms, np.arange(size), batch_size=bs)
              for k, (size, bs, t_ms) in enumerate(learners)]
     # The horizon is lambda times the slowest epoch (fractional batches
-    # included), rounded half up to whole microseconds.
+    # included), rounded half up to whole microseconds and floored at 1 us,
+    # as budgets are floored at one batch.
     target = Fraction(lam) * max(
         Fraction(p.data_size, p.batch_size) * p.time_per_batch_us
         for p in profs
     )
-    if _round_half_up(float(target)) < 1:
-        with pytest.raises(ValueError):
-            plan_semisync(lam, profs)
-        return
     plan = plan_semisync(lam, profs)
-    assert abs(plan.t_max_us - target) <= Fraction(1, 2) + target * 1e-12
+    if _round_half_up(float(target)) < 1:
+        assert plan.t_max_us == 1
+    else:
+        assert abs(plan.t_max_us - target) <= Fraction(1, 2) + target * 1e-12
     assert sorted(plan.batches) == list(range(len(profs)))
     for p in profs:
         b, tpb = plan.batches[p.learner_id], p.time_per_batch_us

@@ -8,10 +8,25 @@ buffer forms), both task families, both evaluation cadences, and a model
 too wide to stack, whose every arrival trains one step alone.
 ``config.txt`` echoes the config text and is skipped. Change a digest only
 for an intended behaviour change, and record why in CHANGES.md.
+
+The BLAS thread count is an input to the bytes: OpenBLAS splits a large
+enough matmul across threads, and the split changes how its sums round.
+So the cells run twice, in two interpreters started at once, one with BLAS
+pinned to one thread (what perfbench uses) and one pinned to two. GOLDENS
+holds the two-thread digests; ONE_THREAD holds the files whose one-thread
+digest differs, for the cells that have any.
+
+    python tests/test_goldens.py OUT
+
+runs every cell under OUT and prints the digests as JSON, under whatever
+thread setting the environment gives.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -278,6 +293,20 @@ GOLDENS = {
     },
 }
 
+# One-thread digests of the files whose bytes depend on the thread count:
+# in async_wide_lone_step a lone learner's (1, 100, 200) @ (1, 200, 100)
+# gradient product rounds differently on one thread than on two or more.
+ONE_THREAD = {
+    "async_wide_lone_step": {
+        "final_model.json":
+            "f530c1dbc2721762478f3555f6627e50034fb1e07d53aa7e0b2a4da10ad48b52",
+        "metrics.csv":
+            "21a0b9246e1603e2bb9fb8742ea4de433ff47c9d001de0e2a673edd72cf14fb3",
+        "summary.json":
+            "bfbca5c1a6c0afb6fde86bdda573d8df5f09d16cfb2723f1af09c051e833a81c",
+    },
+}
+
 
 def digest_outputs(root):
     out = {}
@@ -292,8 +321,59 @@ def digest_outputs(root):
     return out
 
 
+def run_cells(root):
+    """Run every cell into its own directory under ``root``; returns
+    {cell: digest_outputs}."""
+    digests = {}
+    for cell in sorted(CELLS):
+        cfg = parse_config_text(TEMPLATE.format(**{**DEFAULTS, **CELLS[cell]}))
+        out = os.path.join(root, cell)
+        if run_experiment(cfg, out_override=out) != 0:
+            raise RuntimeError(f"cell {cell} failed")
+        digests[cell] = digest_outputs(out)
+    return digests
+
+
+BLAS_THREADS = (1, 2)
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
+
+
+@pytest.fixture(scope="module")
+def digests_by_threads(tmp_path_factory):
+    """{BLAS threads: run_cells digests}, one child interpreter each."""
+    procs = {}
+    for threads in BLAS_THREADS:
+        env = {**os.environ, **{var: str(threads) for var in THREAD_VARS}}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH", "")) if p
+        )
+        out = tmp_path_factory.mktemp(f"blas{threads}")
+        procs[threads] = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), str(out)], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    results = {}
+    try:
+        for threads, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=600)
+            assert proc.returncode == 0, stderr
+            results[threads] = json.loads(stdout.strip().splitlines()[-1])
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    return results
+
+
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_cell_outputs_match_goldens(cell, tmp_path):
-    cfg = parse_config_text(TEMPLATE.format(**{**DEFAULTS, **CELLS[cell]}))
-    assert run_experiment(cfg, out_override=str(tmp_path)) == 0
-    assert digest_outputs(tmp_path) == GOLDENS[cell]
+def test_cell_outputs_match_goldens(cell, digests_by_threads):
+    assert digests_by_threads[2][cell] == GOLDENS[cell]
+    assert digests_by_threads[1][cell] == {**GOLDENS[cell],
+                                           **ONE_THREAD.get(cell, {})}
+
+
+if __name__ == "__main__":
+    print(json.dumps(run_cells(sys.argv[1])))

@@ -10,13 +10,21 @@ from fedsim import engine
 from fedsim.engine import _TRAIN_STREAM, LearnerProfile, _train_cohort
 from fedsim.optimizers import (
     OptimizerConfig,
+    assignment_batches,
     epoch_batches,
     run_client_opt,
     step_fedprox,
     step_momentum,
     step_vanilla,
 )
-from fedsim.params import NonFiniteError, ParamSet, axpy, equal, zeros_like
+from fedsim.params import (
+    NonFiniteError,
+    ParamSet,
+    StructureError,
+    axpy,
+    equal,
+    zeros_like,
+)
 from fedsim.tasks import (
     TaskModel,
     gen_synthetic,
@@ -48,11 +56,15 @@ def one_stream():
 
 def fill(value):
     """A cohort gradient that is ``value`` everywhere."""
-    return lambda W, rows, out: out.fill(value)
+    def grad(W, rows, out):
+        for g in out:
+            g.fill(value)
+    return grad
 
 
 def grad_is_weights(W, rows, out):
-    np.copyto(out, W)
+    for g, w in zip(out, W):
+        np.copyto(g, w)
 
 
 def test_momentum_two_step_hand_unrolled():
@@ -140,7 +152,7 @@ def test_vanilla_quadratic_contraction():
     calls = []
 
     def grad(W, rows, out):
-        calls.append(len(W))
+        calls.append(len(W[0]))
         grad_is_weights(W, rows, out)
 
     [w] = run_client_opt([scalar(1.0)], [3], [one_stream()], cfg, grad)
@@ -170,6 +182,15 @@ def test_run_client_opt_rejects_zero_budget():
     cfg = OptimizerConfig("vanilla", eta=0.1)
     with pytest.raises(ValueError):
         run_client_opt([scalar(1.0), scalar(2.0)], [3, 0],
+                       [one_stream(), one_stream()], cfg, grad_is_weights)
+
+
+def test_run_client_opt_rejects_starts_of_two_structures():
+    # The (K, P) buffers are split into one structure's layer views.
+    cfg = OptimizerConfig("vanilla", eta=0.1)
+    other = ParamSet(["v"], [np.array([[2.0]])])
+    with pytest.raises(StructureError):
+        run_client_opt([scalar(1.0), other], [2, 2],
                        [one_stream(), one_stream()], cfg, grad_is_weights)
 
 
@@ -226,6 +247,52 @@ def test_epoch_batches_rejects_empty():
         next(epoch_batches(0, 4, rng))
     with pytest.raises(ValueError):
         next(epoch_batches(10, 0, rng))
+
+
+@st.composite
+def batch_plans(draw):
+    """(shard size, batch size, budget); a third of the budgets end exactly
+    on an epoch boundary."""
+    size = draw(st.integers(1, 60))
+    batch = draw(st.integers(1, 25))
+    per_epoch = -(-size // batch)
+    budget = draw(st.one_of(
+        st.integers(1, 80),
+        st.integers(1, 4).map(lambda epochs: epochs * per_epoch),
+    ))
+    return size, batch, budget
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), plan=batch_plans(),
+       learner=st.integers(0, 50), assignment=st.integers(0, 20))
+def test_assignment_batches_equal_epoch_batches_through_the_shard(
+    seed, plan, learner, assignment
+):
+    """A whole assignment's batch rows, drawn at once, are the batches
+    ``epoch_batches`` yields mapped through the shard's indices, batch by
+    batch, and leave the stream's generator where the batch-by-batch
+    draw does."""
+    size, batch, budget = plan
+    indices = np.random.default_rng(seed).choice(500, size=size, replace=False)
+
+    key = [seed, _TRAIN_STREAM, learner, assignment]
+    rng_at_once = np.random.default_rng(key)
+    rng_by_batch = np.random.default_rng(key)
+    rows = assignment_batches(indices, batch, budget, rng_at_once)
+    stream = epoch_batches(size, batch, rng_by_batch)
+    assert len(rows) == budget
+    for got in rows:
+        assert np.array_equal(got, indices[next(stream)])
+    assert rng_at_once.random() == rng_by_batch.random()
+
+
+def test_assignment_batches_rejects_empty():
+    rng = np.random.default_rng(47)
+    with pytest.raises(ValueError):
+        assignment_batches(np.arange(0), 4, 3, rng)
+    with pytest.raises(ValueError):
+        assignment_batches(np.arange(10), 0, 3, rng)
 
 
 def reference_opt(start, budget, stream, cfg, grad_fn):
@@ -322,9 +389,10 @@ def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
     ce = stacked_ce(model)
 
     def grad(W, rows, out):
-        seen.append(W)
-        with pytest.raises(ValueError):
-            W[0, 0] = 0.0  # the live weights are read-only to grad_fn
+        seen.extend(W)
+        for w in W:
+            with pytest.raises(ValueError):
+                w[0] = 0.0  # the live weights are read-only to grad_fn
         ce(W, rows, out)
 
     [w] = run_client_opt([start], [6], [batches(1)], cfg, grad)
@@ -350,9 +418,10 @@ def test_run_client_opt_one_step_rows_are_private_without_a_copy(kind,
     ce = stacked_ce(model)
 
     def grad(W, rows, out):
-        seen.append(W)
-        with pytest.raises(ValueError):
-            W[0, 0] = 0.0
+        seen.extend(W)
+        for w in W:
+            with pytest.raises(ValueError):
+                w[0] = 0.0
         ce(W, rows, out)
 
     trained = run_client_opt(starts, budgets,
@@ -493,3 +562,12 @@ def test_cohort_with_one_divergent_row_raises_nonfinite():
     cfg = OptimizerConfig("vanilla", eta=0.1)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         list(_train_cohort(cohort, model, DATA, cfg, seed=1, prox_rho=0.0))
+
+
+def test_cohort_rejects_anchors_of_another_layout():
+    anchor = init_params(TASKS["softmax"], np.random.default_rng(2))
+    profile = LearnerProfile(0, "fast", BATCH, 1.0, np.arange(len(DATA)))
+    cfg = OptimizerConfig("vanilla", eta=0.1)
+    with pytest.raises(StructureError):
+        list(_train_cohort([(profile, anchor, 2, 0)], TASKS["mlp1-relu"],
+                           DATA, cfg, seed=1, prox_rho=0.0))

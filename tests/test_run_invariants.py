@@ -25,9 +25,6 @@ INPUT_DIM = 4
 # One learner's events in the order it produces them; a barrier commit is
 # the server's (learner -1), so only async cycles end in a learner commit.
 CYCLE = ("fetch", "train_start", "train_end", "update_request")
-# plan_semisync refuses a horizon that rounds to 0 us, which the smallest
-# shards, latencies and lambda give; no other world may fail.
-ZERO_HORIZON = "schedule horizon rounded to zero microseconds"
 
 
 @st.composite
@@ -77,12 +74,10 @@ def worlds(draw, policies=POLICIES, schemes=WEIGHTING_KINDS):
 @settings(max_examples=60, deadline=None, database=None)
 @given(world=worlds(), seed=st.integers(0, 2**16))
 def test_run_invariants(world, seed):
+    # No world may fail, including a semisync horizon under half a
+    # microsecond, which the smallest shards, latencies and lambda give.
     cfg, profiles, task, train, test, initial = world
-    try:
-        log = run_policy(cfg, profiles, task, train, test, initial, seed)
-    except ValueError as exc:
-        assert cfg.policy == "semisync" and str(exc) == ZERO_HORIZON
-        return
+    log = run_policy(cfg, profiles, task, train, test, initial, seed)
     barrier = cfg.policy != "async"
     horizon_us = ms_to_us(cfg.time_budget_ms)
 

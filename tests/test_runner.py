@@ -228,6 +228,27 @@ def test_cli_async_arrival_past_the_float_range_exits_0(tmp_path):
     assert not [name for name in os.listdir(out) if name.startswith(".")]
 
 
+def test_cli_sub_microsecond_semisync_horizon_exits_0(tmp_path):
+    # Tiny shards, 0.5 us batches and lambda 0.25 plan a horizon under half
+    # a microsecond; it is floored at 1 us, as budgets are at one batch.
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        "[task]\nper_class = 2\nnum_classes = 2\n"
+        "[learners]\nnum_fast = 1\nnum_slow = 1\nt_beta_fast_ms = 0.0005\n"
+        "t_beta_slow_ms = 0.0005\nbatch_size = 100\n"
+        "[protocol]\npolicy = semisync\nlambda = 0.25\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "config.txt", "contributions.csv", "events.jsonl", "final_model.json",
+        "idle.csv", "manifest.json", "metrics.csv", "partition_report.json",
+        "summary.json",
+    ]
+    summary = json.load(open(out / "summary.json"))
+    assert summary["schedule"]["t_max_ms"] == 0.001
+
+
 def test_build_world_shapes():
     cfg = parse_config_text(SMALL_SYNC.format(out="unused"))
     train, test, result, profiles = build_world(cfg, cfg.seed)
