@@ -182,7 +182,6 @@ SCHEMA = {
         "eta": ("0.05", _float(0.0, strict=True)),
         "gamma": ("0.75", _float(0.0, below=1)),
         "mu": ("0.001", _float(0.0)),
-        "eta_in_velocity": ("false", _bool),
     },
     "weighting": {
         "scheme": ("fedavg_static", _choice(WEIGHTING_KINDS)),

@@ -8,7 +8,10 @@ Three update rules are supported:
 
 where ``anchor`` is the community model the learner received at fetch time.
 The momentum buffer starts at zero for every assignment, i.e. it is reset
-whenever a learner fetches a fresh community model. The ``step_*``
+whenever a learner fetches a fresh community model. Momentum has this one
+form: the learning rate is constant, so the velocity form
+(v' = gamma * v - eta * g; w' = w + v', with v = -eta * u) is the same
+trajectory up to rounding. The ``step_*``
 functions are the reference form of each rule; :func:`run_client_opt`
 applies them in place to a whole cohort of learners at once.
 """
@@ -39,16 +42,13 @@ class OptimizerConfig:
     """Hyperparameters for a local solver.
 
     ``gamma`` only applies to ``momentum`` and ``mu`` only to ``fedprox``;
-    both are ignored by the other kinds. ``eta_in_velocity`` selects an
-    alternative momentum form that folds the learning rate into the buffer
-    (u' = gamma * u - eta * g; w' = w + u'), kept for comparison runs.
+    both are ignored by the other kinds.
     """
 
     kind: str
     eta: float
     gamma: float = 0.0
     mu: float = 0.0
-    eta_in_velocity: bool = False
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -69,9 +69,6 @@ def step_momentum(
     w: ParamSet, u: ParamSet, grad: ParamSet, cfg: OptimizerConfig
 ) -> tuple[ParamSet, ParamSet]:
     """One momentum step; returns (new weights, new buffer)."""
-    if cfg.eta_in_velocity:
-        u_next = axpy(-cfg.eta, grad, scale(cfg.gamma, u))
-        return axpy(1.0, u_next, w), u_next
     u_next = axpy(1.0, grad, scale(cfg.gamma, u))
     return axpy(-cfg.eta, u_next, w), u_next
 
@@ -242,14 +239,9 @@ def run_client_opt(
         elif cfg.kind == "momentum":
             u = U[:m]
             u *= cfg.gamma
-            if cfg.eta_in_velocity:
-                g *= eta
-                u -= g
-                np.add(w, u, out=new)
-            else:
-                u += g
-                np.multiply(eta, u, out=g)
-                np.subtract(w, g, out=new)
+            u += g
+            np.multiply(eta, u, out=g)
+            np.subtract(w, g, out=new)
         else:
             drift = w - A[:m]
             g *= eta

@@ -169,10 +169,10 @@ def test_bool_parsing_variants():
     for raw, expect in (("true", True), ("yes", True), ("1", True),
                         ("on", True), ("false", False), ("no", False),
                         ("0", False), ("off", False)):
-        cfg = parse_config_text(f"[optimizer]\neta_in_velocity = {raw}\n")
-        assert cfg.protocol.optimizer.eta_in_velocity is expect
+        cfg = parse_config_text(f"[weighting]\nstaleness_adaptive = {raw}\n")
+        assert cfg.protocol.weighting.staleness_adaptive is expect
     with pytest.raises(ConfigError):
-        parse_config_text("[optimizer]\neta_in_velocity = maybe\n")
+        parse_config_text("[weighting]\nstaleness_adaptive = maybe\n")
 
 
 def test_mixing_bounds():
@@ -341,8 +341,6 @@ _PINNED = [
     ("gamma_one_and_mu_negative", "[optimizer]\ngamma = 1.0\nmu = -1\n",
      ["[optimizer] gamma: must satisfy gamma < 1, got 1.0",
       "[optimizer] mu: must satisfy mu >= 0.0, got -1.0"]),
-    ("eta_in_velocity", "[optimizer]\neta_in_velocity = maybe\n",
-     ["[optimizer] eta_in_velocity: 'maybe' is not a boolean"]),
     ("scheme", "[weighting]\nscheme = fedbuff\n",
      ["[weighting] scheme: 'fedbuff' not one of "
       "['fedasync_poly', 'fedavg_static', 'fedrec_staleness']"]),
@@ -354,6 +352,8 @@ _PINNED = [
      ["[weighting] rho: must satisfy rho >= 0.0, got -0.1"]),
     ("staleness_adaptive", "[weighting]\nstaleness_adaptive = sometimes\n",
      ["[weighting] staleness_adaptive: 'sometimes' is not a boolean"]),
+    ("staleness_adaptive_maybe", "[weighting]\nstaleness_adaptive = maybe\n",
+     ["[weighting] staleness_adaptive: 'maybe' is not a boolean"]),
     ("many_at_once",
      "[experiment]\nseed = -3\n[protocol]\npolicy = carrier-pigeon\n"
      "epochs = 0\n[optimizer]\neta = -1\n[learners]\nbatch_size = 0\n",

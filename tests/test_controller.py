@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,31 @@ def test_cache_matches_full_recompute_interleaved():
         models = [latest[j][0] for j in sorted(latest)]
         weights = [latest[j][1] for j in sorted(latest)]
         assert max_abs_diff(out, weighted_average(models, weights)) <= 1e-9
+
+
+def test_cache_commit_allocates_two_model_buffers_at_any_learner_count():
+    """A commit's memory, like its time, is O(model) and flat in N.
+
+    One ``cached_update`` on a saturated state allocates its two new
+    buffers (W and W / P) and a few small objects, whatever the number of
+    learners: a host-independent form of criterion 3's flat cached cost.
+    """
+    rng = np.random.default_rng(7)
+    models = [ParamSet(["w"], [rng.standard_normal(10_000)]) for _ in range(4)]
+    model_bytes = models[0].flat.nbytes
+    peaks = []
+    for n in (10, 100, 1000):
+        state = init_community(zeros_like(models[0]))
+        for k in range(n):
+            cached_update(state, k, models[k % 4], float(k + 1), 1, 0)
+        tracemalloc.start()
+        try:
+            cached_update(state, 0, models[1], 2.0, 1, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 2 * model_bytes + 1024, peaks
+    assert max(peaks) - min(peaks) <= 1024, peaks
 
 
 def test_cache_scale_invariance():

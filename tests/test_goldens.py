@@ -3,9 +3,9 @@
 Criterion 10 only shows that two reruns agree; these pins show that a
 refactor kept behaviour. Each cell takes one distinct path through the
 engine: barrier rounds (sync, semisync matrix), every async weighting
-scheme (fedasync in both alpha forms), every optimizer (momentum in both
-buffer forms), both task families, both evaluation cadences, and a model
-too wide to stack, whose every arrival trains one step alone.
+scheme (fedasync in both alpha forms), every optimizer, both task
+families, both evaluation cadences, and a model too wide to stack, whose
+every arrival trains one step alone.
 ``config.txt`` echoes the config text and is skipped. Change a digest only
 for an intended behaviour change, and record why in CHANGES.md.
 
@@ -66,7 +66,6 @@ kind = {optimizer}
 eta = 0.05
 gamma = 0.75
 mu = 0.01
-eta_in_velocity = {velocity}
 [weighting]
 scheme = {scheme}
 staleness_adaptive = {adaptive}
@@ -76,8 +75,7 @@ DEFAULTS = dict(seed=5, task="softmax_regression", activation="relu",
                 input_dim=6, num_classes=4, per_class=30, test_per_class=10,
                 classes_per_learner=2, batch_size=10,
                 policy="sync", epochs=1, lam="2", budget=400, eval_every=1,
-                optimizer="vanilla", scheme="fedavg_static",
-                velocity="false", adaptive="true")
+                optimizer="vanilla", scheme="fedavg_static", adaptive="true")
 
 CELLS = {
     "sync": dict(epochs=2),
@@ -93,8 +91,6 @@ CELLS = {
     "async_fedasync_poly": dict(policy="async", scheme="fedasync_poly"),
     "async_fedasync_fixed_alpha": dict(policy="async", scheme="fedasync_poly",
                                        adaptive="false"),
-    "sync_mlp_momentum_velocity": dict(task="mlp1", optimizer="momentum",
-                                       velocity="true"),
     # A 20,100-entry softmax (past half of engine._COHORT_ENTRIES, so every
     # learner trains alone) and batches larger than any shard: each arrival
     # is one lone learner-step, committed through the cache on its own.
@@ -272,24 +268,6 @@ GOLDENS = {
             "561473c2136aede3c421d5a3cf6317e8457e2463fc914d57764057216620ff93",
         "summary.json":
             "0aa1686ac9d3c7af739ac6ad3fe74beb038c3862f45eebb16a30b0206cc4fef4",
-    },
-    "sync_mlp_momentum_velocity": {
-        "contributions.csv":
-            "06fa57bec91a15e72c4753c04fafbbeed683098e72d37cef36dbe71e81c80bb8",
-        "events.jsonl":
-            "b1809c238a8a75beda8c020af1d3d8b0bc436c8008a640b3eb79b6627446f345",
-        "final_model.json":
-            "8ec3dc0e3191bb5565206645e05c70f29cd6c8d67c75d39e974f56b2b1dfb43e",
-        "idle.csv":
-            "34a3a87be7f84e6d91dedafc705d0704f3ca14d94b0b48bdbb736e5c3c37092a",
-        "manifest.json":
-            "8db651417ca0251a399b41ad844e6df802774934a1d3d8e59680154cc2f197f3",
-        "metrics.csv":
-            "a0666582b0051eae8e46788025d978e53ca60c4c7aa9872a60a2f50259a7c3ce",
-        "partition_report.json":
-            "561473c2136aede3c421d5a3cf6317e8457e2463fc914d57764057216620ff93",
-        "summary.json":
-            "509ba12f6dc6d301b57b19c3d1b74487146f5c2f6b7363d94db87954a26413df",
     },
 }
 

@@ -82,34 +82,6 @@ def test_momentum_two_step_hand_unrolled():
     assert val(w) == -2.5 and val(u) == 1.5
 
 
-def test_momentum_velocity_form_same_trajectory():
-    # Folding eta into the buffer gives the same weights for a constant
-    # learning rate; the buffer itself carries the -eta factor.
-    base = OptimizerConfig("momentum", eta=1.0, gamma=0.5)
-    alt = OptimizerConfig("momentum", eta=1.0, gamma=0.5, eta_in_velocity=True)
-    g = scalar(1.0)
-    wa, ua = scalar(0.0), scalar(0.0)
-    wb, ub = scalar(0.0), scalar(0.0)
-    for _ in range(2):
-        wa, ua = step_momentum(wa, ua, g, base)
-        wb, ub = step_momentum(wb, ub, g, alt)
-    assert val(wa) == val(wb) == -2.5
-    assert val(ub) == -1.5
-
-
-def test_momentum_velocity_forms_agree_on_random_gradients():
-    rng = np.random.default_rng(23)
-    base = OptimizerConfig("momentum", eta=0.05, gamma=0.9)
-    alt = OptimizerConfig("momentum", eta=0.05, gamma=0.9, eta_in_velocity=True)
-    wa = wb = ParamSet(["w"], [rng.standard_normal((3, 2))])
-    ua, ub = zeros_like(wa), zeros_like(wb)
-    for _ in range(30):
-        g = ParamSet(["w"], [rng.standard_normal((3, 2))])
-        wa, ua = step_momentum(wa, ua, g, base)
-        wb, ub = step_momentum(wb, ub, g, alt)
-        assert np.allclose(wa.arrays[0], wb.arrays[0], rtol=0, atol=1e-12)
-
-
 def test_momentum_gamma_zero_is_vanilla_bitwise():
     rng = np.random.default_rng(29)
     w = ParamSet(["w"], [rng.standard_normal((4,))])
@@ -323,18 +295,11 @@ def batches(seed):
     return epoch_batches(len(DATA), BATCH, np.random.default_rng(seed))
 
 
-KINDS = ["vanilla", "momentum", "velocity", "fedprox"]
-
-
-def make_cfg(kind, eta, gamma, mu):
-    """``velocity`` is momentum with eta folded into the buffer."""
-    return OptimizerConfig("momentum" if kind == "velocity" else kind,
-                           eta=eta, gamma=gamma, mu=mu,
-                           eta_in_velocity=kind == "velocity")
+KINDS = ["vanilla", "momentum", "fedprox"]
 
 
 optimizer_configs = st.builds(
-    make_cfg,
+    OptimizerConfig,
     st.sampled_from(KINDS),
     st.floats(1e-3, 0.5),
     st.floats(0.0, 0.95),
@@ -381,7 +346,7 @@ def test_prox_rho_gradient_bitwise_equals_axpy_form(
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
-    cfg = make_cfg(kind, eta=0.1, gamma=0.5, mu=0.1)
+    cfg = OptimizerConfig(kind, eta=0.1, gamma=0.5, mu=0.1)
     model = TASKS["mlp1-relu"]
     start = init_params(model, np.random.default_rng(3))
     before = start.flat.copy()
@@ -410,7 +375,7 @@ def test_run_client_opt_one_step_rows_are_private_without_a_copy(kind,
     # A lone learner's start is read in place and a row trained one step
     # is returned without a copy-out; neither may leak: every result is
     # frozen and shares memory with no start and no view grad_fn saw.
-    cfg = make_cfg(kind, eta=0.1, gamma=0.5, mu=0.1)
+    cfg = OptimizerConfig(kind, eta=0.1, gamma=0.5, mu=0.1)
     model = TASKS["softmax"]
     rng = np.random.default_rng(7)
     starts = [init_params(model, rng) for _ in budgets]
@@ -439,7 +404,7 @@ def test_run_client_opt_one_step_rows_are_private_without_a_copy(kind,
 def test_run_client_opt_gradient_aliasing_the_weights(kind):
     # A gradient equal to the weights: the in-place update must still read
     # the gradient before overwriting the weights.
-    cfg = make_cfg(kind, eta=0.1, gamma=0.5, mu=0.3)
+    cfg = OptimizerConfig(kind, eta=0.1, gamma=0.5, mu=0.3)
     start = init_params(TASKS["softmax"], np.random.default_rng(4))
     [w] = run_client_opt([start], [5], [batches(2)], cfg, grad_is_weights)
     assert equal(w, reference_opt(start, 5, batches(2), cfg, lambda w, b: w))
@@ -447,7 +412,7 @@ def test_run_client_opt_gradient_aliasing_the_weights(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_run_client_opt_divergence_raises_nonfinite(kind):
-    cfg = make_cfg(kind, eta=1e300, gamma=0.5, mu=0.1)
+    cfg = OptimizerConfig(kind, eta=1e300, gamma=0.5, mu=0.1)
     model = TASKS["mlp1-relu"]
     start = init_params(model, np.random.default_rng(5))
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):

@@ -298,6 +298,20 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_cli_removed_eta_in_velocity_key_is_exit_2(tmp_path, capsys):
+    # Momentum has one form; a config that still names the old switch, at
+    # any value, is a config error and writes nothing.
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(SMALL_SYNC.format(out=tmp_path / "run") + (
+        "[optimizer]\nkind = momentum\neta_in_velocity = true\n"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[optimizer] unknown key 'eta_in_velocity'" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["run.ini"]
+
+
 @pytest.mark.parametrize("edits, argv, message", [
     ([], ["--seed", "-1"], "must be >= 0, got -1"),
     ([("[learners]", "[partition]\nclass_dist = non_iid\n"
