@@ -305,6 +305,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 violations.append(f"[protocol] lambda: {cells[name]!r} and "
                                   f"{lam!r} share the cell {name}")
             cells.setdefault(name, lam)
+    # One quota per learner: a check across sections, also made by
+    # PartitionSpec for library callers, here so it joins the list.
+    override = values["partition"].get("class_count_override")
+    learners = values["learners"]
+    if override and "num_fast" in learners and "num_slow" in learners:
+        n = learners["num_fast"] + learners["num_slow"]
+        if len(override) != n:
+            violations.append(
+                f"[partition] class_count_override: must list one quota per "
+                f"learner ({n}), got {len(override)}")
     if violations:
         raise ConfigError(violations)
 

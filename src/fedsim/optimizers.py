@@ -11,15 +11,16 @@ The momentum buffer starts at zero for every assignment, i.e. it is reset
 whenever a learner fetches a fresh community model. Momentum has this one
 form: the learning rate is constant, so the velocity form
 (v' = gamma * v - eta * g; w' = w + v', with v = -eta * u) is the same
-trajectory up to rounding. The ``step_*``
-functions are the reference form of each rule; :func:`run_client_opt`
-applies them in place to a whole cohort of learners at once.
+trajectory up to rounding. :func:`run_client_opt` applies the rules in
+place to a whole cohort of learners at once; the reference form of each
+rule, one learner and one out-of-place step at a time, is ``step_*`` in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,9 +29,7 @@ from .params import (
     ParamSet,
     _check_same_structure,
     all_finite,
-    axpy,
     layer_spans,
-    scale,
     split_rows,
 )
 
@@ -61,54 +60,20 @@ class OptimizerConfig:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
 
 
-def step_vanilla(w: ParamSet, grad: ParamSet, cfg: OptimizerConfig) -> ParamSet:
-    return axpy(-cfg.eta, grad, w)
-
-
-def step_momentum(
-    w: ParamSet, u: ParamSet, grad: ParamSet, cfg: OptimizerConfig
-) -> tuple[ParamSet, ParamSet]:
-    """One momentum step; returns (new weights, new buffer)."""
-    u_next = axpy(1.0, grad, scale(cfg.gamma, u))
-    return axpy(-cfg.eta, u_next, w), u_next
-
-
-def step_fedprox(
-    w: ParamSet, anchor: ParamSet, grad: ParamSet, cfg: OptimizerConfig
-) -> ParamSet:
-    drift = axpy(-1.0, anchor, w)
-    return axpy(-cfg.eta * cfg.mu, drift, axpy(-cfg.eta, grad, w))
-
-
-def epoch_batches(
-    num_examples: int, batch_size: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Yield minibatch index arrays, reshuffling at every epoch boundary.
-
-    Each epoch emits ceil(num_examples / batch_size) batches; the last one
-    may be short. The stream is infinite, so a fractional final epoch simply
-    consumes a prefix of the freshly shuffled order. This is the definition
-    of the batch order; :func:`assignment_batches` draws the same batches
-    for a whole assignment at once.
-    """
-    _check_batching(num_examples, batch_size)
-    while True:
-        order = rng.permutation(num_examples)
-        for lo in range(0, num_examples, batch_size):
-            yield order[lo : lo + batch_size]
-
-
 def assignment_batches(
     indices: np.ndarray, batch_size: int, budget: int,
     rng: np.random.Generator,
 ) -> list[np.ndarray]:
-    """The first ``budget`` batches of
-    ``epoch_batches(len(indices), batch_size, rng)``, mapped through
-    ``indices``, as views into one array.
+    """The first ``budget`` batches of an epoch-shuffled stream over the
+    shard, mapped through ``indices``, as views into one array.
 
-    Draws the same ceil(budget / batches per epoch) permutations from
-    ``rng`` in the same order and maps them through ``indices`` in one
-    fancy index, so an assignment costs no generator and no index per step.
+    Each epoch is a fresh permutation of the shard, cut into
+    ceil(n / batch_size) batches, the last one possibly short; a final
+    fractional epoch uses a prefix of its permutation. ``epoch_batches`` in
+    ``tests/oracles.py`` defines this order one batch at a time; this draws
+    the same ceil(budget / batches per epoch) permutations from ``rng`` in
+    the same order and maps them through ``indices`` in one fancy index, so
+    an assignment costs no generator and no index per step.
     """
     n = len(indices)
     _check_batching(n, batch_size)
@@ -168,12 +133,11 @@ def run_client_opt(
     (a lone learner's in place, a cohort's stacked) and writes the new
     weights out of place, so the starts serve as the proximal anchors; later
     steps update in place over the prefix. Every update runs in the
-    operation order of :func:`step_vanilla`, :func:`step_momentum` and
-    :func:`step_fedprox`, element by element, so every row is bit for bit
-    what training that learner alone gives. A row whose budget is one step
-    was never shown to ``grad_fn`` and is returned without a copy. The
-    returned weights are checked too (a non-finite entry never turns finite
-    again).
+    operation order of the ``step_*`` references in ``tests/oracles.py``,
+    element by element, so every row is bit for bit what training that
+    learner alone gives. A row whose budget is one step was never shown to
+    ``grad_fn`` and is returned without a copy. The returned weights are
+    checked too (a non-finite entry never turns finite again).
     """
     if min(budgets) < 1:
         raise ValueError(f"batch budget must be >= 1, got {min(budgets)}")

@@ -3,9 +3,12 @@
 Every model that moves between learners and the controller is a ParamSet: an
 ordered collection of named dense float64 layers. All layers live in one
 contiguous, read-only float64 vector (``flat``); the per-layer arrays are
-reshaped views into it, so each arithmetic helper below is one vector
-operation and one finiteness scan. Instances are immutable so they can be
-shared freely across the simulation without defensive copies.
+reshaped views into it, so :func:`weighted_average` is one vector pass
+per model and one finiteness scan. Instances are immutable so they can be
+shared freely across the simulation without defensive copies. The run path
+needs no other arithmetic: the out-of-place helpers the tests compare
+against (``axpy``, ``scale``, ``equal``, ``load``, ...) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -171,22 +174,6 @@ def _check_same_structure(x: ParamSet, y: ParamSet) -> None:
         )
 
 
-def zeros_like(proto: ParamSet) -> ParamSet:
-    """All-zero ParamSet with the same layer names and shapes as ``proto``."""
-    return ParamSet._wrap(proto.structure(), np.zeros_like(proto.flat))
-
-
-def axpy(alpha: float, x: ParamSet, y: ParamSet) -> ParamSet:
-    """Elementwise ``alpha * x + y``."""
-    _check_same_structure(x, y)
-    return ParamSet._wrap(x.structure(), alpha * x.flat + y.flat)
-
-
-def scale(alpha: float, x: ParamSet) -> ParamSet:
-    """Elementwise ``alpha * x``."""
-    return ParamSet._wrap(x.structure(), alpha * x.flat)
-
-
 def weighted_average(models: Sequence[ParamSet], weights: Sequence[float]) -> ParamSet:
     """Convex combination ``sum_k w_k * model_k / sum_k w_k``.
 
@@ -216,20 +203,6 @@ def weighted_average(models: Sequence[ParamSet], weights: Sequence[float]) -> Pa
     return ParamSet._wrap(first.structure(), acc)
 
 
-def max_abs_diff(x: ParamSet, y: ParamSet) -> float:
-    """Largest elementwise absolute difference between two ParamSets."""
-    _check_same_structure(x, y)
-    if x.flat.size == 0:
-        return 0.0
-    return float(np.max(np.abs(x.flat - y.flat)))
-
-
-def equal(x: ParamSet, y: ParamSet) -> bool:
-    """True when every entry compares equal (no tolerance)."""
-    _check_same_structure(x, y)
-    return np.array_equal(x.flat, y.flat)
-
-
 def to_obj(ps: ParamSet) -> dict:
     """JSON-serializable representation: layer-name header plus flat data."""
     return {
@@ -241,28 +214,7 @@ def to_obj(ps: ParamSet) -> dict:
     }
 
 
-def from_obj(obj: dict) -> ParamSet:
-    version = obj.get("format_version")
-    if version != SERIALIZATION_VERSION:
-        raise ValueError(
-            f"unsupported parameter format version {version!r}, "
-            f"expected {SERIALIZATION_VERSION}"
-        )
-    names = []
-    arrays = []
-    for layer in obj["layers"]:
-        names.append(layer["name"])
-        arrays.append(
-            np.asarray(layer["data"], dtype=np.float64).reshape(layer["shape"])
-        )
-    return ParamSet(names, arrays)
-
-
 def save(ps: ParamSet, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(to_obj(ps)))  # the C encoder; same bytes
 
-
-def load(path: str) -> ParamSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_obj(json.load(fh))

@@ -263,7 +263,7 @@ def bench_cache(
         ]
         saturated = []
         for n in learner_counts:
-            state = init_community(params.zeros_like(fresh[0]))
+            state = init_community(fresh[0])
             weights = rng.uniform(1.0, 100.0, size=n)
             for k in range(n):
                 cached_update(

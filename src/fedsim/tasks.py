@@ -120,13 +120,6 @@ def _layout(model: TaskModel) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     return layer_spans(model_structure(model))
 
 
-def zero_params(model: TaskModel) -> ParamSet:
-    """All-zero parameters for the given model shape."""
-    return ParamSet._wrap(
-        model_structure(model), np.zeros(_layout(model)[-1][1])
-    )
-
-
 def _split(model: TaskModel, rows: np.ndarray) -> list[np.ndarray]:
     """Per-layer ``(G, *shape)`` views of stacked flat parameter rows."""
     return split_rows(_layout(model), rows)
@@ -218,19 +211,6 @@ def stacked_grad(
         np.matmul(XT, dz1, out=grads[0])
         np.add.reduce(dz1, axis=1, out=grads[1])
     return logp
-
-
-def loss_and_grad(
-    model: TaskModel, w: ParamSet, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, ParamSet]:
-    """Mean softmax cross-entropy over the batch and its exact gradient.
-
-    The G = 1 case of :func:`stacked_grad`.
-    """
-    out = np.empty((1, w.num_entries))
-    logp = stacked_grad(model, _split(model, w.flat[None]), features[None],
-                        labels[None], _split(model, out))
-    return _mean_nll(logp[0], labels), ParamSet._wrap(w.structure(), out[0])
 
 
 def evaluate(model: TaskModel, w: ParamSet, data: Dataset) -> tuple[float, float]:

@@ -6,10 +6,8 @@ its stated runtime limit, and fails with the collected problems if any
 sub-check misses its tolerance.
 """
 
-import hashlib
-import json
+import itertools
 import math
-import os
 import time
 
 import numpy as np
@@ -30,8 +28,8 @@ from fedsim.engine import (
     plan_semisync,
     run_policy,
 )
-from fedsim.optimizers import OptimizerConfig, step_fedprox, step_momentum, step_vanilla
-from fedsim.params import ParamSet, equal, max_abs_diff, weighted_average, zeros_like
+from fedsim.optimizers import OptimizerConfig, run_client_opt
+from fedsim.params import ParamSet, weighted_average
 from fedsim.partition import (
     PartitionSpec,
     assign_classes,
@@ -39,7 +37,11 @@ from fedsim.partition import (
     make_sizes,
 )
 from fedsim.runner import bench_cache, fit_bench, run_experiment
-from fedsim.tasks import TaskModel, gen_synthetic, init_params, loss_and_grad
+from fedsim.tasks import TaskModel, gen_synthetic, init_params, stacked_grad
+from oracles import (
+    central_diff, digest_tree, equal, loss_and_grad, max_abs_diff, rel_err,
+    step_fedprox, step_momentum, step_vanilla, unflat, zeros_like,
+)
 
 
 @pytest.fixture
@@ -161,7 +163,21 @@ def test_criterion_3_cache_scaling(announce):
 
 def test_criterion_4_optimizer_correctness(announce):
     def body(check):
-        # momentum, hand-unrolled
+        task = TaskModel("softmax_regression", input_dim=6, num_classes=4)
+        data = gen_synthetic(4, 6, 6, 2.0, seed=42)
+        X, y = data.features, data.labels
+
+        def solve(cfg, start, budget, grad_fn):
+            """``budget`` full-batch steps of the production solver."""
+            stream = itertools.repeat(np.arange(len(y)))
+            return run_client_opt([start], [budget], [stream], cfg,
+                                  grad_fn)[0]
+
+        def ones(W, rows, out):
+            for g in out:
+                g.fill(1.0)
+
+        # momentum, hand-unrolled, through the oracle and the solver
         cfg = OptimizerConfig("momentum", eta=1.0, gamma=0.5)
         w = u = ParamSet(["w"], [np.array([[0.0]])])
         g = ParamSet(["w"], [np.array([[1.0]])])
@@ -171,49 +187,43 @@ def test_criterion_4_optimizer_correctness(announce):
         w, u = step_momentum(w, u, g, cfg)
         check((w.arrays[0][0, 0], u.arrays[0][0, 0]) == (-2.5, 1.5),
               "second momentum step is not (-2.5, 1.5)")
+        for budget, expect in ((1, -1.0), (2, -2.5)):
+            got = solve(cfg, ParamSet(["w"], [np.array([[0.0]])]), budget,
+                        ones).flat[0]
+            check(got == expect,
+                  f"solver momentum step {budget} is {got}, not {expect}")
 
         # proximal step against finite differences of the augmented objective
-        task = TaskModel("softmax_regression", input_dim=6, num_classes=4)
-        data = gen_synthetic(4, 6, 6, 2.0, seed=42)
-        X, y = data.features, data.labels
         rng = np.random.default_rng(8)
         w0 = init_params(task, rng)
         anchor = init_params(task, rng)
-        eta, mu, h = 0.2, 0.1, 1e-6
-
-        def flat(ps):
-            return np.concatenate([a.ravel() for a in ps.arrays])
-
-        def unflat(vec):
-            arrays, lo = [], 0
-            for a in w0.arrays:
-                arrays.append(vec[lo:lo + a.size].reshape(a.shape))
-                lo += a.size
-            return ParamSet(w0.names, arrays)
-
-        anchor_flat = flat(anchor)
-
-        def objective(vec):
-            loss, _ = loss_and_grad(task, unflat(vec), X, y)
-            return loss + 0.5 * mu * float(np.sum((vec - anchor_flat) ** 2))
-
-        theta = flat(w0)
-        num = np.empty_like(theta)
-        for i in range(theta.size):
-            bump = theta.copy()
-            bump[i] += h
-            hi = objective(bump)
-            bump[i] -= 2 * h
-            lo = objective(bump)
-            num[i] = (hi - lo) / (2 * h)
-        _, g_ce = loss_and_grad(task, w0, X, y)
+        eta, mu = 0.2, 0.1
         cfg_p = OptimizerConfig("fedprox", eta=eta, mu=mu)
-        stepped = flat(step_fedprox(w0, anchor, g_ce, cfg_p))
-        expect = theta - eta * num
-        denom = np.maximum(1.0, np.maximum(np.abs(stepped), np.abs(expect)))
-        rel = float(np.max(np.abs(stepped - expect) / denom))
+
+        def prox_step_rel(w, anchor, stepped):
+            """Relative gap of ``stepped`` from one finite-difference step
+            from ``w`` on the objective augmented toward ``anchor``."""
+            def objective(vec):
+                loss, _ = loss_and_grad(task, unflat(w, vec), X, y)
+                return loss + 0.5 * mu * float(
+                    np.sum((vec - anchor.flat) ** 2))
+
+            return rel_err(stepped.flat,
+                           w.flat - eta * central_diff(objective, w.flat))
+
+        _, g_ce = loss_and_grad(task, w0, X, y)
+        rel = prox_step_rel(w0, anchor, step_fedprox(w0, anchor, g_ce, cfg_p))
         check(rel <= 1e-5,
               f"proximal step off finite differences by rel {rel:.3e}")
+
+        # the solver's anchor is its start: step 2 from step 1's weights
+        def ce(W, rows, out):
+            stacked_grad(task, W, X[rows], y[rows], out)
+
+        w1, w2 = (solve(cfg_p, w0, budget, ce) for budget in (1, 2))
+        rel = prox_step_rel(w1, w0, w2)
+        check(rel <= 1e-5,
+              f"solver proximal step off finite differences by rel {rel:.3e}")
 
         # degeneracies collapse to vanilla bitwise
         rng = np.random.default_rng(9)
@@ -226,6 +236,10 @@ def test_criterion_4_optimizer_correctness(announce):
         p = step_fedprox(w, a, g, OptimizerConfig("fedprox", eta=0.05, mu=0.0))
         check(equal(m, v), "gamma=0 momentum is not bitwise vanilla")
         check(equal(p, v), "mu=0 proximal step is not bitwise vanilla")
+        v, m, p = (solve(OptimizerConfig(kind, eta=0.05), w0, 3, ce)
+                   for kind in ("vanilla", "momentum", "fedprox"))
+        check(equal(m, v), "solver gamma=0 momentum is not bitwise vanilla")
+        check(equal(p, v), "solver mu=0 proximal step is not bitwise vanilla")
 
     run_criterion(announce, 4, "optimizer steps match oracles", 5.0, body)
 
@@ -512,19 +526,6 @@ scheme = fedrec_staleness
 """
 
 
-def digest_tree(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            if rel == "config.txt":  # embeds the differing output path
-                continue
-            with open(path, "rb") as fh:
-                out[rel] = hashlib.sha256(fh.read()).hexdigest()
-    return out
-
-
 def test_criterion_10_byte_determinism(announce, tmp_path):
     def body(check):
         for label, template in (("semisync", DETERMINISM_SEMISYNC),
@@ -535,7 +536,8 @@ def test_criterion_10_byte_determinism(announce, tmp_path):
                 cfg = parse_config_text(template.format(out=out))
                 rc = run_experiment(cfg)
                 check(rc == 0, f"{label} run {run} exited {rc}")
-                digests.append(digest_tree(out))
+                # config.txt embeds the differing output path
+                digests.append(digest_tree(out, skip=("config.txt",)))
             check(digests[0] == digests[1],
                   f"{label} reruns differ: " + ", ".join(
                       sorted(k for k in set(digests[0]) | set(digests[1])

@@ -279,7 +279,14 @@ _PINNED = [
      ["[partition] class_count_override: 'x' is not an integer"]),
     ("override_wrong_length",
      "[partition]\nclass_dist = non_iid\nclass_count_override = 3, 3\n",
-     ["class_count_override must list one quota per learner"]),
+     ["[partition] class_count_override: must list one quota per learner "
+      "(10), got 2"]),
+    ("override_wrong_length_and_eta",
+     "[partition]\nclass_dist = non_iid\nclass_count_override = 2, 3\n"
+     "[optimizer]\neta = -1\n",
+     ["[optimizer] eta: must satisfy eta > 0.0, got -1.0",
+      "[partition] class_count_override: must list one quota per learner "
+      "(10), got 2"]),
     ("non_iid_without_quota", "[partition]\nclass_dist = non_iid\n",
      ["[partition] classes_per_learner: non_iid needs a value >= 1"]),
     ("num_fast_text", "[learners]\nnum_fast = x\nnum_slow = 0\n",

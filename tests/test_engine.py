@@ -21,9 +21,9 @@ from fedsim.engine import (
     run_policy,
 )
 from fedsim.optimizers import OptimizerConfig
-from fedsim.params import equal, max_abs_diff
 from fedsim.runner import export_metrics
 from fedsim.tasks import TaskModel, evaluate, gen_synthetic, init_params
+from oracles import equal, max_abs_diff
 
 OPT = OptimizerConfig("vanilla", eta=0.05)
 STATIC = WeightingScheme("fedavg_static")
@@ -321,6 +321,18 @@ def test_async_exact_multiple_budget():
         if kind == "update_request":
             per_learner[lid] += 1
     assert per_learner == {0: 10, 1: 1}
+
+
+def test_async_budget_below_the_shortest_cycle_commits_nothing():
+    # The fast cycle is 30 ms: within 29 ms no model comes back, so the run
+    # holds each learner's first fetch and nothing else.
+    log, _ = async_world(29.0)
+    initial = small_world(2, 200, num_classes=4)[-1]
+    assert log.contributions == [] and log.utilization == []
+    assert log.evals == [] and log.update_requests == 0
+    assert equal(log.final_model, initial)
+    assert log.events == [(0, "fetch", 0), (0, "train_start", 0),
+                          (0, "fetch", 1), (0, "train_start", 1)]
 
 
 def test_async_zero_idle():

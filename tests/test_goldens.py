@@ -22,7 +22,6 @@ runs every cell under OUT and prints the digests as JSON, under whatever
 thread setting the environment gives.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -32,6 +31,7 @@ import pytest
 
 from fedsim.config import parse_config_text
 from fedsim.runner import run_experiment
+from oracles import digest_tree
 
 TEMPLATE = """
 [experiment]
@@ -286,29 +286,16 @@ ONE_THREAD = {
 }
 
 
-def digest_outputs(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            if name == "config.txt":  # echoes the input verbatim
-                continue
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root).replace(os.sep, "/")
-            with open(path, "rb") as fh:
-                out[rel] = hashlib.sha256(fh.read()).hexdigest()
-    return out
-
-
 def run_cells(root):
     """Run every cell into its own directory under ``root``; returns
-    {cell: digest_outputs}."""
+    {cell: {file: sha256}}, config.txt left out."""
     digests = {}
     for cell in sorted(CELLS):
         cfg = parse_config_text(TEMPLATE.format(**{**DEFAULTS, **CELLS[cell]}))
         out = os.path.join(root, cell)
         if run_experiment(cfg, out_override=out) != 0:
             raise RuntimeError(f"cell {cell} failed")
-        digests[cell] = digest_outputs(out)
+        digests[cell] = digest_tree(out, skip=("config.txt",))
     return digests
 
 

@@ -11,26 +11,20 @@ from fedsim.engine import _TRAIN_STREAM, LearnerProfile, _train_cohort
 from fedsim.optimizers import (
     OptimizerConfig,
     assignment_batches,
-    epoch_batches,
     run_client_opt,
+)
+from fedsim.params import NonFiniteError, ParamSet, StructureError
+from fedsim.tasks import TaskModel, gen_synthetic, init_params, stacked_grad
+from oracles import (
+    epoch_batches,
+    equal,
+    loss_and_grad,
+    reference_opt,
     step_fedprox,
     step_momentum,
     step_vanilla,
-)
-from fedsim.params import (
-    NonFiniteError,
-    ParamSet,
-    StructureError,
-    axpy,
-    equal,
+    train_alone,
     zeros_like,
-)
-from fedsim.tasks import (
-    TaskModel,
-    gen_synthetic,
-    init_params,
-    loss_and_grad,
-    stacked_grad,
 )
 
 TASKS = {
@@ -267,20 +261,6 @@ def test_assignment_batches_rejects_empty():
         assignment_batches(np.arange(10), 0, 3, rng)
 
 
-def reference_opt(start, budget, stream, cfg, grad_fn):
-    """Reference solver: folds the pure ParamSet step functions."""
-    w, u = start, zeros_like(start)
-    for _ in range(budget):
-        g = grad_fn(w, next(stream))
-        if cfg.kind == "vanilla":
-            w = step_vanilla(w, g, cfg)
-        elif cfg.kind == "momentum":
-            w, u = step_momentum(w, u, g, cfg)
-        else:
-            w = step_fedprox(w, start, g, cfg)
-    return w
-
-
 def ce_grad(task):
     X, y = DATA.features, DATA.labels
     return lambda w, batch: loss_and_grad(task, w, X[batch], y[batch])[1]
@@ -332,16 +312,8 @@ def test_prox_rho_gradient_bitwise_equals_axpy_form(
     profile = LearnerProfile(0, "fast", BATCH, 1.0, np.arange(len(DATA)))
     [w] = _train_cohort([(profile, anchor, budget, assignment)], model, DATA,
                         cfg, seed, rho)
-    ce = ce_grad(model)
-
-    def prox_grad(w, batch):
-        return axpy(rho, axpy(-1.0, anchor, w), ce(w, batch))
-
-    stream = epoch_batches(
-        len(DATA), BATCH,
-        np.random.default_rng([seed, _TRAIN_STREAM, 0, assignment]),
-    )
-    assert equal(w, reference_opt(anchor, budget, stream, cfg, prox_grad))
+    assert equal(w, train_alone(model, DATA, profile, anchor, budget, cfg,
+                                seed, assignment, rho))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -423,28 +395,6 @@ def test_run_client_opt_divergence_raises_nonfinite(kind):
         run_client_opt([start], [1], [batches(3)], cfg, fill(1e300))
 
 
-def one_at_a_time(model, cohort, cfg, seed, rho):
-    """Reference for ``_train_cohort``: each learner alone, folding
-    ``loss_and_grad`` and the ``step_*`` functions."""
-    trained = []
-    for profile, anchor, budget, assignment in cohort:
-        X = DATA.features[profile.indices]
-        y = DATA.labels[profile.indices]
-
-        def grad(w, batch):
-            g = loss_and_grad(model, w, X[batch], y[batch])[1]
-            return axpy(rho, axpy(-1.0, anchor, w), g) if rho > 0 else g
-
-        stream = epoch_batches(
-            profile.data_size, profile.batch_size,
-            np.random.default_rng(
-                [seed, _TRAIN_STREAM, profile.learner_id, assignment]
-            ),
-        )
-        trained.append(reference_opt(anchor, budget, stream, cfg, grad))
-    return trained
-
-
 learner_specs = st.lists(
     st.tuples(
         st.integers(1, len(DATA)),  # shard size
@@ -478,7 +428,8 @@ def test_cohort_training_bitwise_equals_one_learner_at_a_time(
     cap = engine._COHORT_ENTRIES if per_chunk is None else per_chunk * entries
     with mock.patch.object(engine, "_COHORT_ENTRIES", cap):
         trained = list(_train_cohort(cohort, model, DATA, cfg, seed, rho))
-    expected = one_at_a_time(model, cohort, cfg, seed, rho)
+    expected = [train_alone(model, DATA, p, anchor, budget, cfg, seed, a, rho)
+                for p, anchor, budget, a in cohort]
     assert len(trained) == len(expected)
     for w, ref in zip(trained, expected):
         assert equal(w, ref)

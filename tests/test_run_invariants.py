@@ -47,8 +47,9 @@ def worlds(draw, policies=POLICIES, schemes=WEIGHTING_KINDS):
                        np.arange(bounds[k], bounds[k + 1]))
         for k in range(n)
     ]
-    # The async budget is a multiple of the shortest cycle, so every learner
-    # commits at most ~20 times; below one cycle nothing commits at all.
+    # The async budget is 1 to 20 shortest cycles, so every world commits
+    # at least once and every learner at most ~20 times (the empty run has
+    # its own test in test_engine.py).
     shortest_us = min(
         epochs * p.batches_per_epoch * p.time_per_batch_us for p in profiles
     )
@@ -60,7 +61,7 @@ def worlds(draw, policies=POLICIES, schemes=WEIGHTING_KINDS):
         epochs=epochs,
         lam=draw(st.floats(0.25, 2.0)),
         rounds=draw(st.integers(1, 3)),
-        time_budget_ms=draw(st.floats(0.5, 20.0)) * shortest_us / 1000.0,
+        time_budget_ms=draw(st.floats(1.0, 20.0)) * shortest_us / 1000.0,
         eval_every=draw(st.integers(1, 3)),
     )
     kind = draw(st.sampled_from(TASK_KINDS))

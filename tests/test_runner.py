@@ -1,6 +1,5 @@
 """End-to-end experiment runner, output layout, CLI, and the cache bench."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +11,6 @@ import pytest
 import fedsim
 from fedsim.cli import main
 from fedsim.config import parse_config_text
-from fedsim.params import load
 from fedsim.runner import (
     OUTPUT_ROOT_ENV,
     bench_cache,
@@ -21,6 +19,7 @@ from fedsim.runner import (
     resolve_out_dir,
     run_experiment,
 )
+from oracles import digest_tree, load
 
 SMALL_SYNC = """
 [experiment]
@@ -87,17 +86,6 @@ lambda = 0.5, 1, 2, 4
 rounds = 2
 epochs = 1
 """
-
-
-def digest_tree(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            with open(path, "rb") as fh:
-                out[rel] = hashlib.sha256(fh.read()).hexdigest()
-    return out
 
 
 def test_run_experiment_output_layout(tmp_path):

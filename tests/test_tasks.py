@@ -7,51 +7,15 @@ import pytest
 
 from fedsim.params import ParamSet
 from fedsim.tasks import (
-    Dataset,
-    TaskModel,
-    evaluate,
-    gen_synthetic,
-    init_params,
-    loss_and_grad,
-    zero_params,
+    Dataset, TaskModel, evaluate, gen_synthetic, init_params,
 )
+from oracles import central_diff, loss_and_grad, rel_err, unflat, zero_params
 
 SOFTMAX = TaskModel("softmax_regression", input_dim=6, num_classes=4)
 MLP_RELU = TaskModel("mlp1", input_dim=6, num_classes=4, hidden_dim=5,
                      activation="relu")
 MLP_TANH = TaskModel("mlp1", input_dim=6, num_classes=4, hidden_dim=5,
                      activation="tanh")
-
-
-def flat(ps):
-    return np.concatenate([a.ravel() for a in ps.arrays])
-
-
-def unflat(proto, vec):
-    arrays, lo = [], 0
-    for a in proto.arrays:
-        arrays.append(vec[lo : lo + a.size].reshape(a.shape))
-        lo += a.size
-    return ParamSet(proto.names, arrays)
-
-
-def central_diff_grad(task, w, X, y, h=1e-6):
-    """Numeric gradient of the mean cross-entropy, entry by entry."""
-    theta = flat(w)
-    out = np.empty_like(theta)
-    for i in range(theta.size):
-        bump = theta.copy()
-        bump[i] += h
-        hi, _ = loss_and_grad(task, unflat(w, bump), X, y)
-        bump[i] -= 2 * h
-        lo, _ = loss_and_grad(task, unflat(w, bump), X, y)
-        out[i] = (hi - lo) / (2 * h)
-    return out
-
-
-def rel_err(num, ana):
-    denom = np.maximum(1.0, np.maximum(np.abs(num), np.abs(ana)))
-    return float(np.max(np.abs(num - ana) / denom))
 
 
 @pytest.mark.parametrize("task", [SOFTMAX, MLP_RELU, MLP_TANH],
@@ -63,12 +27,13 @@ def test_gradient_matches_central_differences(task):
     for _ in range(20):
         w = init_params(task, rng)
         # perturb away from the symmetric init so relu kinks are unlikely
-        w = unflat(w, flat(w) + 0.05 * rng.standard_normal(flat(w).size))
+        w = unflat(w, w.flat + 0.05 * rng.standard_normal(w.num_entries))
         idx = rng.choice(len(data.labels), size=12, replace=False)
         X, y = data.features[idx], data.labels[idx]
         _, g = loss_and_grad(task, w, X, y)
-        num = central_diff_grad(task, w, X, y)
-        worst = max(worst, rel_err(num, flat(g)))
+        num = central_diff(
+            lambda v: loss_and_grad(task, unflat(w, v), X, y)[0], w.flat)
+        worst = max(worst, rel_err(num, g.flat))
     assert worst <= 1e-5, f"worst relative gradient error {worst:.3e}"
 
 
@@ -93,7 +58,7 @@ def test_loss_is_batch_mean():
     l2, g2 = loss_and_grad(SOFTMAX, w, np.vstack([X, X]),
                            np.concatenate([y, y]))
     assert l1 == pytest.approx(l2, abs=1e-12)
-    assert np.allclose(flat(g1), flat(g2), rtol=0, atol=1e-12)
+    assert np.allclose(g1.flat, g2.flat, rtol=0, atol=1e-12)
 
 
 def test_loss_finite_for_extreme_logits():
