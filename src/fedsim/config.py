@@ -24,22 +24,6 @@ from .tasks import ACTIVATIONS, TASK_KINDS, TaskModel
 
 DEFAULT_SEED = 1990
 
-# Named hyperparameter bundles; explicit keys override preset values.
-PRESETS = {
-    "cifar10-like": {
-        ("optimizer", "eta"): "0.05",
-        ("optimizer", "gamma"): "0.75",
-        ("optimizer", "mu"): "0.001",
-        ("learners", "batch_size"): "100",
-    },
-    "cifar100-like": {
-        ("optimizer", "eta"): "0.1",
-        ("optimizer", "gamma"): "0.9",
-        ("optimizer", "mu"): "0.001",
-        ("learners", "batch_size"): "100",
-    },
-}
-
 
 # Parsers take (key, raw text) and return a typed value, or raise ValueError
 # whose args are the violation texts, without the "[section] key: " prefix.
@@ -141,7 +125,6 @@ SCHEMA = {
     "experiment": {
         "seed": (str(DEFAULT_SEED), _int(0)),
         "output": ("runs/experiment", _text),
-        "preset": ("", _text),
     },
     "task": {
         "kind": ("softmax_regression", _choice(TASK_KINDS)),
@@ -241,7 +224,6 @@ class ExperimentConfig:
     batch_size: int
     protocol: ProtocolConfig
     lambda_values: tuple[float, ...]
-    preset: str = ""
     source_text: str = ""
 
     @property
@@ -265,15 +247,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         section: {key: default for key, (default, _) in keys.items()}
         for section, keys in SCHEMA.items()
     }
-    preset = parser.get("experiment", "preset", fallback="").strip()
-    if preset and preset not in PRESETS:
-        violations.append(
-            f"[experiment] preset: unknown preset {preset!r}, "
-            f"known: {sorted(PRESETS)}"
-        )
-    for (section, key), value in PRESETS.get(preset, {}).items():
-        raw[section][key] = value
-
     for section in parser.sections():
         if section not in SCHEMA:
             violations.append(f"unknown section [{section}]")
@@ -342,8 +315,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError([str(exc)]) from None
     return ExperimentConfig(
         seed=experiment["seed"], out_dir=experiment["output"],
-        preset=experiment["preset"], task=task_model,
-        partition=partition_spec, protocol=protocol_config,
+        task=task_model, partition=partition_spec, protocol=protocol_config,
         lambda_values=lambda_values, source_text=text, **data, **learners,
     )
 

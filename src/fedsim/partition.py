@@ -8,7 +8,6 @@ same spec, sizes and dataset it always produces the same partitions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -7,7 +7,6 @@ cluster per class, so experiments are reproducible end to end.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -114,17 +113,6 @@ def init_params(model: TaskModel, rng: np.random.Generator) -> ParamSet:
     return ParamSet([name for name, _ in structure], arrays)
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(model: TaskModel) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(start, stop, shape) of each layer inside a flat parameter row."""
-    return layer_spans(model_structure(model))
-
-
-def _split(model: TaskModel, rows: np.ndarray) -> list[np.ndarray]:
-    """Per-layer ``(G, *shape)`` views of stacked flat parameter rows."""
-    return split_rows(_layout(model), rows)
-
-
 def _forward(model: TaskModel, layers: list[np.ndarray], X: np.ndarray):
     """Stacked forward pass of G models over G batches.
 
@@ -218,7 +206,7 @@ def evaluate(model: TaskModel, w: ParamSet, data: Dataset) -> tuple[float, float
 
     Prediction is argmax over logits; ties resolve to the lowest class id.
     """
-    layers = _split(model, w.flat[None])
+    layers = split_rows(layer_spans(model_structure(model)), w.flat[None])
     logits = _forward(model, layers, data.features[None])[0][0]
     pred = np.argmax(logits, axis=1)
     accuracy = float(np.mean(pred == data.labels))

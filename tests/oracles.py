@@ -20,10 +20,9 @@ from fedsim.engine import _TRAIN_STREAM
 from fedsim.optimizers import _check_batching
 from fedsim.params import (
     SERIALIZATION_VERSION, ParamSet, _check_same_structure, layer_spans,
+    split_rows,
 )
-from fedsim.tasks import (
-    _layout, _mean_nll, _split, model_structure, stacked_grad,
-)
+from fedsim.tasks import _mean_nll, model_structure, stacked_grad
 
 
 # ParamSet arithmetic, one vector operation each.
@@ -86,9 +85,8 @@ def load(path):
 
 def zero_params(model):
     """All-zero parameters for the given model shape."""
-    return ParamSet._wrap(
-        model_structure(model), np.zeros(_layout(model)[-1][1])
-    )
+    structure = model_structure(model)
+    return ParamSet._wrap(structure, np.zeros(layer_spans(structure)[-1][1]))
 
 
 def loss_and_grad(model, w, features, labels):
@@ -96,9 +94,10 @@ def loss_and_grad(model, w, features, labels):
 
     The G = 1 case of ``fedsim.tasks.stacked_grad``.
     """
+    spans = layer_spans(model_structure(model))
     out = np.empty((1, w.num_entries))
-    logp = stacked_grad(model, _split(model, w.flat[None]), features[None],
-                        labels[None], _split(model, out))
+    logp = stacked_grad(model, split_rows(spans, w.flat[None]), features[None],
+                        labels[None], split_rows(spans, out))
     return _mean_nll(logp[0], labels), ParamSet._wrap(w.structure(), out[0])
 
 

@@ -36,7 +36,7 @@ from fedsim.partition import (
     assign_to_devices,
     make_sizes,
 )
-from fedsim.runner import bench_cache, fit_bench, run_experiment
+from fedsim.runner import bench_cache, run_experiment
 from fedsim.tasks import TaskModel, gen_synthetic, init_params, stacked_grad
 from oracles import (
     central_diff, digest_tree, equal, loss_and_grad, max_abs_diff, rel_err,

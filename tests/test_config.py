@@ -1,4 +1,4 @@
-"""Experiment config parsing: defaults, presets, violation collection."""
+"""Experiment config parsing: defaults, overrides, violation collection."""
 
 import os
 import subprocess
@@ -10,7 +10,6 @@ import fedsim
 from fedsim.config import (
     DEFAULT_SEED,
     ConfigError,
-    PRESETS,
     SCHEMA,
     parse_config,
     parse_config_text,
@@ -54,27 +53,6 @@ gamma = 0.9
     assert cfg.protocol.rounds == 3
     assert cfg.protocol.optimizer.kind == "momentum"
     assert cfg.protocol.optimizer.eta == 0.2
-    assert cfg.protocol.optimizer.gamma == 0.9
-
-
-def test_preset_applies_and_explicit_wins():
-    cfg = parse_config_text("""
-[experiment]
-preset = cifar10-like
-""")
-    assert cfg.preset == "cifar10-like"
-    assert cfg.protocol.optimizer.eta == 0.05
-    assert cfg.protocol.optimizer.gamma == 0.75
-    assert cfg.protocol.optimizer.mu == 0.001
-    assert cfg.batch_size == 100
-
-    cfg = parse_config_text("""
-[experiment]
-preset = cifar100-like
-[optimizer]
-eta = 0.3
-""")
-    assert cfg.protocol.optimizer.eta == 0.3  # explicit key beats the preset
     assert cfg.protocol.optimizer.gamma == 0.9
 
 
@@ -219,10 +197,6 @@ def test_parse_config_reads_file(tmp_path):
     assert cfg.seed == 11
 
 
-def test_presets_registry_contents():
-    assert set(PRESETS) == {"cifar10-like", "cifar100-like"}
-
-
 # Each bad config's exact violation list. A key that fails its own check
 # is left out of the parsed values, so it never reports a second violation
 # about a stand-in value, and checks across keys skip it.
@@ -232,8 +206,7 @@ _PINNED = [
     ("seed_negative", "[experiment]\nseed = -3\n",
      ["[experiment] seed: must satisfy seed >= 0, got -3"]),
     ("unknown_preset", "[experiment]\npreset = imagenet\n",
-     ["[experiment] preset: unknown preset 'imagenet', "
-      "known: ['cifar10-like', 'cifar100-like']"]),
+     ["[experiment] unknown key 'preset'"]),
     ("unknown_section", "[network]\nbandwidth = 10\n",
      ["unknown section [network]"]),
     # configparser would read [DEFAULT] as defaults for every section.
@@ -373,8 +346,7 @@ _PINNED = [
     ("preset_and_unknowns",
      "[experiment]\npreset = nope\n[bogus]\nx = 1\n"
      "[task]\ncolour = red\ninput_dim = 0\n",
-     ["[experiment] preset: unknown preset 'nope', "
-      "known: ['cifar10-like', 'cifar100-like']",
+     ["[experiment] unknown key 'preset'",
       "unknown section [bogus]",
       "[task] unknown key 'colour'",
       "[task] input_dim: must satisfy input_dim >= 1, got 0"]),

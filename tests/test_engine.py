@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 from fractions import Fraction
 
 import numpy as np

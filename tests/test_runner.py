@@ -286,16 +286,24 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.ini")]) == 2
 
 
-def test_cli_removed_eta_in_velocity_key_is_exit_2(tmp_path, capsys):
-    # Momentum has one form; a config that still names the old switch, at
-    # any value, is a config error and writes nothing.
+@pytest.mark.parametrize("old, new, violation", [
+    ("rounds = 3", "rounds = 3\n[optimizer]\nkind = momentum\n"
+                   "eta_in_velocity = true",
+     "[optimizer] unknown key 'eta_in_velocity'"),
+    ("seed = 17", "seed = 17\npreset = cifar10-like",
+     "[experiment] unknown key 'preset'"),
+], ids=["eta_in_velocity", "preset"])
+def test_cli_removed_key_is_exit_2(tmp_path, capsys, old, new, violation):
+    # Momentum has one form and hyperparameters one spelling, their own
+    # keys; a config that still names a removed key, at any value, is a
+    # config error and writes nothing.
     cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(SMALL_SYNC.format(out=tmp_path / "run") + (
-        "[optimizer]\nkind = momentum\neta_in_velocity = true\n"))
+    cfg_path.write_text(SMALL_SYNC.format(out=tmp_path / "run")
+                        .replace(old, new))
     out = tmp_path / "out"
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "[optimizer] unknown key 'eta_in_velocity'" in err
+    assert violation in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["run.ini"]
 
