@@ -21,8 +21,11 @@ computed against an old community model counts less.
 public, and a caller may drive them from several threads. Each reads
 several fields of the shared state, and the two commits rewrite them, so
 each holds the state's lock: a reader sees the state between two commits,
-and concurrent commits apply one at a time with none lost. The engine's event
-loop is single-threaded and never contends for it.
+and concurrent commits apply one at a time with none lost. :func:`commit`
+reads the committed-step count for a staleness weight before
+``cached_update`` takes the lock, so concurrent ``fedrec_staleness``
+commits may weigh against a count another commit has moved since. The
+engine's event loop is single-threaded and never contends for the lock.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ class WeightingScheme:
     mixing: float = 0.5
     rho: float = 0.005
     staleness_adaptive: bool = True
+
+    @property
+    def prox_rho(self) -> float:
+        """The client objective's proximal coefficient: ``rho`` under
+        ``fedasync_poly``, 0 under the cached schemes."""
+        return self.rho if self.kind == "fedasync_poly" else 0.0
 
     def __post_init__(self):
         if self.kind not in WEIGHTING_KINDS:
@@ -170,10 +179,10 @@ def staleness_discount(
     """Inverse-square-root discount ``(max(0, base) + 1) ** -0.5`` with
     ``base = committed_now - fetch_steps - local_steps``.
 
-    The engine passes the committed-step count from *before* this commit, so
-    ``base`` is the other learners' steps committed since the fetch minus
-    this learner's own ``local_steps``; a commit with ``base <= 0`` gets
-    full weight.
+    :func:`commit` passes the committed-step count from *before* this
+    commit, so ``base`` is the other learners' steps committed since the
+    fetch minus this learner's own ``local_steps``; a commit with
+    ``base <= 0`` gets full weight.
     """
     base = committed_now - fetch_steps - local_steps
     return (max(0, base) + 1) ** -0.5
@@ -185,23 +194,6 @@ def poly_staleness(version_now: int, fetch_version: int) -> float:
     if gap < 0:
         raise ValueError(f"fetch version {fetch_version} is in the future")
     return (gap + 1) ** -0.5
-
-
-def compute_contribution(
-    scheme: WeightingScheme,
-    state: CommunityState,
-    data_size: int,
-    fetch_steps: int,
-    local_steps: int,
-) -> float:
-    """Aggregation weight p_k for a model about to be committed."""
-    if scheme.kind == "fedavg_static":
-        return float(data_size)
-    if scheme.kind == "fedrec_staleness":
-        return staleness_discount(state.committed_steps, fetch_steps, local_steps)
-    raise ValueError(
-        "fedasync_poly commits through fedasync_update, not the cache"
-    )
 
 
 def fedasync_update(
@@ -232,6 +224,34 @@ def fedasync_update(
         state.model = ParamSet._wrap(current.structure(), flat)
         state.version += 1
         return state.model, alpha
+
+
+def commit(
+    scheme: WeightingScheme, state: CommunityState, learner_id: int,
+    model: ParamSet, data_size: int, fetch_steps: int, steps: int,
+    fetch_version: int,
+) -> tuple[ParamSet, float]:
+    """Commit learner ``learner_id``'s ``model``, trained ``steps`` batches
+    on ``data_size`` examples from the community model served at
+    ``fetch_steps`` committed steps and version ``fetch_version``.
+
+    ``fedasync_poly`` mixes it in through :func:`fedasync_update`; the other
+    schemes weigh it, by shard size or by :func:`staleness_discount`, and
+    replace the learner's contribution through :func:`cached_update`.
+    Returns (new community model, the commit's weight or mixing alpha).
+    """
+    if scheme.kind == "fedasync_poly":
+        return fedasync_update(
+            state, learner_id, model, scheme.mixing, fetch_version,
+            scheme.staleness_adaptive,
+        )
+    if scheme.kind == "fedavg_static":
+        value = float(data_size)
+    else:
+        value = staleness_discount(state.committed_steps, fetch_steps, steps)
+    return cached_update(
+        state, learner_id, model, value, steps, fetch_version
+    ), value
 
 
 def snapshot(state: CommunityState) -> dict:

@@ -32,9 +32,7 @@ import numpy as np
 from .controller import (
     CommunityState,
     WeightingScheme,
-    cached_update,
-    compute_contribution,
-    fedasync_update,
+    commit,
     init_community,
     record_fetch,
 )
@@ -315,10 +313,7 @@ def run_policy(
     if cfg.policy == "semisync":
         log.schedule = plan_semisync(cfg.lam, profiles)
 
-    scheme = cfg.weighting
-    prox_rho = (
-        scheme.rho if not barrier and scheme.kind == "fedasync_poly" else 0.0
-    )
+    prox_rho = 0.0 if barrier else cfg.weighting.prox_rho
     horizon_us = (
         math.inf if barrier else ms_to_us(cfg.time_budget_ms)
     )
@@ -380,17 +375,10 @@ def run_policy(
                 value = float(p.data_size)
                 models.append(w_k)
                 weights.append(value)
-            elif scheme.kind == "fedasync_poly":
-                w_c, value = fedasync_update(
-                    state, lid, w_k, scheme.mixing, fetch_version,
-                    scheme.staleness_adaptive,
-                )
             else:
-                value = compute_contribution(
-                    scheme, state, p.data_size, fetch_steps, steps
-                )
-                w_c = cached_update(
-                    state, lid, w_k, value, steps, fetch_version
+                w_c, value = commit(
+                    cfg.weighting, state, lid, w_k, p.data_size, fetch_steps,
+                    steps, fetch_version,
                 )
             log.contributions.append((t, lid, value))
             if not barrier:

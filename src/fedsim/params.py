@@ -13,7 +13,6 @@ against (``axpy``, ``scale``, ``equal``, ``load``, ...) live in
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterator, Sequence
 
@@ -212,9 +211,3 @@ def to_obj(ps: ParamSet) -> dict:
             for n, a in ps
         ],
     }
-
-
-def save(ps: ParamSet, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(to_obj(ps)))  # the C encoder; same bytes
-

@@ -200,9 +200,10 @@ def run_experiment(
                             os.path.join(tmp, "controller_snapshot.json"),
                             snapshot(log.final_state),
                         )
-                    params.save(
-                        log.final_model, os.path.join(tmp, "final_model.json")
-                    )
+                    # Compact JSON holds no newline, so the text mode
+                    # changes no byte.
+                    text = json.dumps(params.to_obj(log.final_model))
+                    _write_text(os.path.join(tmp, "final_model.json"), text)
                 os.makedirs(out_dir, exist_ok=True)
                 for name in os.listdir(tmp):
                     os.replace(
@@ -246,7 +247,8 @@ def bench_cache(
     re-averaging every stored model. Returns (rows, fits) where rows are
     ``(mode, n_learners, model_entries, repeat, seconds)`` and fits hold a
     least-squares line of seconds against learner count per mode and model
-    size.
+    size. Seconds are CPU seconds of this process: a busy neighbour
+    stretches a call's wall time, but not the CPU time the call takes.
     """
     if repeats < 2:
         raise ValueError("need at least two repeats to fit a line")
@@ -278,23 +280,25 @@ def bench_cache(
                 # states runs on cold caches, and at ~50 us a call that
                 # alone can read as a slope in N.
                 cached_update(state, 0, fresh[0], float(weights[0]), 1, 0)
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 for i in range(inner):
                     cached_update(
                         state, i % n, fresh[i % len(fresh)],
                         float(weights[i % n]), 1, 0,
                     )
-                dt = (time.perf_counter() - t0) / inner
+                dt = (time.process_time() - t0) / inner
                 rows.append(("cached", n, entries, rep, dt))
         for rep in range(repeats):
             for n, state, _ in saturated:
-                recompute_inner = max(1, 200 // n)
-                t0 = time.perf_counter()
+                # At least three calls per point: one ~10 ms call at
+                # N = 1000 reads a stall of the process as the whole point.
+                recompute_inner = max(3, 200 // n)
+                t0 = time.process_time()
                 for _ in range(recompute_inner):
                     models = [rec.model for rec in state.records.values()]
                     values = [rec.value for rec in state.records.values()]
                     params.weighted_average(models, values)
-                dt = (time.perf_counter() - t0) / recompute_inner
+                dt = (time.process_time() - t0) / recompute_inner
                 rows.append(("recompute", n, entries, rep, dt))
     fits = fit_bench(rows)
     if out_path:

@@ -81,9 +81,11 @@ def gen_synthetic(
     means = _MEAN_SCALE * mean_rng.standard_normal((num_classes, input_dim))
     sample_rng = np.random.default_rng([seed, 1 + sample_tag])
     noise = sample_rng.standard_normal((num_classes, per_class, input_dim))
-    features = (means[:, None, :] + cluster_spread * noise).reshape(
-        num_classes * per_class, input_dim
-    )
+    # In place: the same bits as means + spread * noise, since IEEE addition
+    # commutes, without two full-size temporaries.
+    noise *= cluster_spread
+    noise += means[:, None, :]
+    features = noise.reshape(num_classes * per_class, input_dim)
     labels = np.repeat(np.arange(num_classes), per_class)
     return Dataset(features, labels, num_classes, class_means=means)
 

@@ -76,7 +76,8 @@ def from_obj(obj):
 
 
 def load(path):
-    """The model ``fedsim.params.save`` wrote to ``path``."""
+    """The model stored at ``path`` as ``fedsim.runner.run_experiment``
+    writes ``final_model.json``."""
     with open(path, "r", encoding="utf-8") as fh:
         return from_obj(json.load(fh))
 

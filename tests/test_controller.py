@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fedsim.controller import (
+    WEIGHTING_KINDS,
     DegenerateWeightError,
     WeightingScheme,
     cached_update,
-    compute_contribution,
+    commit,
     fedasync_update,
     init_community,
     poly_staleness,
@@ -201,17 +202,60 @@ def test_poly_staleness_pinned_values():
         poly_staleness(5, 6)
 
 
-def test_compute_contribution_dispatch():
+def test_commit_dispatch():
     rng = np.random.default_rng(9)
     state = fresh_state(rng)
+    w = rand_params(rng)
     static = WeightingScheme("fedavg_static")
-    assert compute_contribution(static, state, 1234, 0, 5) == 1234.0
+    assert commit(static, state, 0, w, 1234, 0, 5, 0)[1] == 1234.0
     rec = WeightingScheme("fedrec_staleness")
     state.committed_steps = 110
-    assert compute_contribution(rec, state, 50, 100, 5) == 6.0 ** -0.5
-    poly = WeightingScheme("fedasync_poly")
-    with pytest.raises(ValueError):
-        compute_contribution(poly, state, 50, 0, 5)
+    assert commit(rec, state, 1, w, 50, 100, 5, 0)[1] == 6.0 ** -0.5
+    poly = WeightingScheme("fedasync_poly", mixing=0.8)
+    state.version = 3
+    twin = init_community(state.model)
+    twin.version = 3
+    _, alpha = fedasync_update(twin, 2, w, 0.8, fetch_version=0)
+    assert commit(poly, state, 2, w, 50, 0, 5, 0)[1] == alpha == 0.4
+
+
+def commit_bits(state):
+    """Every field but the lock, arrays as bytes: equal for two states
+    only if they hold the same values bit for bit."""
+    return (
+        bits(state.model.flat), bits(state.weighted_sum), state.normalizer,
+        state.committed_steps, state.version,
+        {k: (bits(r.model.flat), r.value, r.fetch_version, r.local_steps)
+         for k, r in state.records.items()},
+    )
+
+
+@pytest.mark.parametrize("kind", WEIGHTING_KINDS)
+def test_commit_equals_the_direct_update_bit_for_bit(kind):
+    """``commit`` picks the weight and the update and changes no bit of
+    what the direct ``cached_update``/``fedasync_update`` call gives."""
+    scheme = WeightingScheme(kind, mixing=0.3)
+    rng = np.random.default_rng(17)
+    initial = rand_params(rng)
+    state, direct = init_community(initial), init_community(initial)
+    for i in range(8):
+        lid, w, steps = i % 3, rand_params(rng), int(rng.integers(1, 9))
+        fetch_steps = max(0, state.committed_steps - 9)
+        fetch_version = max(0, state.version - 2)
+        got, value = commit(scheme, state, lid, w, 40 + lid, fetch_steps,
+                            steps, fetch_version)
+        if kind == "fedasync_poly":
+            want, weight = fedasync_update(direct, lid, w, 0.3, fetch_version)
+        else:
+            weight = (
+                40.0 + lid if kind == "fedavg_static"
+                else staleness_discount(direct.committed_steps, fetch_steps,
+                                        steps)
+            )
+            want = cached_update(direct, lid, w, weight, steps, fetch_version)
+        assert value == weight
+        assert bits(got.flat) == bits(want.flat)
+        assert commit_bits(state) == commit_bits(direct)
 
 
 def test_fedasync_update_alpha_and_mixing():
@@ -266,6 +310,12 @@ def test_weighting_scheme_validation():
     with pytest.raises(ValueError):
         WeightingScheme("fedasync_poly", rho=-0.1)
     WeightingScheme("fedasync_poly", mixing=1.0, rho=0.0)
+
+
+def test_prox_rho_only_under_fedasync_poly():
+    assert WeightingScheme("fedasync_poly", rho=0.25).prox_rho == 0.25
+    assert WeightingScheme("fedavg_static", rho=0.25).prox_rho == 0.0
+    assert WeightingScheme("fedrec_staleness", rho=0.25).prox_rho == 0.0
 
 
 def test_snapshot_shape():

@@ -14,10 +14,11 @@ from fedsim.params import (
     SERIALIZATION_VERSION,
     StructureError,
     all_finite,
-    save,
     to_obj,
     weighted_average,
 )
+from fedsim import runner
+from fedsim.config import parse_config_text
 from oracles import axpy, equal, from_obj, load, max_abs_diff, scale, zeros_like
 
 
@@ -185,13 +186,25 @@ def test_serialization_rejects_unknown_version():
         from_obj(obj)
 
 
-def test_save_load_file(tmp_path):
-    rng = np.random.default_rng(17)
-    p = random_params(rng)
-    path = tmp_path / "model.json"
-    save(p, path)
-    q = load(path)
-    assert equal(p, q)
+def test_save_load_file(tmp_path, monkeypatch):
+    """The ``final_model.json`` a run writes is the final model's compact
+    JSON and reads back as that model, bit for bit."""
+    logs = []
+    run_policy = runner.run_policy
+    monkeypatch.setattr(
+        runner, "run_policy",
+        lambda *args: logs.append(run_policy(*args)) or logs[-1],
+    )
+    cfg = parse_config_text(
+        "[task]\nkind = mlp1\ninput_dim = 3\nnum_classes = 2\nper_class = 6\n"
+        "test_per_class = 2\n[learners]\nnum_fast = 1\nnum_slow = 1\n"
+        "batch_size = 4\n[protocol]\nrounds = 1\nepochs = 1\n"
+    )
+    assert runner.run_experiment(cfg, out_override=str(tmp_path)) == 0
+    (log,) = logs
+    path = tmp_path / "final_model.json"
+    assert path.read_bytes() == json.dumps(to_obj(log.final_model)).encode()
+    assert equal(load(path), log.final_model)
 
 
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
