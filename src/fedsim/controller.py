@@ -17,22 +17,15 @@ fetch serves the model the last successful commit returned.
 Staleness-discounted weighting uses committed local steps: a contribution
 computed against an old community model counts less.
 
-``record_fetch``, ``cached_update``, ``fedasync_update`` and ``snapshot`` are
-public, and a caller may drive them from several threads. Each reads
-several fields of the shared state, and the two commits rewrite them, so
-each holds the state's lock: a reader sees the state between two commits,
-and concurrent commits apply one at a time with none lost. :func:`commit`
-reads the committed-step count for a staleness weight before
-``cached_update`` takes the lock, so concurrent ``fedrec_staleness``
-commits may weigh against a count another commit has moved since. The
-engine's event loop is single-threaded and never contends for the lock.
+The controller is single-threaded: the engine's event loop is its one
+caller. A caller that drives it from several threads must serialize every
+call on one state itself.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +86,6 @@ class CommunityState:
     committed_steps: int              # total local steps committed so far
     version: int                      # number of commits applied
     model: ParamSet                   # the community model every fetch serves
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
 
 def init_community(initial: ParamSet) -> CommunityState:
@@ -114,8 +106,7 @@ def record_fetch(state: CommunityState) -> tuple[ParamSet, int, int]:
     Returns (model, committed steps at fetch, version at fetch); the caller
     hands the counters back at commit time for the staleness computations.
     """
-    with state.lock:
-        return state.model, state.committed_steps, state.version
+    return state.model, state.committed_steps, state.version
 
 
 def cached_update(
@@ -136,41 +127,38 @@ def cached_update(
         raise ValueError(f"contribution weight must be finite and >= 0, got {value}")
     if steps < 1:
         raise ValueError(f"a contribution needs >= 1 local steps, got {steps}")
-    with state.lock:
-        _check_same_structure(state.model, model)
-        prev = state.records.get(learner_id)
-        new_normalizer = state.normalizer + value
-        if prev is not None:
-            new_normalizer -= prev.value
-        if new_normalizer <= 0.0:
-            raise DegenerateWeightError(
-                f"normalizer would become {new_normalizer}"
-            )
-        # Two new buffers: W, and W / P, whose buffer holds each product
-        # before it is folded into W.
-        served = np.multiply(value, model.flat)
-        flat = np.add(state.weighted_sum, served)
-        if prev is not None:
-            np.multiply(prev.value, prev.model.flat, out=served)
-            flat -= served
-        np.multiply(1.0 / new_normalizer, flat, out=served)
-        # Only W / P is scanned, and it covers W too. 1 / P is +0 (P
-        # overflowed), finite and > 0, or +inf (P subnormal), and in every
-        # case it turns a NaN or +-Inf entry of W into a non-finite entry of
-        # W / P (0 * inf and 0 * NaN are NaN).
-        community = ParamSet._wrap(state.model.structure(), served)
-        state.weighted_sum = flat
-        state.normalizer = new_normalizer
-        state.model = community
-        state.records[learner_id] = ContributionRecord(
-            model=model,
-            value=value,
-            fetch_version=fetch_version,
-            local_steps=steps,
-        )
-        state.committed_steps += steps
-        state.version += 1
-        return community
+    _check_same_structure(state.model, model)
+    prev = state.records.get(learner_id)
+    new_normalizer = state.normalizer + value
+    if prev is not None:
+        new_normalizer -= prev.value
+    if new_normalizer <= 0.0:
+        raise DegenerateWeightError(f"normalizer would become {new_normalizer}")
+    # Two new buffers: W, and W / P, whose buffer holds each product
+    # before it is folded into W.
+    served = np.multiply(value, model.flat)
+    flat = np.add(state.weighted_sum, served)
+    if prev is not None:
+        np.multiply(prev.value, prev.model.flat, out=served)
+        flat -= served
+    np.multiply(1.0 / new_normalizer, flat, out=served)
+    # Only W / P is scanned, and it covers W too. 1 / P is +0 (P
+    # overflowed), finite and > 0, or +inf (P subnormal), and in every
+    # case it turns a NaN or +-Inf entry of W into a non-finite entry of
+    # W / P (0 * inf and 0 * NaN are NaN).
+    community = ParamSet._wrap(state.model.structure(), served)
+    state.weighted_sum = flat
+    state.normalizer = new_normalizer
+    state.model = community
+    state.records[learner_id] = ContributionRecord(
+        model=model,
+        value=value,
+        fetch_version=fetch_version,
+        local_steps=steps,
+    )
+    state.committed_steps += steps
+    state.version += 1
+    return community
 
 
 def staleness_discount(
@@ -198,7 +186,6 @@ def poly_staleness(version_now: int, fetch_version: int) -> float:
 
 def fedasync_update(
     state: CommunityState,
-    learner_id: int,
     model: ParamSet,
     mixing: float,
     fetch_version: int,
@@ -213,17 +200,16 @@ def fedasync_update(
     """
     if not 0.0 < mixing <= 1.0:
         raise ValueError(f"mixing must lie in (0, 1], got {mixing}")
-    with state.lock:
-        alpha = mixing
-        if staleness_adaptive:
-            alpha *= poly_staleness(state.version, fetch_version)
-        current = state.model
-        _check_same_structure(current, model)
-        flat = (1.0 - alpha) * current.flat
-        flat += alpha * model.flat
-        state.model = ParamSet._wrap(current.structure(), flat)
-        state.version += 1
-        return state.model, alpha
+    alpha = mixing
+    if staleness_adaptive:
+        alpha *= poly_staleness(state.version, fetch_version)
+    current = state.model
+    _check_same_structure(current, model)
+    flat = (1.0 - alpha) * current.flat
+    flat += alpha * model.flat
+    state.model = ParamSet._wrap(current.structure(), flat)
+    state.version += 1
+    return state.model, alpha
 
 
 def commit(
@@ -241,10 +227,8 @@ def commit(
     Returns (new community model, the commit's weight or mixing alpha).
     """
     if scheme.kind == "fedasync_poly":
-        return fedasync_update(
-            state, learner_id, model, scheme.mixing, fetch_version,
-            scheme.staleness_adaptive,
-        )
+        return fedasync_update(state, model, scheme.mixing, fetch_version,
+                               scheme.staleness_adaptive)
     if scheme.kind == "fedavg_static":
         value = float(data_size)
     else:
@@ -256,20 +240,19 @@ def commit(
 
 def snapshot(state: CommunityState) -> dict:
     """JSON-serializable view of the aggregation bookkeeping."""
-    with state.lock:
-        return {
-            "format_version": 1,
-            "version": state.version,
-            "committed_steps": state.committed_steps,
-            "normalizer": state.normalizer,
-            "learners": {
-                str(k): {
-                    "value": rec.value,
-                    "local_steps": rec.local_steps,
-                    # The key says steps but the value is the fetch
-                    # version (ROADMAP item 6).
-                    "fetch_steps": rec.fetch_version,
-                }
-                for k, rec in sorted(state.records.items())
-            },
-        }
+    return {
+        "format_version": 1,
+        "version": state.version,
+        "committed_steps": state.committed_steps,
+        "normalizer": state.normalizer,
+        "learners": {
+            str(k): {
+                "value": rec.value,
+                "local_steps": rec.local_steps,
+                # The key says steps but the value is the fetch
+                # version (ROADMAP item 6).
+                "fetch_steps": rec.fetch_version,
+            }
+            for k, rec in sorted(state.records.items())
+        },
+    }

@@ -207,9 +207,16 @@ def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
         raise ValueError("cannot plan without learners")
     if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    horizon = max(
+    epochs_us = [
         (p.data_size / p.batch_size) * p.time_per_batch_us for p in profiles
-    )
+    ]
+    horizon = max(epochs_us)
+    if not math.isfinite(horizon):
+        p = profiles[epochs_us.index(horizon)]
+        raise ValueError(
+            f"learner {p.learner_id}'s epoch of {p.data_size / p.batch_size:g}"
+            f" batches at {p.time_per_batch_ms!r} ms each overflows the"
+            " microsecond clock")
     if not math.isfinite(lam * horizon):
         raise ValueError(f"lambda {lam!r} overflows the microsecond clock")
     t_max_us = max(1, _round_half_up(lam * horizon))
@@ -231,11 +238,12 @@ def _train_cohort(
     """Train each ``(profile, anchor, budget, assignment)`` of ``cohort``.
 
     Learner k trains ``budget`` batches from ``anchor`` on its shard, in the
-    batch order its (seed, learner, assignment) stream draws; its batch rows
-    for the whole assignment are drawn at once
-    (:func:`~fedsim.optimizers.assignment_batches`). The learners train in
-    stacked chunks of at most ``_COHORT_ENTRIES`` learners x parameters,
-    and every result is bit for bit what training that learner alone gives.
+    batch order its (seed, learner, assignment) stream draws, one epoch's
+    rows at a time (:func:`~fedsim.optimizers.assignment_batches`), so its
+    batches take the memory of its shard, whatever its budget. The learners
+    train in stacked chunks of at most ``_COHORT_ENTRIES`` learners x
+    parameters, and every result is bit for bit what training that learner
+    alone gives.
     Each chunk's anchors must have the task's layer structure
     (:class:`~fedsim.params.StructureError` otherwise), since
     :func:`~fedsim.optimizers.run_client_opt` splits the chunk's buffers
@@ -255,13 +263,9 @@ def _train_cohort(
         size = max(1, _COHORT_ENTRIES // first[1].num_entries)
         chunk = [first, *itertools.islice(learners, size - 1)]
         rows = [
-            assignment_batches(
-                p.indices, p.batch_size, budget,
-                np.random.default_rng(
-                    [seed, _TRAIN_STREAM, p.learner_id, assignment]
-                ),
-            )
-            for p, _, budget, assignment in chunk
+            assignment_batches(p.indices, p.batch_size, np.random.default_rng(
+                [seed, _TRAIN_STREAM, p.learner_id, assignment]))
+            for p, _, _, assignment in chunk
         ]
         yield from run_client_opt(
             [anchor for _, anchor, _, _ in chunk],

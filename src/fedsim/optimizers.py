@@ -20,7 +20,7 @@ rule, one learner and one out-of-place step at a time, is ``step_*`` in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,31 +61,26 @@ class OptimizerConfig:
 
 
 def assignment_batches(
-    indices: np.ndarray, batch_size: int, budget: int,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    """The first ``budget`` batches of an epoch-shuffled stream over the
-    shard, mapped through ``indices``, as views into one array.
+    indices: np.ndarray, batch_size: int, rng: np.random.Generator,
+) -> Iterator[np.ndarray]:
+    """Yield the batches of an epoch-shuffled stream over the shard, mapped
+    through ``indices``.
 
     Each epoch is a fresh permutation of the shard, cut into
-    ceil(n / batch_size) batches, the last one possibly short; a final
-    fractional epoch uses a prefix of its permutation. ``epoch_batches`` in
-    ``tests/oracles.py`` defines this order one batch at a time; this draws
-    the same ceil(budget / batches per epoch) permutations from ``rng`` in
-    the same order and maps them through ``indices`` in one fancy index, so
-    an assignment costs no generator and no index per step.
+    ceil(n / batch_size) batches, the last one possibly short; the stream
+    is infinite, so a final fractional epoch uses a prefix of its
+    permutation. ``epoch_batches`` in ``tests/oracles.py`` defines this
+    order; this draws the same permutations from ``rng`` in the same order,
+    each when its epoch's first batch is asked for, and maps each through
+    ``indices`` in one fancy index, so a step costs no index and an
+    assignment holds one epoch's rows, whatever its budget.
     """
     n = len(indices)
     _check_batching(n, batch_size)
-    per_epoch = -(-n // batch_size)
-    epochs = -(-budget // per_epoch)
-    rows = indices[np.concatenate([rng.permutation(n) for _ in range(epochs)])]
-    batches = []
-    for step in range(budget):
-        epoch, batch = divmod(step, per_epoch)
-        lo = epoch * n + batch * batch_size
-        batches.append(rows[lo : min(lo + batch_size, (epoch + 1) * n)])
-    return batches
+    while True:
+        rows = indices[rng.permutation(n)]
+        for lo in range(0, n, batch_size):
+            yield rows[lo : lo + batch_size]
 
 
 def _check_batching(num_examples: int, batch_size: int) -> None:

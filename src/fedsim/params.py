@@ -99,12 +99,6 @@ class ParamSet:
         """Total number of scalar parameters across all layers."""
         return self._flat.size
 
-    def layer(self, name: str) -> np.ndarray:
-        for (n, _), a in zip(self._structure, self.arrays):
-            if n == name:
-                return a
-        raise KeyError(name)
-
     def structure(self) -> Structure:
         return self._structure
 

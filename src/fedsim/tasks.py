@@ -8,7 +8,7 @@ cluster per class, so experiments are reproducible end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    class_means: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -87,7 +86,7 @@ def gen_synthetic(
     noise += means[:, None, :]
     features = noise.reshape(num_classes * per_class, input_dim)
     labels = np.repeat(np.arange(num_classes), per_class)
-    return Dataset(features, labels, num_classes, class_means=means)
+    return Dataset(features, labels, num_classes)
 
 
 def model_structure(model: TaskModel) -> Structure:

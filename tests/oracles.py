@@ -2,11 +2,12 @@
 
 Nothing here runs under ``fedsim run``. Each reference is the plain,
 out-of-place definition of what the fast code does in place: the
-``ParamSet`` arithmetic, one learner's gradient, the three local update
-rules (FedProx's proximal step per Li et al., arXiv 1812.06127) and the
-epoch-shuffled batch stream. ``train_alone`` folds them into one learner's
-assignment, the form cohort training and ``run_policy`` must match bit for
-bit. The rest are helpers several test files share: file-tree digests,
+``ParamSet`` arithmetic, the synthetic mixture's class means, one
+learner's gradient, the three local update rules (FedProx's proximal step
+per Li et al., arXiv 1812.06127) and the epoch-shuffled batch stream.
+``train_alone`` folds them into one learner's assignment, the form cohort
+training and ``run_policy`` must match bit for bit. The rest are helpers
+several test files share: file-tree digests, layer lookup by name,
 flat-vector views and central differences.
 """
 
@@ -22,7 +23,7 @@ from fedsim.params import (
     SERIALIZATION_VERSION, ParamSet, _check_same_structure, layer_spans,
     split_rows,
 )
-from fedsim.tasks import _mean_nll, model_structure, stacked_grad
+from fedsim.tasks import _MEAN_SCALE, _mean_nll, model_structure, stacked_grad
 
 
 # ParamSet arithmetic, one vector operation each.
@@ -80,6 +81,15 @@ def load(path):
     writes ``final_model.json``."""
     with open(path, "r", encoding="utf-8") as fh:
         return from_obj(json.load(fh))
+
+
+# The synthetic mixture.
+
+def class_means(num_classes, input_dim, seed):
+    """The cluster means ``gen_synthetic(num_classes, _, input_dim, _,
+    seed)`` draws its examples around, one row per class."""
+    rng = np.random.default_rng([seed, 0])
+    return _MEAN_SCALE * rng.standard_normal((num_classes, input_dim))
 
 
 # One model's loss and gradient.
@@ -182,6 +192,11 @@ def digest_tree(root, skip=()):
             with open(path, "rb") as fh:
                 out[rel] = hashlib.sha256(fh.read()).hexdigest()
     return out
+
+
+def layer(params, name):
+    """The array of ``params``' layer ``name``."""
+    return params.arrays[params.names.index(name)]
 
 
 def unflat(proto, vec):

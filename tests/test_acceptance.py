@@ -352,7 +352,7 @@ def test_criterion_7_staleness_weights(announce):
             state = init_community(proto)
             state.version = gap
             _, alpha = fedasync_update(
-                state, 0, ParamSet(["w"], [rng.standard_normal((4, 4))]),
+                state, ParamSet(["w"], [rng.standard_normal((4, 4))]),
                 1.0, fetch_version=0)
             check(abs(alpha - expect) <= 1e-12,
                   f"mixing path alpha at gap {gap} is {alpha!r}")

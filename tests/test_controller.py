@@ -1,7 +1,6 @@
 """Aggregation cache, staleness weighting, and the async mixing path."""
 
 import dataclasses
-import threading
 import tracemalloc
 
 import numpy as np
@@ -215,13 +214,13 @@ def test_commit_dispatch():
     state.version = 3
     twin = init_community(state.model)
     twin.version = 3
-    _, alpha = fedasync_update(twin, 2, w, 0.8, fetch_version=0)
+    _, alpha = fedasync_update(twin, w, 0.8, fetch_version=0)
     assert commit(poly, state, 2, w, 50, 0, 5, 0)[1] == alpha == 0.4
 
 
 def commit_bits(state):
-    """Every field but the lock, arrays as bytes: equal for two states
-    only if they hold the same values bit for bit."""
+    """Every field, arrays as bytes: equal for two states only if they
+    hold the same values bit for bit."""
     return (
         bits(state.model.flat), bits(state.weighted_sum), state.normalizer,
         state.committed_steps, state.version,
@@ -245,7 +244,7 @@ def test_commit_equals_the_direct_update_bit_for_bit(kind):
         got, value = commit(scheme, state, lid, w, 40 + lid, fetch_steps,
                             steps, fetch_version)
         if kind == "fedasync_poly":
-            want, weight = fedasync_update(direct, lid, w, 0.3, fetch_version)
+            want, weight = fedasync_update(direct, w, 0.3, fetch_version)
         else:
             weight = (
                 40.0 + lid if kind == "fedavg_static"
@@ -264,7 +263,7 @@ def test_fedasync_update_alpha_and_mixing():
     state = init_community(initial)
     local = rand_params(rng)
     # fresh fetch: gap 0, alpha = mixing
-    out, alpha = fedasync_update(state, 0, local, 0.5, fetch_version=0)
+    out, alpha = fedasync_update(state, local, 0.5, fetch_version=0)
     assert alpha == 0.5
     for c, i, l in zip(out.arrays, initial.arrays, local.arrays):
         assert np.allclose(c, 0.5 * i + 0.5 * l, rtol=0, atol=1e-12)
@@ -277,10 +276,10 @@ def test_fedasync_alpha_decays_with_version_gap():
     state = init_community(rand_params(rng))
     local = rand_params(rng)
     state.version = 3
-    _, alpha = fedasync_update(state, 0, local, 1.0, fetch_version=0)
+    _, alpha = fedasync_update(state, local, 1.0, fetch_version=0)
     assert alpha == 0.5  # (3 + 1) ** -0.5
     state.version = 8
-    _, alpha = fedasync_update(state, 0, local, 1.0, fetch_version=0)
+    _, alpha = fedasync_update(state, local, 1.0, fetch_version=0)
     assert abs(alpha - 1.0 / 3.0) <= 1e-12
 
 
@@ -288,7 +287,7 @@ def test_fedasync_fixed_alpha_mode():
     rng = np.random.default_rng(12)
     state = init_community(rand_params(rng))
     state.version = 50
-    _, alpha = fedasync_update(state, 0, rand_params(rng), 0.25,
+    _, alpha = fedasync_update(state, rand_params(rng), 0.25,
                                fetch_version=0, staleness_adaptive=False)
     assert alpha == 0.25
 
@@ -297,9 +296,9 @@ def test_fedasync_rejects_bad_mixing():
     rng = np.random.default_rng(13)
     state = init_community(rand_params(rng))
     with pytest.raises(ValueError):
-        fedasync_update(state, 0, rand_params(rng), 0.0, fetch_version=0)
+        fedasync_update(state, rand_params(rng), 0.0, fetch_version=0)
     with pytest.raises(ValueError):
-        fedasync_update(state, 0, rand_params(rng), 1.5, fetch_version=0)
+        fedasync_update(state, rand_params(rng), 1.5, fetch_version=0)
 
 
 def test_weighting_scheme_validation():
@@ -331,50 +330,10 @@ def test_snapshot_shape():
     assert snap["learners"]["1"]["local_steps"] == 3
 
 
-def test_concurrent_commits_linearize():
-    """Hammer the cache from many threads; the result must equal the
-    weighted average of each learner's final contribution."""
-    rng = np.random.default_rng(15)
-    num_learners, per_thread = 8, 50
-    state = fresh_state(rng)
-    plans = []
-    for k in range(num_learners):
-        models = [rand_params(np.random.default_rng([20, k, i]))
-                  for i in range(per_thread)]
-        values = np.random.default_rng([21, k]).uniform(0.5, 10.0, per_thread)
-        plans.append((models, values))
-
-    errors = []
-
-    def worker(k):
-        try:
-            models, values = plans[k]
-            for w, p in zip(models, values):
-                cached_update(state, k, w, float(p), steps=2, fetch_version=0)
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(k,))
-               for k in range(num_learners)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-
-    assert not errors
-    assert state.version == num_learners * per_thread
-    assert state.committed_steps == 2 * num_learners * per_thread
-    finals = [plans[k][0][-1] for k in range(num_learners)]
-    weights = [float(plans[k][1][-1]) for k in range(num_learners)]
-    assert max_abs_diff(state.model,
-                        weighted_average(finals, weights)) <= 1e-9
-
-
 def state_view(state):
-    """Every field but the lock, with the dicts copied: two views compare
-    equal only if no field was rebound or mutated in between."""
-    view = {f.name: getattr(state, f.name)
-            for f in dataclasses.fields(state) if f.name != "lock"}
+    """Every field, with the dicts copied: two views compare equal only if
+    no field was rebound or mutated in between."""
+    view = {f.name: getattr(state, f.name) for f in dataclasses.fields(state)}
     return {k: dict(v) if isinstance(v, dict) else v for k, v in view.items()}
 
 
@@ -411,9 +370,8 @@ weights = st.one_of(
 operations = st.one_of(
     st.tuples(st.just("cache"), st.integers(0, 2), models, weights,
               st.integers(0, 4)),
-    st.tuples(st.just("mix"), st.integers(0, 2), models,
-              st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 6),
-              st.booleans()),
+    st.tuples(st.just("mix"), models, st.floats(0.0, 1.0, exclude_min=True),
+              st.integers(0, 6), st.booleans()),
     st.tuples(st.just("fetch"), st.integers(0, 2)),
 )
 
@@ -426,7 +384,7 @@ def ramp(c):
 @settings(max_examples=300, deadline=None)
 @given(initial=models, ops=st.lists(operations, max_size=25))
 @example(initial=ramp(0.0), ops=[("cache", 0, ramp(1.0), 2.0, 1),
-                                 ("mix", 1, ramp(3.0), 0.5, 1, True),
+                                 ("mix", ramp(3.0), 0.5, 1, True),
                                  ("fetch", 0)])
 def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
     initial, ops
@@ -445,9 +403,9 @@ def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
                 _, k, w, value, steps = op
                 served = cached_update(state, k, w, value, steps, 0)
             else:
-                _, k, w, mixing, fetch_version, adaptive = op
-                served, _ = fedasync_update(state, k, w, mixing,
-                                            fetch_version, adaptive)
+                _, w, mixing, fetch_version, adaptive = op
+                served, _ = fedasync_update(state, w, mixing, fetch_version,
+                                            adaptive)
         except ValueError:  # includes NonFiniteError and the degenerate case
             assert state_view(state) == before
         else:
@@ -527,15 +485,15 @@ def test_commits_match_the_formula_with_temporaries_and_two_scans(
                 assert bits(state.weighted_sum) == bits(expected[0])
                 assert bits(got.flat) == bits(expected[1])
         else:
-            _, k, w, mixing, fetch_version, adaptive = op
+            _, w, mixing, fetch_version, adaptive = op
             fetch_version = min(fetch_version, state.version)
             alpha = mixing * (
                 poly_staleness(state.version, fetch_version) if adaptive
                 else 1.0
             )
             expected = outcome(reference_mix, state, w, alpha)
-            got = outcome(fedasync_update, state, k, w, mixing,
-                          fetch_version, adaptive)
+            got = outcome(fedasync_update, state, w, mixing, fetch_version,
+                          adaptive)
             if isinstance(expected, type):
                 assert got is expected
             else:

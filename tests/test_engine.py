@@ -168,6 +168,18 @@ def test_plan_rejects_horizon_past_the_clock():
         plan_semisync(1e306, profs)
 
 
+def test_plan_blames_the_epoch_when_it_overflows_before_lambda():
+    # 3 batches of 1.8e308 us are past the float range before lambda
+    # multiplies them, however small lambda is.
+    profs = [profile(0, 1.7976931348623157e305, np.arange(3), batch_size=1)]
+    with pytest.raises(ValueError) as err:
+        plan_semisync(5e-324, profs)
+    assert str(err.value) == (
+        "learner 0's epoch of 3 batches at 1.7976931348623156e+305 ms each "
+        "overflows the microsecond clock"
+    )
+
+
 def test_barrier_round_past_the_float_range_raises():
     # 1e305 ms per batch is a count the clock holds, but 100 batches end the
     # round past the float range: the run refuses it before training.

@@ -1,5 +1,7 @@
 """Local solver update rules and the minibatch schedule."""
 
+import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -235,30 +237,47 @@ def batch_plans(draw):
 def test_assignment_batches_equal_epoch_batches_through_the_shard(
     seed, plan, learner, assignment
 ):
-    """A whole assignment's batch rows, drawn at once, are the batches
-    ``epoch_batches`` yields mapped through the shard's indices, batch by
-    batch, and leave the stream's generator where the batch-by-batch
-    draw does."""
+    """The first ``budget`` batches of an assignment's stream are the
+    batches ``epoch_batches`` yields mapped through the shard's indices,
+    batch by batch, and leave the stream's generator where the
+    batch-by-batch draw does."""
     size, batch, budget = plan
     indices = np.random.default_rng(seed).choice(500, size=size, replace=False)
 
     key = [seed, _TRAIN_STREAM, learner, assignment]
-    rng_at_once = np.random.default_rng(key)
+    rng_lazy = np.random.default_rng(key)
     rng_by_batch = np.random.default_rng(key)
-    rows = assignment_batches(indices, batch, budget, rng_at_once)
+    rows = list(itertools.islice(
+        assignment_batches(indices, batch, rng_lazy), budget))
     stream = epoch_batches(size, batch, rng_by_batch)
     assert len(rows) == budget
     for got in rows:
         assert np.array_equal(got, indices[next(stream)])
-    assert rng_at_once.random() == rng_by_batch.random()
+    assert rng_lazy.random() == rng_by_batch.random()
 
 
 def test_assignment_batches_rejects_empty():
     rng = np.random.default_rng(47)
     with pytest.raises(ValueError):
-        assignment_batches(np.arange(0), 4, 3, rng)
+        next(assignment_batches(np.arange(0), 4, rng))
     with pytest.raises(ValueError):
-        assignment_batches(np.arange(10), 0, 3, rng)
+        next(assignment_batches(np.arange(10), 0, rng))
+
+
+def test_assignment_batches_memory_is_bounded_by_the_shard():
+    """100,000 batches from a 100-example shard, taken one at a time, never
+    hold more than about one epoch's rows: the peak stays far below the
+    tens of MB the same budget takes when every batch is built up front."""
+    stream = assignment_batches(
+        np.arange(100), 20, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        for batch in itertools.islice(stream, 100_000):
+            assert len(batch) == 20
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def ce_grad(task):

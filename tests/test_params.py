@@ -19,7 +19,9 @@ from fedsim.params import (
 )
 from fedsim import runner
 from fedsim.config import parse_config_text
-from oracles import axpy, equal, from_obj, load, max_abs_diff, scale, zeros_like
+from oracles import (
+    axpy, equal, from_obj, layer, load, max_abs_diff, scale, zeros_like,
+)
 
 
 def make(names_arrays):
@@ -132,13 +134,13 @@ def test_flat_buffer_is_frozen_and_backs_the_layers():
     a[0, 0] = b[0] = 99.0
     assert p.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0]
     assert not np.shares_memory(p.flat, a) and not np.shares_memory(p.flat, b)
-    for layer in p.arrays:
-        assert np.shares_memory(layer, p.flat)
+    for view in p.arrays:
+        assert np.shares_memory(view, p.flat)
         with pytest.raises(ValueError):
-            layer[...] = 0.0
+            view[...] = 0.0
     with pytest.raises(ValueError):
         p.flat[0] = 5.0
-    assert p.layer("b").tolist() == [7.0, 8.0]
+    assert layer(p, "b").tolist() == [7.0, 8.0]
     assert p.num_entries == 8
     for derived in (scale(2.0, p), axpy(1.0, p, p), zeros_like(p),
                     weighted_average([p, p], [1.0, 2.0])):

@@ -9,7 +9,10 @@ from fedsim.params import ParamSet
 from fedsim.tasks import (
     Dataset, TaskModel, evaluate, gen_synthetic, init_params,
 )
-from oracles import central_diff, loss_and_grad, rel_err, unflat, zero_params
+from oracles import (
+    central_diff, class_means, layer, loss_and_grad, rel_err, unflat,
+    zero_params,
+)
 
 SOFTMAX = TaskModel("softmax_regression", input_dim=6, num_classes=4)
 MLP_RELU = TaskModel("mlp1", input_dim=6, num_classes=4, hidden_dim=5,
@@ -44,7 +47,7 @@ def test_loss_at_zero_weights_is_log_num_classes():
                                data.labels)
     assert abs(loss - math.log(10.0)) < 1e-12
     # and the bias gradient is (mean softmax - class frequency)
-    assert np.allclose(grad.layer("b"), 0.1 - np.bincount(data.labels,
+    assert np.allclose(layer(grad, "b"), 0.1 - np.bincount(data.labels,
                        minlength=10) / len(data.labels), atol=1e-12)
 
 
@@ -99,7 +102,6 @@ def test_evaluate_tie_breaks_to_lowest_class():
         features=np.array([[1.0, 0.0], [0.0, 1.0]]),
         labels=np.array([0, 2]),
         num_classes=3,
-        class_means=np.zeros((3, 2)),
     )
     acc, _ = evaluate(task, w, data)
     assert acc == 0.5  # both predicted 0; only the first label matches
@@ -109,9 +111,13 @@ def test_gen_synthetic_layout_and_counts():
     data = gen_synthetic(5, 12, 7, 1.5, seed=21)
     assert data.features.shape == (60, 7)
     assert data.labels.shape == (60,)
-    assert data.class_means.shape == (5, 7)
     # class-major layout: labels come in contiguous blocks
     assert np.array_equal(data.labels, np.repeat(np.arange(5), 12))
+
+
+def test_gen_synthetic_zero_spread_places_examples_on_class_means():
+    data = gen_synthetic(5, 12, 7, 0.0, seed=21)
+    assert np.array_equal(data.features, class_means(5, 7, 21)[data.labels])
 
 
 def test_gen_synthetic_deterministic():
@@ -119,28 +125,29 @@ def test_gen_synthetic_deterministic():
     b = gen_synthetic(4, 10, 6, 2.0, seed=33)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.class_means, b.class_means)
 
 
 def test_gen_synthetic_sample_tag_shares_means_only():
     train = gen_synthetic(4, 10, 6, 2.0, seed=33, sample_tag=0)
     test = gen_synthetic(4, 10, 6, 2.0, seed=33, sample_tag=1)
-    assert np.array_equal(train.class_means, test.class_means)
+    centers = [gen_synthetic(4, 10, 6, 0.0, seed=33, sample_tag=tag)
+               for tag in (0, 1)]
+    assert np.array_equal(centers[0].features, centers[1].features)
     assert not np.array_equal(train.features, test.features)
 
 
 def test_gen_synthetic_seed_changes_means():
-    a = gen_synthetic(4, 10, 6, 2.0, seed=33)
-    b = gen_synthetic(4, 10, 6, 2.0, seed=34)
-    assert not np.array_equal(a.class_means, b.class_means)
+    a = gen_synthetic(4, 10, 6, 0.0, seed=33)
+    b = gen_synthetic(4, 10, 6, 0.0, seed=34)
+    assert not np.array_equal(a.features, b.features)
 
 
 def test_gen_synthetic_spread_controls_noise():
     tight = gen_synthetic(3, 40, 5, 0.1, seed=11)
     loose = gen_synthetic(3, 40, 5, 5.0, seed=11)
+    means = class_means(3, 5, 11)
     def mean_dev(d):
-        return np.mean(np.linalg.norm(
-            d.features - d.class_means[d.labels], axis=1))
+        return np.mean(np.linalg.norm(d.features - means[d.labels], axis=1))
     assert mean_dev(tight) < mean_dev(loose)
 
 
@@ -151,21 +158,21 @@ def test_init_params_bounds_and_determinism():
     for x, y in zip(a.arrays, b.arrays):
         assert np.array_equal(x, y)
     # weights bounded by 1/sqrt(fan_in), biases zero
-    assert np.all(np.abs(a.layer("W1")) <= 1.0 / math.sqrt(9))
-    assert np.all(np.abs(a.layer("W2")) <= 1.0 / math.sqrt(6))
-    assert not a.layer("b1").any()
-    assert not a.layer("b2").any()
+    assert np.all(np.abs(layer(a, "W1")) <= 1.0 / math.sqrt(9))
+    assert np.all(np.abs(layer(a, "W2")) <= 1.0 / math.sqrt(6))
+    assert not layer(a, "b1").any()
+    assert not layer(a, "b2").any()
 
 
 def test_zero_params_structures():
     soft = zero_params(SOFTMAX)
-    assert soft.layer("W").shape == (6, 4)
-    assert soft.layer("b").shape == (4,)
+    assert layer(soft, "W").shape == (6, 4)
+    assert layer(soft, "b").shape == (4,)
     mlp = zero_params(MLP_RELU)
-    assert mlp.layer("W1").shape == (6, 5)
-    assert mlp.layer("b1").shape == (5,)
-    assert mlp.layer("W2").shape == (5, 4)
-    assert mlp.layer("b2").shape == (4,)
+    assert layer(mlp, "W1").shape == (6, 5)
+    assert layer(mlp, "b1").shape == (5,)
+    assert layer(mlp, "W2").shape == (5, 4)
+    assert layer(mlp, "b2").shape == (4,)
 
 
 def test_full_batch_descent_fits_separable_data():

@@ -1,9 +1,13 @@
-"""Every imported name is read somewhere in its file.
+"""Import rules, checked by scanning each file's syntax tree.
 
-pyflakes is not a dependency, so this scans the syntax tree itself: each
-name an ``import`` binds must appear as a loaded name in the same file.
-``from __future__`` imports are directives, and ``src/fedsim/__init__.py``
-imports the names it binds for the package, so both are exempt.
+Every imported name is read somewhere in its file. pyflakes is not a
+dependency, so this scans the syntax tree itself: each name an ``import``
+binds must appear as a loaded name in the same file. ``from __future__``
+imports are directives, and ``src/fedsim/__init__.py`` imports the names it
+binds for the package, so both are exempt.
+
+fedsim is single-threaded: no module of the package imports a thread or
+process module, so nothing in it runs concurrently with the event loop.
 """
 
 import ast
@@ -16,6 +20,8 @@ FILES = sorted(
     for path in ROOT.glob(pattern)
     if path != ROOT / "src" / "fedsim" / "__init__.py"
 )
+PACKAGE = sorted((ROOT / "src" / "fedsim").glob("*.py"))
+CONCURRENCY_MODULES = {"threading", "_thread", "multiprocessing", "concurrent"}
 
 
 def unused_imports(source):
@@ -33,6 +39,22 @@ def unused_imports(source):
     return [(line, name) for line, name in bound if name not in read]
 
 
+def concurrency_imports(source):
+    """(line, module) of each absolute import of a thread or process
+    module in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.split(".")[0] in CONCURRENCY_MODULES]
+    return found
+
+
 def test_scan_finds_an_unused_name():
     source = ("from __future__ import annotations\n"
               "import os\nimport os.path as osp\nimport numpy as np\n"
@@ -45,4 +67,25 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused
              for path in FILES
              if (unused := unused_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_scan_finds_a_concurrency_import():
+    source = ("import threading\nimport threadpoolctl\n"
+              "import concurrent.futures as cf\n"
+              "from multiprocessing import Pool\n"
+              "from _thread import start_new_thread\n"
+              "from .threading import helper\n"
+              "def f():\n    import threading as t\n")
+    assert concurrency_imports(source) == [
+        (1, "threading"), (3, "concurrent.futures"), (4, "multiprocessing"),
+        (5, "_thread"), (8, "threading"),
+    ]
+
+
+def test_package_imports_no_thread_or_process_module():
+    found = {str(path.relative_to(ROOT)): modules
+             for path in PACKAGE
+             if (modules := concurrency_imports(
+                 path.read_text(encoding="utf-8")))}
     assert found == {}
