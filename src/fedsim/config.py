@@ -13,6 +13,7 @@ default, so an empty file is a valid experiment.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import dataclass
 
@@ -239,7 +240,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     # (an unknown one) instead of defaults for every other section.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        parser.read_string(text)
+        # Universal newlines, as a text-mode read of the file would give.
+        parser.read_file(io.StringIO(text, newline=None), source="<string>")
     except configparser.Error as exc:
         raise ConfigError([f"unparseable config: {exc}"]) from None
 
@@ -321,5 +323,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" keeps the file's line endings in ``source_text``, so the
+    # cell's config.txt echoes the file byte for byte.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_config_text(fh.read())

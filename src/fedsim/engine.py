@@ -301,8 +301,12 @@ def run_policy(
     learner-id order and, unless ``cfg.rounds`` rounds are done, every
     learner refetches.
 
-    A commit group is one timestamp under ``async`` and one round otherwise.
-    Its learners train as one cohort (:func:`_train_cohort`), chunk by
+    Every commit group closes by one rule. Its close time is the last
+    arrival in flight under ``sync`` and ``semisync`` and the earliest under
+    ``async``; every arrival at or before it joins the group, in learner-id
+    order. So a group is one round under a barrier and one timestamp under
+    ``async``, and a barrier run's round count is its group count.
+    A group's learners train as one cohort (:func:`_train_cohort`), chunk by
     chunk, each chunk before its first learner commits; none of them trains
     from a model committed in its own group, so this is the same as
     training them one by one. The
@@ -350,17 +354,13 @@ def run_policy(
         fetch(p, 0, 0)
     groups = 0
     while heap and heap[0][0] <= horizon_us:
-        if barrier:
-            t = max(heap)[0]
-            arrivals = sorted(heap, key=lambda e: e[1])
-            heap.clear()
-        else:
-            t = heap[0][0]
-            arrivals = []
-            while heap and heap[0][0] == t:
-                arrivals.append(heapq.heappop(heap))
+        t = max(heap)[0] if barrier else heap[0][0]
         if t > sys.float_info.max:
             raise ValueError(f"virtual time {t} us is past the float range")
+        arrivals = []
+        while heap and heap[0][0] <= t:
+            arrivals.append(heapq.heappop(heap))
+        arrivals.sort(key=lambda e: e[1])
         # Read lazily, one chunk at a time, before any learner of the chunk
         # commits and refetches: old anchors die as their learners refetch.
         trained = _train_cohort(
@@ -384,24 +384,23 @@ def run_policy(
                     cfg.weighting, state, lid, w_k, p.data_size, fetch_steps,
                     steps, fetch_version,
                 )
-            log.contributions.append((t, lid, value))
-            if not barrier:
                 log.events.append((t, "community_commit", lid))
                 fetch(p, t, assignment + 1)
+            log.contributions.append((t, lid, value))
+        groups += 1
         if barrier:
             w_c = weighted_average(models, weights)
-            log.federation_rounds += 1
             log.events.append((t, "community_commit", -1))
-            if log.federation_rounds < cfg.rounds:
+            if groups < cfg.rounds:
                 for p in profiles:
-                    fetch(p, t, log.federation_rounds)
-        groups += 1
+                    fetch(p, t, groups)
         if groups % cfg.eval_every == 0 or not heap or heap[0][0] > horizon_us:
             accuracy, loss = evaluate(task, w_c, test)
             log.evals.append(
                 EvalSnapshot(t, groups - 1, log.update_requests, accuracy, loss)
             )
             log.events.append((t, "eval", -1))
+    log.federation_rounds = groups if barrier else 0
     log.final_model = w_c
     log.final_state = state
     return log

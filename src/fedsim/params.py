@@ -102,15 +102,8 @@ class ParamSet:
     def structure(self) -> Structure:
         return self._structure
 
-    def __len__(self) -> int:
-        return len(self._structure)
-
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(zip(self.names, self.arrays))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{n}{a.shape}" for n, a in self)
-        return f"ParamSet({inner})"
 
 
 def layer_spans(

@@ -132,9 +132,9 @@ def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
         "evaluations": len(log.evals),
         "final_accuracy": log.evals[-1].accuracy if log.evals else None,
         "final_loss": log.evals[-1].loss if log.evals else None,
-        "total_virtual_ms": (
-            max(t for t, _, _ in log.events) / 1000.0 if log.events else 0.0
-        ),
+        # The last group is always evaluated and no event is later than its
+        # close; a run with no group has only its t = 0 fetches.
+        "total_virtual_ms": log.evals[-1].t_us / 1000.0 if log.evals else 0.0,
     }
     if log.schedule is not None:
         summary["schedule"] = {

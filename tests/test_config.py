@@ -1,5 +1,6 @@
 """Experiment config parsing: defaults, overrides, violation collection."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -195,6 +196,22 @@ def test_parse_config_reads_file(tmp_path):
     path.write_text("[experiment]\nseed = 11\n")
     cfg = parse_config(str(path))
     assert cfg.seed == 11
+
+
+LF_CONFIG = ("[experiment]\noutput = runs/x\nseed = 3\n"
+             "[protocol]\npolicy = semisync\nlambda = 1, 2\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_parse_config_keeps_the_file_text_and_its_keys(tmp_path, newline):
+    # The file's own line endings stay in source_text; the keys parse as
+    # from the LF text, a lone-CR file included.
+    path = tmp_path / "run.ini"
+    path.write_bytes(LF_CONFIG.replace("\n", newline).encode())
+    cfg = parse_config(str(path))
+    assert cfg.source_text.encode() == path.read_bytes()
+    lf = parse_config_text(LF_CONFIG)
+    assert dataclasses.replace(cfg, source_text=lf.source_text) == lf
 
 
 # Each bad config's exact violation list. A key that fails its own check

@@ -154,6 +154,11 @@ def test_profile_rejects_sub_microsecond_batches():
         profile(0, 0.0, np.arange(5))
 
 
+def test_profile_rejects_an_empty_shard():
+    with pytest.raises(ValueError, match="learner 3 has no data"):
+        profile(3, 30.0, np.arange(0))
+
+
 @pytest.mark.parametrize("t_ms", [1e306, math.inf])
 def test_profile_rejects_latency_past_the_clock(t_ms):
     # The microsecond count overflows a float: the profile refuses it when

@@ -49,7 +49,7 @@ def test_weighted_average_matches_manual_loop():
         weights = rng.uniform(0.1, 4.0, size=5)
         out = weighted_average(models, weights)
         total = weights.sum()
-        for j in range(len(out)):
+        for j in range(len(out.names)):
             expect = sum(w * m.arrays[j] for w, m in zip(weights, models)) / total
             assert np.allclose(out.arrays[j], expect, rtol=0, atol=1e-12)
 
@@ -99,7 +99,7 @@ def test_axpy_and_scale_identities():
     x = random_params(rng)
     y = random_params(rng)
     out = axpy(2.0, x, y)
-    for j in range(len(out)):
+    for j in range(len(out.names)):
         assert np.allclose(out.arrays[j], 2.0 * x.arrays[j] + y.arrays[j],
                            rtol=0, atol=1e-12)
     # scale by 1 is identity, scale by 0 is zeros
@@ -114,7 +114,7 @@ def test_zeros_like_preserves_structure():
     x = random_params(rng)
     z = zeros_like(x)
     assert z.names == x.names
-    for j in range(len(z)):
+    for j in range(len(z.names)):
         assert z.arrays[j].shape == x.arrays[j].shape
         assert not z.arrays[j].any()
 
@@ -160,6 +160,11 @@ def test_constructor_rejects_mismatched_names():
         ParamSet(["a", "b"], [np.zeros(2)])
     with pytest.raises(StructureError):
         ParamSet([], [])
+
+
+def test_constructor_rejects_duplicate_layer_names():
+    with pytest.raises(StructureError, match="duplicate layer names"):
+        ParamSet(["a", "a"], [np.zeros(2), np.zeros(3)])
 
 
 def test_max_abs_diff():

@@ -69,6 +69,11 @@ def test_largest_remainder_conserves_total():
         assert all(s >= 0 for s in sizes)
 
 
+def test_largest_remainder_ties_go_to_the_lower_index():
+    assert _largest_remainder(1, np.array([1, 1])) == [1, 0]
+    assert _largest_remainder(2, np.array([1, 1, 1])) == [1, 1, 0]
+
+
 def test_head_expanded_quotas_pinned():
     assert HEAD_EXPANDED_QUOTAS[(5, 10, 10)] == (8, 7, 6, 5, 5, 5, 5, 5, 5, 5)
     assert HEAD_EXPANDED_QUOTAS[(3, 10, 10)] == (8, 4, 3, 3, 3, 3, 3, 3, 3, 3)

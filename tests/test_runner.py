@@ -216,6 +216,42 @@ def test_cli_async_arrival_past_the_float_range_exits_0(tmp_path):
     assert not [name for name in os.listdir(out) if name.startswith(".")]
 
 
+def test_cli_config_echo_is_the_file_byte_for_byte(tmp_path):
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_bytes(SMALL_SYNC.format(out=out).replace("\n", "\r\n")
+                         .encode())
+    assert main(["run", str(cfg_path), "--report-partitions-only"]) == 0
+    assert (out / "config.txt").read_bytes() == cfg_path.read_bytes()
+
+
+@pytest.mark.parametrize("text", [SMALL_SYNC, SMALL_ASYNC],
+                         ids=["sync", "async"])
+def test_total_virtual_ms_is_the_last_evaluation(tmp_path, text):
+    out = tmp_path / "run"
+    assert run_experiment(parse_config_text(text.format(out=out))) == 0
+    summary = json.load(open(out / "summary.json"))
+    last = (out / "metrics.csv").read_text().splitlines()[-1]
+    events = [json.loads(line) for line in open(out / "events.jsonl")]
+    total = summary["total_virtual_ms"]
+    assert total == float(last.split(",")[0])
+    assert total == max(e["virtual_ms"] for e in events) > 0.0
+
+
+def test_async_run_with_no_group_has_zero_virtual_ms(tmp_path):
+    # The fast learner's first arrival, 6 batches of 5 ms, lands past the
+    # 10 ms budget: the run commits and evaluates nothing.
+    out = tmp_path / "run"
+    text = SMALL_ASYNC.format(out=out).replace("time_budget_ms = 400",
+                                               "time_budget_ms = 10")
+    assert run_experiment(parse_config_text(text)) == 0
+    summary = json.load(open(out / "summary.json"))
+    assert summary["total_virtual_ms"] == 0.0
+    assert summary["evaluations"] == summary["update_requests"] == 0
+    assert (out / "metrics.csv").read_text().splitlines() == [
+        "virtual_ms,update_requests,round,accuracy,loss"]
+
+
 def test_cli_sub_microsecond_semisync_horizon_exits_0(tmp_path):
     # Tiny shards, 0.5 us batches and lambda 0.25 plan a horizon under half
     # a microsecond; it is floored at 1 us, as budgets are at one batch.

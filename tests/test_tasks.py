@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.params import ParamSet
+from fedsim.params import ParamSet, layer_spans, split_rows
 from fedsim.tasks import (
     Dataset, TaskModel, evaluate, gen_synthetic, init_params,
+    model_structure, stacked_grad,
 )
 from oracles import (
     central_diff, class_means, layer, loss_and_grad, rel_err, unflat,
@@ -73,6 +74,16 @@ def test_loss_finite_for_extreme_logits():
     loss, grad = loss_and_grad(task, w, X, y)
     assert math.isfinite(loss)
     assert all(np.all(np.isfinite(a)) for a in grad.arrays)
+
+
+def test_stacked_grad_rejects_an_empty_batch():
+    # Two models, each with a batch of no rows: a mean over no examples.
+    spans = layer_spans(model_structure(MLP_RELU))
+    W = np.tile(init_params(MLP_RELU, np.random.default_rng(3)).flat, (2, 1))
+    with pytest.raises(ValueError, match="empty batch"):
+        stacked_grad(MLP_RELU, split_rows(spans, W), np.zeros((2, 0, 6)),
+                     np.zeros((2, 0), dtype=np.int64),
+                     split_rows(spans, np.zeros_like(W)))
 
 
 def test_evaluate_zero_weights_balanced_accuracy():
