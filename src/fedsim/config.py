@@ -232,16 +232,17 @@ class ExperimentConfig:
         return self.num_fast + self.num_slow
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     """Parse and validate a config document; raises :class:`ConfigError`
-    carrying all violations if anything is wrong."""
+    carrying all violations if anything is wrong. ``source`` names the
+    document in a syntax error."""
     violations: list[str] = []
     # No header can spell a newline, so [DEFAULT] is an ordinary section
     # (an unknown one) instead of defaults for every other section.
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         # Universal newlines, as a text-mode read of the file would give.
-        parser.read_file(io.StringIO(text, newline=None), source="<string>")
+        parser.read_file(io.StringIO(text, newline=None), source=source)
     except configparser.Error as exc:
         raise ConfigError([f"unparseable config: {exc}"]) from None
 
@@ -326,4 +327,4 @@ def parse_config(path: str) -> ExperimentConfig:
     # newline="" keeps the file's line endings in ``source_text``, so the
     # cell's config.txt echoes the file byte for byte.
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), source=path)

@@ -39,7 +39,7 @@ class ParamSet:
     non-finite entries, so any ParamSet in circulation is finite.
     """
 
-    __slots__ = ("_structure", "_flat", "_arrays")
+    __slots__ = ("_structure", "_flat")
 
     def __init__(self, names: Sequence[str], arrays: Sequence[np.ndarray]):
         if len(names) != len(arrays):
@@ -69,7 +69,6 @@ class ParamSet:
         flat.setflags(write=False)
         self._structure = structure
         self._flat = flat
-        self._arrays = None
         if not all_finite(flat):
             for name, a in self:
                 if not np.isfinite(a).all():
@@ -86,13 +85,11 @@ class ParamSet:
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
-        # Built on first use: local training reads only ``flat`` of most sets.
-        if self._arrays is None:
-            self._arrays = tuple(
-                self._flat[lo:hi].reshape(shape)
-                for lo, hi, shape in layer_spans(self._structure)
-            )
-        return self._arrays
+        # Built on each use: only exports and error paths read the layers.
+        return tuple(
+            self._flat[lo:hi].reshape(shape)
+            for lo, hi, shape in layer_spans(self._structure)
+        )
 
     @property
     def num_entries(self) -> int:

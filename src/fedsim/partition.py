@@ -9,6 +9,7 @@ same spec, sizes and dataset it always produces the same partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -131,9 +132,8 @@ def make_sizes(spec: PartitionSpec, total: int) -> list[int]:
             f"cannot split {total} examples across {n} learners"
         )
     if spec.size_dist == "uniform":
-        base, rem = divmod(total, n)
-        return [base + 1] * rem + [base] * (n - rem)
-    if spec.size_dist == "powerlaw":
+        props = np.ones(n)
+    elif spec.size_dist == "powerlaw":
         props = np.arange(1, n + 1, dtype=np.float64) ** -spec.exponent
     else:
         props = spec.ratio ** -np.arange(1, n + 1, dtype=np.float64)
@@ -149,17 +149,14 @@ def make_sizes(spec: PartitionSpec, total: int) -> list[int]:
 
 
 def _class_quotas(spec: PartitionSpec, num_classes: int) -> list[int]:
+    flat = [spec.classes_per_learner] * spec.num_learners
     if spec.class_count_override is not None:
         quotas = list(spec.class_count_override)
     elif spec.size_dist == "powerlaw":
         key = (spec.classes_per_learner, spec.num_learners, num_classes)
-        quotas = list(
-            HEAD_EXPANDED_QUOTAS.get(
-                key, [spec.classes_per_learner] * spec.num_learners
-            )
-        )
+        quotas = list(HEAD_EXPANDED_QUOTAS.get(key, flat))
     else:
-        quotas = [spec.classes_per_learner] * spec.num_learners
+        quotas = flat
     for q in quotas:
         if not 1 <= q <= num_classes:
             raise PartitionError(
@@ -200,6 +197,8 @@ def assign_classes(
     cannot starve the tail of the size distribution. Examples that remain
     once all quotas are met (a class constraint can make exact quotas
     infeasible) are dealt head-to-tail among the owners of their class.
+    A learner left with no example, because the learners before it drew
+    every example of its classes, is refused with :class:`PartitionError`.
     """
     n = spec.num_learners
     if len(sizes) != n:
@@ -221,55 +220,46 @@ def assign_classes(
                 f"learner {k} holds {sizes[k]} examples but owns "
                 f"{len(owned[k])} classes: quota infeasible"
             )
+    # Each class's examples, lowest index last: pop() draws in index order.
+    pools = [np.flatnonzero(dataset.labels == c)[::-1].tolist()
+             for c in range(num_classes)]
     covered = set().union(*map(set, owned))
-    orphans = sorted(
-        c for c in range(num_classes)
-        if c not in covered and np.any(dataset.labels == c)
-    )
+    orphans = [c for c in range(num_classes) if c not in covered and pools[c]]
     if orphans:
         raise PartitionError(
             f"classes {orphans} have examples but no owning learner; raise "
             f"classes_per_learner or the learner count so every class is owned"
         )
 
-    pools = [list(np.flatnonzero(dataset.labels == c)) for c in range(num_classes)]
-    cursor = [0] * num_classes
-
-    def pool_left(c: int) -> int:
-        return len(pools[c]) - cursor[c]
-
     taken: list[list[int]] = [[] for _ in range(n)]
-    wheel = [0] * n  # next position in each learner's owned-class cycle
+    wheels = [cycle(o) for o in owned]  # each learner's owned classes, in turn
     active = set(range(n))
     while active:
         for k in sorted(active):
-            classes = owned[k]
-            drew = False
-            for _ in range(len(classes)):
-                c = classes[wheel[k] % len(classes)]
-                wheel[k] += 1
-                if pool_left(c) > 0:
-                    taken[k].append(pools[c][cursor[c]])
-                    cursor[c] += 1
-                    drew = True
+            for c in islice(wheels[k], len(owned[k])):
+                if pools[c]:
+                    taken[k].append(pools[c].pop())
                     break
-            if not drew or len(taken[k]) >= sizes[k]:
+            else:  # pools only shrink, so no later draw can succeed
+                active.discard(k)
+            if len(taken[k]) >= sizes[k]:
                 active.discard(k)
 
     # Leftovers: per class, cycle over its owners from the head down.
-    assigned = sum(len(t) for t in taken)
-    remaining = total - assigned
+    remaining = total - sum(map(len, taken))
     for c in range(num_classes):
         if remaining <= 0:
             break
-        owners = [k for k in range(n) if c in owned[k]]
-        turn = 0
-        while pool_left(c) > 0 and remaining > 0:
-            k = owners[turn % len(owners)]
-            taken[k].append(pools[c][cursor[c]])
-            cursor[c] += 1
+        owners = cycle([k for k in range(n) if c in owned[k]])
+        while pools[c] and remaining > 0:
+            taken[next(owners)].append(pools[c].pop())
             remaining -= 1
-            turn += 1
+    for k, t in enumerate(taken):
+        if not t:  # its classes ran dry before its first draw
+            raise PartitionError(
+                f"learner {k} gets no examples: the learners before it leave "
+                f"no example of its classes {list(owned[k])}"
+            )
 
     indices = [np.array(sorted(t), dtype=np.int64) for t in taken]
     return PartitionResult(indices, [tuple(o) for o in owned])

@@ -153,6 +153,58 @@ def test_partition_disjoint_and_conserving():
     assert ran >= 40
 
 
+def test_override_partitions_fill_every_learner_or_refuse():
+    # Small worlds with a per-learner class quota: the partitioner either
+    # refuses the spec or gives every learner at least one example of its
+    # own classes, using each example exactly once.
+    rng = np.random.default_rng(89)
+    size_dists = ["uniform", "powerlaw", "skewed"]
+    ran = refused = 0
+    for trial in range(400):
+        num_classes = int(rng.integers(1, 6))
+        per_class = int(rng.integers(1, 5))
+        n = int(rng.integers(1, min(8, num_classes * per_class) + 1))
+        spec = PartitionSpec(
+            num_learners=n,
+            size_dist=size_dists[int(rng.integers(0, 3))],
+            class_dist="non_iid",
+            class_count_override=tuple(
+                int(q) for q in rng.integers(1, num_classes + 1, size=n)),
+        )
+        data = gen_synthetic(num_classes, per_class, 2, 1.0, seed=trial)
+        if rng.random() < 0.5:
+            data.labels = rng.permutation(data.labels)
+        sizes = make_sizes(spec, len(data.labels))
+        try:
+            res = assign_classes(spec, sizes, data)
+        except PartitionError:
+            refused += 1
+            continue
+        allocated = np.concatenate(res.indices)
+        assert sorted(allocated) == list(range(len(data.labels)))
+        for owned, ix in zip(res.owned_classes, res.indices):
+            assert len(ix) >= 1
+            assert set(data.labels[ix]) <= set(owned)
+        ran += 1
+    assert ran >= 100 and refused >= 100
+
+
+def test_learner_left_without_examples_is_refused():
+    # Learner 3 owns only class 0, whose three examples learners 0-2 draw
+    # first; its shard would be empty.
+    spec = PartitionSpec(num_learners=4, size_dist="skewed",
+                         class_dist="non_iid", classes_per_learner=3,
+                         class_count_override=(3, 3, 2, 1))
+    data = gen_synthetic(3, 3, 2, 1.0, seed=1)
+    sizes = make_sizes(spec, len(data.labels))
+    assert sizes == [3, 3, 2, 1]
+    with pytest.raises(PartitionError) as exc:
+        assign_classes(spec, sizes, data)
+    assert str(exc.value) == (
+        "learner 3 gets no examples: the learners before it leave no "
+        "example of its classes [0]")
+
+
 def test_noniid_respects_class_ownership():
     spec = PartitionSpec(num_learners=6, class_dist="non_iid",
                          classes_per_learner=2)

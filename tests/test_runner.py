@@ -322,6 +322,14 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_cli_unparseable_config_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "words.ini"
+    bad.write_text("just some words\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"file: {str(bad)!r}, line: 1" in err and "<string>" not in err
+
+
 @pytest.mark.parametrize("old, new, violation", [
     ("rounds = 3", "rounds = 3\n[optimizer]\nkind = momentum\n"
                    "eta_in_velocity = true",
@@ -344,6 +352,19 @@ def test_cli_removed_key_is_exit_2(tmp_path, capsys, old, new, violation):
     assert os.listdir(tmp_path) == ["run.ini"]
 
 
+# Learner 3 owns only class 0, whose three examples learners 0-2 draw first.
+EMPTY_LEARNER = [
+    ("input_dim = 6", "input_dim = 2"), ("num_classes = 4", "num_classes = 3"),
+    ("per_class = 60", "per_class = 3"), ("num_slow = 1", "num_slow = 2"),
+    ("batch_size = 20", "batch_size = 2"),
+    ("[learners]", "[partition]\nsize_dist = skewed\nclass_dist = non_iid\n"
+                   "classes_per_learner = 3\nclass_count_override = 3, 3, 2, 1\n"
+                   "[learners]"),
+]
+EMPTY_LEARNER_MESSAGE = ("learner 3 gets no examples: the learners before it "
+                         "leave no example of its classes [0]")
+
+
 @pytest.mark.parametrize("edits, argv, message", [
     ([], ["--seed", "-1"], "must be >= 0, got -1"),
     ([("[learners]", "[partition]\nclass_dist = non_iid\n"
@@ -355,8 +376,11 @@ def test_cli_removed_key_is_exit_2(tmp_path, capsys, old, new, violation):
      "t_beta_fast_ms: 1e+306 ms is not a finite number of microseconds"),
     ([("policy = sync", "policy = semisync\nlambda = 2, 2.0000001")], [],
      "[protocol] lambda: 2.0 and 2.0000001 share the cell lam-2"),
+    (EMPTY_LEARNER, [], EMPTY_LEARNER_MESSAGE),
+    (EMPTY_LEARNER, ["--report-partitions-only"], EMPTY_LEARNER_MESSAGE),
 ], ids=["negative_seed", "class_quota", "too_few_examples",
-        "latency_past_clock", "lambdas_share_a_cell"])
+        "latency_past_clock", "lambdas_share_a_cell", "empty_learner",
+        "empty_learner_report_only"])
 def test_cli_setup_failures_exit_2(tmp_path, capsys, edits, argv, message):
     # Failures found before the run starts are reported like config
     # errors: one message, exit 2, no traceback and no output directory.
