@@ -93,6 +93,10 @@ def main(argv: list[str] | None = None) -> int:
                 seed_override=args.seed,
                 partitions_only=args.report_partitions_only,
             )
+        except ConfigError as exc:
+            # An output path that resolves to nothing.
+            print(str(exc), file=sys.stderr)
+            return 2
         except PartitionError as exc:
             # Raised while building the world, before any output is written:
             # the config asks for a partition this dataset cannot realize.

@@ -3,7 +3,7 @@
 Turns a parsed :class:`ExperimentConfig` into datasets, partitions, learner
 profiles and a protocol run, then writes every artifact needed to reproduce
 and inspect the run: each file a cell or a run writes is written here, the
-metrics files by :func:`export_metrics`. Also hosts the aggregation-cost
+run's log files by :func:`export_metrics`. Also hosts the aggregation-cost
 microbenchmark behind the ``bench-cache`` CLI subcommand.
 """
 
@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import params
-from .config import ExperimentConfig, cell_name
+from .config import ConfigError, ExperimentConfig, cell_name
 from .controller import init_community, cached_update, snapshot
 from .engine import LearnerProfile, MetricsLog, run_policy
 from .params import ParamSet
@@ -28,17 +28,29 @@ from .tasks import gen_synthetic, init_params
 
 OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 
+# Every file a cell directory can hold. A cell moving into place removes
+# the ones it did not write, so no earlier run's file outlives a rerun.
+CELL_FILES = (
+    "config.txt", "partition_report.json", "metrics.csv", "idle.csv",
+    "events.jsonl", "contributions.csv", "summary.json",
+    "controller_snapshot.json", "final_model.json",
+)
+
 # Seed-stream tag for model initialization (dataset generation uses 0..2,
 # per-assignment batch shuffles use 3).
 _INIT_STREAM = 4
 
 
 def resolve_out_dir(configured: str, override: str | None = None) -> str:
-    """Apply the --out override and the output-root environment variable."""
-    out = override if override else configured
+    """Apply the --out override and the output-root environment variable;
+    an empty result is a :class:`ConfigError`."""
+    out = configured if override is None else override
     root = os.environ.get(OUTPUT_ROOT_ENV, "")
     if root and not os.path.isabs(out):
         out = os.path.join(root, out)
+    if not out:
+        raise ConfigError(["the output path is empty: set [experiment] "
+                           "output or pass --out"])
     return out
 
 
@@ -80,15 +92,19 @@ def _write_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
-    """Write the run's metrics files; returns {logical name: path}.
+def export_metrics(log: MetricsLog, out_dir: str) -> None:
+    """Write every file of the run's log into ``out_dir``.
 
     Output is formatted so identical logs serialize to identical bytes:
     metrics.csv (one row per evaluation), idle.csv (per learner and round),
-    events.jsonl (the ordered event stream) and summary.json.
+    events.jsonl (the ordered event stream), contributions.csv,
+    summary.json, controller_snapshot.json (when the run kept a controller
+    state) and final_model.json (when it holds a model).
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+
+    def path(name: str) -> str:
+        return os.path.join(out_dir, name)
 
     lines = ["virtual_ms,update_requests,round,accuracy,loss"]
     for ev in log.evals:
@@ -96,16 +112,14 @@ def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
             f"{ev.t_us / 1000.0:.3f},{ev.update_requests},{ev.round_index},"
             f"{ev.accuracy!r},{ev.loss!r}"
         )
-    paths["metrics"] = os.path.join(out_dir, "metrics.csv")
-    _write_text(paths["metrics"], "\n".join(lines) + "\n")
+    _write_text(path("metrics.csv"), "\n".join(lines) + "\n")
 
     lines = ["learner_id,round,active_ms,idle_ms"]
     for lid, r, active_us, idle_us in log.utilization:
         lines.append(
             f"{lid},{r},{active_us / 1000.0:.3f},{idle_us / 1000.0:.3f}"
         )
-    paths["idle"] = os.path.join(out_dir, "idle.csv")
-    _write_text(paths["idle"], "\n".join(lines) + "\n")
+    _write_text(path("idle.csv"), "\n".join(lines) + "\n")
 
     # The text json.dumps(..., sort_keys=True) gives, without its per-call
     # cost: keys in sorted order, float repr for the time.
@@ -113,14 +127,12 @@ def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
         f'{{"kind": "{kind}", "learner": {lid}, "virtual_ms": {t / 1000.0!r}}}'
         for t, kind, lid in log.sorted_events()
     ]
-    paths["events"] = os.path.join(out_dir, "events.jsonl")
-    _write_text(paths["events"], "\n".join(lines) + "\n")
+    _write_text(path("events.jsonl"), "\n".join(lines) + "\n")
 
     lines = ["virtual_ms,learner_id,weight"]
     for t, lid, value in log.contributions:
         lines.append(f"{t / 1000.0:.3f},{lid},{value!r}")
-    paths["contributions"] = os.path.join(out_dir, "contributions.csv")
-    _write_text(paths["contributions"], "\n".join(lines) + "\n")
+    _write_text(path("contributions.csv"), "\n".join(lines) + "\n")
 
     summary = {
         "schema_version": 1,
@@ -141,9 +153,13 @@ def export_metrics(log: MetricsLog, out_dir: str) -> dict[str, str]:
             "t_max_ms": log.schedule.t_max_us / 1000.0,
             "batches": {str(k): v for k, v in sorted(log.schedule.batches.items())},
         }
-    paths["summary"] = os.path.join(out_dir, "summary.json")
-    _write_json(paths["summary"], summary)
-    return paths
+    _write_json(path("summary.json"), summary)
+    if log.final_state is not None:
+        _write_json(path("controller_snapshot.json"), snapshot(log.final_state))
+    if log.final_model is not None:
+        # Compact JSON holds no newline, so the text mode changes no byte.
+        text = json.dumps(params.to_obj(log.final_model))
+        _write_text(path("final_model.json"), text)
 
 
 def run_experiment(
@@ -157,9 +173,10 @@ def run_experiment(
     A semisync lambda list fans out into one output directory per value
     (matrix mode); otherwise the run writes directly into the output
     directory. Each cell directory contains the byte-exact config echo, the
-    partition report, the metrics files and the final community model. A
-    cell that fails writes no file and ends the run; ``manifest.json`` is
-    written last, once every cell has completed.
+    partition report and the run's log files (:func:`export_metrics`); a
+    cell's files replace every :data:`CELL_FILES` entry of an earlier run
+    in its directory. A cell that fails writes no file and ends the run;
+    ``manifest.json`` is written last, once every cell has completed.
     """
     seed = cfg.seed if seed_override is None else seed_override
     base = resolve_out_dir(cfg.out_dir, out_override)
@@ -195,17 +212,13 @@ def run_experiment(
                         protocol, profiles, cfg.task, train, test, initial, seed
                     )
                     export_metrics(log, tmp)
-                    if log.final_state is not None:
-                        _write_json(
-                            os.path.join(tmp, "controller_snapshot.json"),
-                            snapshot(log.final_state),
-                        )
-                    # Compact JSON holds no newline, so the text mode
-                    # changes no byte.
-                    text = json.dumps(params.to_obj(log.final_model))
-                    _write_text(os.path.join(tmp, "final_model.json"), text)
                 os.makedirs(out_dir, exist_ok=True)
-                for name in os.listdir(tmp):
+                written = os.listdir(tmp)
+                for name in set(CELL_FILES).difference(written):
+                    stale = os.path.join(out_dir, name)
+                    if os.path.isfile(stale):
+                        os.remove(stale)
+                for name in written:
                     os.replace(
                         os.path.join(tmp, name), os.path.join(out_dir, name)
                     )

@@ -77,7 +77,7 @@ def from_obj(obj):
 
 
 def load(path):
-    """The model stored at ``path`` as ``fedsim.runner.run_experiment``
+    """The model stored at ``path`` as ``fedsim.runner.export_metrics``
     writes ``final_model.json``."""
     with open(path, "r", encoding="utf-8") as fh:
         return from_obj(json.load(fh))

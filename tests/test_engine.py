@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from fedsim.engine import (
 from fedsim.optimizers import OptimizerConfig
 from fedsim.runner import export_metrics
 from fedsim.tasks import TaskModel, evaluate, gen_synthetic, init_params
-from oracles import equal, max_abs_diff
+from oracles import equal, from_obj, max_abs_diff
 
 OPT = OptimizerConfig("vanilla", eta=0.05)
 STATIC = WeightingScheme("fedavg_static")
@@ -433,36 +434,55 @@ def test_run_policy_dispatch_and_determinism():
         assert max_abs_diff(a.final_model, b.final_model) == 0.0
 
 
+LOG_FILES = ["contributions.csv", "events.jsonl", "final_model.json",
+             "idle.csv", "metrics.csv", "summary.json"]
+
+
 def test_export_metrics_files_and_determinism(tmp_path):
     log, _ = sync_fast_slow(rounds=2)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    paths_a = export_metrics(log, str(out_a))
-    paths_b = export_metrics(log, str(out_b))
-    assert set(paths_a) == {"metrics", "idle", "events", "contributions",
-                            "summary"}
-    for name in paths_a:
-        with open(paths_a[name], "rb") as fa, open(paths_b[name], "rb") as fb:
+    out_a = os.path.join(tmp_path, "a")
+    out_b = os.path.join(tmp_path, "b")
+    assert export_metrics(log, out_a) is None
+    export_metrics(log, out_b)
+    # A barrier log keeps no controller state, so it writes no snapshot.
+    assert sorted(os.listdir(out_a)) == LOG_FILES
+    for name in LOG_FILES:
+        with open(os.path.join(out_a, name), "rb") as fa, \
+                open(os.path.join(out_b, name), "rb") as fb:
             assert fa.read() == fb.read()
-    header = open(paths_a["metrics"]).readline().strip()
+    metrics = os.path.join(out_a, "metrics.csv")
+    header = open(metrics).readline().strip()
     assert header == "virtual_ms,update_requests,round,accuracy,loss"
-    first = open(paths_a["metrics"]).readlines()[1].split(",")
+    first = open(metrics).readlines()[1].split(",")
     assert first[0] == "30000.000"  # 30000000 us
-    summary = json.load(open(paths_a["summary"]))
+    summary = json.load(open(os.path.join(out_a, "summary.json")))
     assert summary["schema_version"] == 1
     assert summary["update_requests"] == 4
     assert summary["models_exchanged"] == 8
     assert summary["federation_rounds"] == 2
     assert summary["final_accuracy"] == log.evals[-1].accuracy
-    events = [json.loads(line) for line in open(paths_a["events"])]
+    events = [json.loads(line)
+              for line in open(os.path.join(out_a, "events.jsonl"))]
     assert all(set(e) == {"virtual_ms", "kind", "learner"} for e in events)
+
+    # An async log adds the controller snapshot beside the final model.
+    log, _ = async_world(400.0)
+    out_c = os.path.join(tmp_path, "c")
+    export_metrics(log, out_c)
+    assert sorted(os.listdir(out_c)) == sorted(
+        LOG_FILES + ["controller_snapshot.json"])
+    snap = json.load(open(os.path.join(out_c, "controller_snapshot.json")))
+    assert snap["version"] == log.final_state.version
+    model = json.load(open(os.path.join(out_c, "final_model.json")))
+    assert equal(from_obj(model), log.final_model)
 
 
 def test_export_metrics_float_round_trip(tmp_path):
     log = MetricsLog(policy="sync", seed=1)
     log.evals.append(EvalSnapshot(1234, 1, 2, 1.0 / 3.0, 0.1 + 0.2))
-    paths = export_metrics(log, str(tmp_path))
-    row = open(paths["metrics"]).readlines()[1].strip().split(",")
+    export_metrics(log, str(tmp_path))
+    metrics = os.path.join(tmp_path, "metrics.csv")
+    row = open(metrics).readlines()[1].strip().split(",")
     assert float(row[3]) == 1.0 / 3.0
     assert float(row[4]) == 0.1 + 0.2
     assert row[0] == "1.234"
@@ -475,7 +495,8 @@ def test_export_metrics_float_round_trip(tmp_path):
 def test_events_jsonl_lines_are_sorted_key_json(events, tmp_path_factory):
     log = MetricsLog(policy="async", seed=0, events=events)
     out = tmp_path_factory.mktemp("events")
-    lines = open(export_metrics(log, str(out))["events"]).read().splitlines()
+    export_metrics(log, str(out))
+    lines = open(os.path.join(out, "events.jsonl")).read().splitlines()
     expected = [
         json.dumps({"virtual_ms": t / 1000.0, "kind": kind, "learner": lid},
                    sort_keys=True)

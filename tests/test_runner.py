@@ -363,6 +363,8 @@ EMPTY_LEARNER = [
 ]
 EMPTY_LEARNER_MESSAGE = ("learner 3 gets no examples: the learners before it "
                          "leave no example of its classes [0]")
+EMPTY_OUTPUT_MESSAGE = ("the output path is empty: set [experiment] output "
+                        "or pass --out")
 
 
 @pytest.mark.parametrize("edits, argv, message", [
@@ -378,16 +380,23 @@ EMPTY_LEARNER_MESSAGE = ("learner 3 gets no examples: the learners before it "
      "[protocol] lambda: 2.0 and 2.0000001 share the cell lam-2"),
     (EMPTY_LEARNER, [], EMPTY_LEARNER_MESSAGE),
     (EMPTY_LEARNER, ["--report-partitions-only"], EMPTY_LEARNER_MESSAGE),
+    ([("output = {out}", "output =")], [], EMPTY_OUTPUT_MESSAGE),
+    ([], ["--out", ""], EMPTY_OUTPUT_MESSAGE),
 ], ids=["negative_seed", "class_quota", "too_few_examples",
         "latency_past_clock", "lambdas_share_a_cell", "empty_learner",
-        "empty_learner_report_only"])
-def test_cli_setup_failures_exit_2(tmp_path, capsys, edits, argv, message):
+        "empty_learner_report_only", "empty_output", "empty_out_flag"])
+def test_cli_setup_failures_exit_2(tmp_path, capsys, monkeypatch, edits, argv,
+                                   message):
     # Failures found before the run starts are reported like config
     # errors: one message, exit 2, no traceback and no output directory.
+    # The run starts in tmp_path, so a relative path would write there.
+    monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "run"
-    text = SMALL_SYNC.format(out=out)
+    text = SMALL_SYNC
     for old, new in edits:
         text = text.replace(old, new)
+    text = text.format(out=out)
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
     try:
@@ -397,7 +406,30 @@ def test_cli_setup_failures_exit_2(tmp_path, capsys, edits, argv, message):
     assert code == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
-    assert not out.exists()
+    assert os.listdir(tmp_path) == ["run.ini"]
+
+
+@pytest.mark.parametrize("first, second, argv", [
+    (SMALL_ASYNC, SMALL_SYNC, []),
+    (SMALL_SYNC, SMALL_SYNC, ["--report-partitions-only"]),
+], ids=["async_then_sync", "full_then_partitions_only"])
+def test_rerun_replaces_the_cell(tmp_path, first, second, argv):
+    # A rerun into a cell leaves exactly the files the same run writes into
+    # an empty directory. Files that are not fedsim's stay.
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(second.format(out=out))
+    assert main(["run", str(cfg_path), *argv, "--out", str(fresh)]) == 0
+    cfg_path.write_text(first.format(out=out))
+    assert main(["run", str(cfg_path)]) == 0
+    assert set(os.listdir(out)) > set(os.listdir(fresh))
+    (out / "notes.txt").write_text("kept\n")
+    (out / "plots").mkdir()
+    cfg_path.write_text(second.format(out=out))
+    assert main(["run", str(cfg_path), *argv]) == 0
+    assert digest_tree(out, skip=("notes.txt",)) == digest_tree(fresh)
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert (out / "plots").is_dir()
 
 
 @pytest.mark.parametrize("head", [
