@@ -16,16 +16,22 @@ The clock counts integer microseconds. Nothing here measures wall time, so
 two runs with the same inputs produce identical logs; evaluation happens
 outside the clock and costs zero virtual time. A run returns its
 :class:`MetricsLog` and writes no file: :mod:`fedsim.runner` writes them.
+
+Local training runs in one :class:`~fedsim.optimizers.TrainingPool` per
+run. A learner's training is fixed when it fetches (its anchor, budget and
+batch stream), so an assignment joins the pool as soon as there is room,
+whichever group it will commit in, and trains alongside assignments at
+other steps. This is host-side batching only: every trained model, and so
+every output, is bit for bit what training each learner alone gives.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +42,10 @@ from .controller import (
     init_community,
     record_fetch,
 )
-from .optimizers import OptimizerConfig, assignment_batches, run_client_opt
-from .params import ParamSet, StructureError, weighted_average
+from .optimizers import (
+    NONFINITE_GRADIENT, OptimizerConfig, TrainingPool, assignment_batches,
+)
+from .params import NonFiniteError, ParamSet, StructureError, weighted_average
 from .tasks import Dataset, TaskModel, evaluate, model_structure, stacked_grad
 
 POLICIES = ("sync", "semisync", "async")
@@ -46,11 +54,13 @@ POLICIES = ("sync", "semisync", "async")
 # consumers of the experiment seed.
 _TRAIN_STREAM = 3
 
-# Largest K x P (learners x model parameters) trained as one stacked
-# cohort: 256 KiB per (K, P) float64 buffer, so the weights, momentum,
-# gradients and update temporaries of a chunk stay within a 2 MiB L2 cache.
-# On a 2-core Xeon, 100 learners of a 2,762-entry MLP trained at ~32 us per
-# learner-step in chunks of 10 to 16 against ~43 us in chunks of 23.
+# Largest K x P (learners x model parameters) the training pool holds: its
+# capacity is this over the model size, at least 1 and at most one row per
+# learner, since a learner has one assignment in flight. 256 KiB per (K, P)
+# float64 buffer, so the pool's weights, momentum, gradients and update
+# temporaries stay within a 2 MiB L2 cache. On a 2-core Xeon, 100 learners
+# of a 2,762-entry MLP trained at ~32 us per learner-step in stacks of 10
+# to 16 against ~43 us in stacks of 23.
 # Stacking saves per-call interpreter overhead, most of a small model's
 # step; a model past half this size is dominated by its own flops, so it
 # trains alone and its memory stays that of one learner.
@@ -227,51 +237,15 @@ def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
     return SchedulePlan(t_max_us=t_max_us, batches=batches)
 
 
-def _train_cohort(
-    cohort: Iterable[tuple[LearnerProfile, ParamSet, int, int]],
-    task: TaskModel,
-    train: Dataset,
-    opt_cfg: OptimizerConfig,
-    seed: int,
-    prox_rho: float,
-) -> Iterator[ParamSet]:
-    """Train each ``(profile, anchor, budget, assignment)`` of ``cohort``.
-
-    Learner k trains ``budget`` batches from ``anchor`` on its shard, in the
-    batch order its (seed, learner, assignment) stream draws, one epoch's
-    rows at a time (:func:`~fedsim.optimizers.assignment_batches`), so its
-    batches take the memory of its shard, whatever its budget. The learners
-    train in stacked chunks of at most ``_COHORT_ENTRIES`` learners x
-    parameters, and every result is bit for bit what training that learner
-    alone gives.
-    Each chunk's anchors must have the task's layer structure
-    (:class:`~fedsim.params.StructureError` otherwise), since
-    :func:`~fedsim.optimizers.run_client_opt` splits the chunk's buffers
-    into the task's layer views once. Yields the weights in cohort order.
-    ``cohort`` is read one chunk at a time, when the caller asks for the
-    chunk's first model, so a caller that commits each model as it comes
-    holds one chunk of anchors and models at a time.
-    """
-    def grad_fn(W, rows, out):
-        stacked_grad(task, W, train.features[rows], train.labels[rows], out)
-
-    structure = model_structure(task)
-    learners = iter(cohort)
-    for first in learners:  # one chunk per pass
-        if first[1].structure() != structure:
-            raise StructureError(f"{task.kind} needs layers {structure}")
-        size = max(1, _COHORT_ENTRIES // first[1].num_entries)
-        chunk = [first, *itertools.islice(learners, size - 1)]
-        rows = [
-            assignment_batches(p.indices, p.batch_size, np.random.default_rng(
-                [seed, _TRAIN_STREAM, p.learner_id, assignment]))
-            for p, _, _, assignment in chunk
-        ]
-        yield from run_client_opt(
-            [anchor for _, anchor, _, _ in chunk],
-            [budget for _, _, budget, _ in chunk],
-            rows, opt_cfg, grad_fn, prox_rho,
-        )
+def _raise_first_failure(results: list[tuple[int, object]]) -> None:
+    """Raise what a lockstep cohort of these ``(budget, result)`` raised
+    first: a non-finite gradient at the step it appeared, else the first
+    non-finite result in budget order, largest first."""
+    failed = [(r.args != (NONFINITE_GRADIENT,), -budget, i, r)
+              for i, (budget, r) in enumerate(results)
+              if isinstance(r, NonFiniteError)]
+    if failed:
+        raise min(failed)[-1]
 
 
 def run_policy(
@@ -306,14 +280,24 @@ def run_policy(
     ``async``; every arrival at or before it joins the group, in learner-id
     order. So a group is one round under a barrier and one timestamp under
     ``async``, and a barrier run's round count is its group count.
-    A group's learners train as one cohort (:func:`_train_cohort`), chunk by
-    chunk, each chunk before its first learner commits; none of them trains
-    from a model committed in its own group, so this is the same as
-    training them one by one. The
-    community model is evaluated after every ``cfg.eval_every``-th group
-    and after the last one. A group that would close past the float range,
-    where exported times stop being numbers, raises ValueError before it
-    trains.
+    The community model is evaluated after every ``cfg.eval_every``-th
+    group and after the last one. A group that would close past the float
+    range, where exported times stop being numbers, raises ValueError
+    before it commits.
+
+    Training runs in one pool of ``_COHORT_ENTRIES // model size`` rows,
+    at least 1 and at most one per learner. An assignment waits to join it
+    from its fetch, holding its anchor, and joins in arrival order when a
+    row is free; one that would arrive past the time budget never joins, so
+    no step is trained that no commit uses. Before a group commits, the
+    pool steps until every learner of the group is done; a result waits,
+    holding the trained model, until its group commits, so a run holds at
+    most one model per learner in flight. A barrier round fetches every
+    learner at once, so its learners train in lockstep; under ``async``
+    each refetch joins beside learners at other steps, and they share
+    kernel calls. A failed training surfaces only when its group commits,
+    as the group's lockstep cohorts of pool-capacity learners, one after
+    another, raised it, so an earlier failure of the run still wins.
     """
     profiles = sorted(profiles, key=lambda p: p.learner_id)
     log = MetricsLog(policy=cfg.policy, seed=seed)
@@ -327,12 +311,24 @@ def run_policy(
     )
     state = None if barrier else init_community(initial)
     w_c = initial
-    # learner id -> (profile, anchor, budget, assignment, fetch time,
-    # fetch steps, fetch version) of its assignment in flight, the one
-    # record of what it fetched. A refetch replaces the entry, so an old
-    # anchor dies once its learner commits.
+
+    def grad_fn(W, rows, out):
+        stacked_grad(task, W, train.features[rows], train.labels[rows], out)
+
+    structure = model_structure(task)
+    capacity = max(1, _COHORT_ENTRIES // initial.num_entries)
+    pool = TrainingPool(structure, min(capacity, len(profiles)),
+                        cfg.optimizer, grad_fn, prox_rho)
+    # learner id -> (profile, budget, assignment, fetch time, fetch steps,
+    # fetch version) of its assignment in flight, the one record of what it
+    # fetched; a refetch replaces the entry.
     flight: dict[int, tuple] = {}
     heap: list[tuple[int, int]] = []
+    # (arrival, learner id, anchor) of each assignment waiting to join the
+    # pool, and learner id -> what its training gave (the trained model or
+    # the NonFiniteError it hit), kept until its group commits.
+    waiting: list[tuple[int, int, ParamSet]] = []
+    trained: dict[int, ParamSet | NonFiniteError] = {}
 
     def fetch(p: LearnerProfile, t: int, assignment: int) -> None:
         lid = p.learner_id
@@ -345,10 +341,13 @@ def run_policy(
             budget = p.batches_per_epoch
         else:
             budget = log.schedule.batches[lid]
-        flight[lid] = (p, anchor, budget, assignment, t, steps, version)
+        flight[lid] = (p, budget, assignment, t, steps, version)
         log.events.append((t, "fetch", lid))
         log.events.append((t, "train_start", lid))
-        heapq.heappush(heap, (t + budget * p.time_per_batch_us, lid))
+        arrival = t + budget * p.time_per_batch_us
+        heapq.heappush(heap, (arrival, lid))
+        if arrival <= horizon_us:  # one past the horizon never trains
+            heapq.heappush(waiting, (arrival, lid, anchor))
 
     for p in profiles:
         fetch(p, 0, 0)
@@ -361,15 +360,26 @@ def run_policy(
         while heap and heap[0][0] <= t:
             arrivals.append(heapq.heappop(heap))
         arrivals.sort(key=lambda e: e[1])
-        # Read lazily, one chunk at a time, before any learner of the chunk
-        # commits and refetches: old anchors die as their learners refetch.
-        trained = _train_cohort(
-            (flight[lid][:4] for _, lid in arrivals),
-            task, train, cfg.optimizer, seed, prox_rho,
-        )
+        if not groups and initial.structure() != structure:
+            # Every anchor is a community model of the initial's layout.
+            raise StructureError(f"{task.kind} needs layers {structure}")
+        for _, lid in arrivals:  # step the pool until the group is done
+            while lid not in trained:
+                while waiting and len(pool) < pool.capacity:
+                    _, k, anchor = heapq.heappop(waiting)
+                    p, budget, assignment = flight[k][:3]
+                    pool.join(k, anchor, budget, assignment_batches(
+                        p.indices, p.batch_size, np.random.default_rng(
+                            [seed, _TRAIN_STREAM, k, assignment])))
+                trained.update(pool.step())
         models, weights = [], []
-        for (finish, lid), w_k in zip(arrivals, trained):
-            p, _, steps, assignment, start, fetch_steps, fetch_version = (
+        for i, (finish, lid) in enumerate(arrivals):
+            if i % pool.capacity == 0:  # the next lockstep cohort's failure
+                _raise_first_failure(
+                    [(flight[k][1], trained[k])
+                     for _, k in arrivals[i : i + pool.capacity]])
+            w_k = trained.pop(lid)
+            p, steps, assignment, start, fetch_steps, fetch_version = (
                 flight[lid]
             )
             log.events.append((finish, "train_end", lid))

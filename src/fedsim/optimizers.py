@@ -11,26 +11,22 @@ The momentum buffer starts at zero for every assignment, i.e. it is reset
 whenever a learner fetches a fresh community model. Momentum has this one
 form: the learning rate is constant, so the velocity form
 (v' = gamma * v - eta * g; w' = w + v', with v = -eta * u) is the same
-trajectory up to rounding. :func:`run_client_opt` applies the rules in
-place to a whole cohort of learners at once; the reference form of each
-rule, one learner and one out-of-place step at a time, is ``step_*`` in
-``tests/oracles.py``.
+trajectory up to rounding. :class:`TrainingPool` applies the rules in
+place to every learner it holds at once, each learner at its own step;
+the reference form of each rule, one learner and one out-of-place step at
+a time, is ``step_*`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .params import (
-    NonFiniteError,
-    ParamSet,
-    _check_same_structure,
-    all_finite,
-    layer_spans,
-    split_rows,
+    NonFiniteError, ParamSet, Structure, StructureError, all_finite,
+    layer_spans, split_rows,
 )
 
 OPTIMIZER_KINDS = ("vanilla", "momentum", "fedprox")
@@ -96,119 +92,178 @@ def _check_batching(num_examples: int, batch_size: int) -> None:
 # minibatch gradients into out.
 GradFn = Callable[[list, np.ndarray, list], None]
 
+# What a member's training hits when its gradient has a NaN/Inf entry.
+NONFINITE_GRADIENT = "gradient has NaN/Inf entries"
 
-def run_client_opt(
-    starts: Sequence[ParamSet],
-    budgets: Sequence[int],
-    batch_streams: Sequence[Iterable[np.ndarray]],
-    cfg: OptimizerConfig,
-    grad_fn: GradFn,
-    prox_rho: float = 0.0,
-) -> list[ParamSet]:
-    """Train K learners together; learner k runs ``budgets[k]`` local steps
-    from ``starts[k]`` on the batches ``batch_streams[k]`` yields.
 
-    Each learner's proximal anchor (fedprox) is its start and its momentum
-    buffer starts at zero. With ``prox_rho > 0`` every gradient gets the
-    pull ``prox_rho * (w - start)`` toward the start before the update.
-    Returns the final weights in input order. The starts must share one
-    layer structure (:class:`~fedsim.params.StructureError` otherwise).
+class TrainingPool:
+    """Learners training side by side, each at its own local step.
 
-    Weights, momentum buffers and anchors are (K, P) buffers, one row
-    per learner, sorted by budget, largest first, so the learners still
-    training are always a prefix. The weight and gradient buffers are split
-    into per-layer views once, and each ``grad_fn`` call gets those views
-    sliced to its row range (unsliced when it covers every row). Each step,
-    the learners whose batches have the same length share one ``grad_fn``
-    call; the weight views it gets are read-only and valid during the call.
-    Learners of one length that are not adjacent rows go through gathered
-    temporaries, split per call. The gradients of every step are scanned
-    before the update, and a NaN/Inf entry raises
-    :class:`~fedsim.params.NonFiniteError`. The first step reads the starts
-    (a lone learner's in place, a cohort's stacked) and writes the new
-    weights out of place, so the starts serve as the proximal anchors; later
-    steps update in place over the prefix. Every update runs in the
-    operation order of the ``step_*`` references in ``tests/oracles.py``,
-    element by element, so every row is bit for bit what training that
-    learner alone gives. A row whose budget is one step was never shown to
-    ``grad_fn`` and is returned without a copy. The returned weights are
-    checked too (a non-finite entry never turns finite again).
+    :meth:`join` adds an assignment: ``budget`` local steps from ``start``
+    on the batches ``batches`` yields. Each :meth:`step` takes one step of
+    every member and hands back the members that left. A member's proximal
+    anchor (fedprox) is its start and its momentum buffer starts at zero.
+    With ``prox_rho > 0`` every gradient gets the pull
+    ``prox_rho * (w - start)`` toward the start before the update.
+
+    Weights, momentum buffers, anchors and gradients are (capacity, P)
+    buffers split into per-layer views once. The members are rows
+    ``0 .. len(pool) - 1``; one that leaves hands its row to the last.
+    Each step, the members whose batches have the same length share one
+    ``grad_fn`` call on those views sliced to their rows (unsliced when
+    they cover every row), and members of one length that are not adjacent
+    rows are gathered into two kept buffers. The weight views are read-only
+    and valid during the call. The gradients are scanned before the
+    update: a member whose row has a NaN/Inf entry leaves at once, without
+    the update, with a :class:`~fedsim.params.NonFiniteError`. Every update
+    runs in the operation order of the ``step_*`` references in
+    ``tests/oracles.py``, element by element, so every row is bit for bit
+    what training that learner alone gives, whoever else is in the pool.
+
+    The weight and anchor buffers live one generation: from a join into an
+    empty pool until it empties again. The generation's first step reads
+    the starts of the members that joined before it, which then serve as
+    their anchors, and writes out of place; a later member's start is
+    copied into its row of both. A larger pool copies each start in and
+    each result out. A pool of capacity 1 copies neither: its member's
+    start is read in place, and a one-step result, never shown to
+    ``grad_fn``, is returned as it is.
     """
-    if min(budgets) < 1:
-        raise ValueError(f"batch budget must be >= 1, got {min(budgets)}")
-    order = sorted(range(len(starts)), key=lambda k: -budgets[k])
-    first = starts[order[0]]
-    for start in starts:
-        _check_same_structure(first, start)
-    structure = first.structure()
-    spans = layer_spans(structure)
-    if len(order) == 1:
-        W = first.flat[None]  # a read-only view
-    else:
-        W = np.stack([starts[k].flat for k in order])
-        W.setflags(write=False)
-    # Anchors and momentum buffers exist only when an update reads them.
-    # The starts serve as anchors: the first update writes out of place.
-    # Momentum buffers start at zero and take u *= gamma even on the first
-    # step, since 0.0 + (-0.0) is +0.0.
-    A = W if cfg.kind == "fedprox" or prox_rho > 0.0 else None
-    U = np.zeros(W.shape) if cfg.kind == "momentum" else None
-    G = np.empty(W.shape)  # gradients; each update scales them in place
-    weights, grads = split_rows(spans, W), split_rows(spans, G)
-    eta = cfg.eta
-    streams = [iter(batch_streams[k]) for k in order]
-    row_budgets = [budgets[k] for k in order]
-    m = len(order)
-    for step in range(row_budgets[0]):
-        while row_budgets[m - 1] <= step:
-            m -= 1
+
+    def __init__(self, structure: Structure, capacity: int,
+                 cfg: OptimizerConfig, grad_fn: GradFn,
+                 prox_rho: float = 0.0):
+        self.structure, self.capacity = structure, capacity
+        self._cfg, self._grad_fn, self._prox_rho = cfg, grad_fn, prox_rho
+        self._spans = layer_spans(structure)
+        self._shape = shape = (capacity, self._spans[-1][1])
+        # Each member's key, last step (counted in the pool's steps) and
+        # batch stream, in row order.
+        self._keys, self._last, self._streams, self._steps = [], [], [], 0
+        self._G = np.empty(shape)  # each update scales its rows in place
+        self._grads = split_rows(self._spans, self._G)
+        # Gathered weight and gradient rows. Kept, not made per call: a
+        # fresh buffer of this size can come from mmap and fault its pages
+        # in at every gather.
+        self._gathered = np.empty(shape), np.empty(shape)
+        # Anchors and momentum buffers exist only when an update reads them.
+        # A momentum row starts at zero and takes u *= gamma even on the
+        # first step, since 0.0 + (-0.0) is +0.0.
+        self._U = np.zeros(shape) if cfg.kind == "momentum" else None
+        self._anchored = cfg.kind == "fedprox" or prox_rho > 0.0
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def _set_weights(self, W: np.ndarray) -> None:
+        self._W = W
+        live = W.view()
+        live.setflags(write=False)
+        self._weights = split_rows(self._spans, live)
+
+    def join(self, key, start: ParamSet, budget: int,
+             batches: Iterable[np.ndarray]) -> None:
+        """Add a member, reported under ``key``, that trains ``budget``
+        steps from ``start``; raises ValueError when the pool is full."""
+        if budget < 1:
+            raise ValueError(f"batch budget must be >= 1, got {budget}")
+        if start.structure() != self.structure:
+            raise StructureError(
+                f"layer mismatch: {self.structure} vs {start.structure()}")
+        row = len(self._keys)
+        if row == self.capacity:
+            raise ValueError(f"the pool is full at {row} learners")
+        if not row:  # a generation begins
+            starts = (start.flat[None] if self.capacity == 1
+                      else np.empty(self._shape))
+            self._set_weights(starts)
+            self._A = starts if self._anchored else None
+            self._fresh = True
+        if self.capacity > 1:
+            self._W[row] = start.flat
+            if self._A is not None and not self._fresh:
+                self._A[row] = start.flat
+        if self._U is not None:
+            self._U[row] = 0.0
+        self._keys.append(key)
+        self._last.append(self._steps + budget)
+        self._streams.append(iter(batches))
+
+    def _drop(self, row: int, *buffers: np.ndarray) -> None:
+        last = len(self._keys) - 1
+        for buf in (self._W, self._U, self._A, *buffers):
+            if buf is not None and row < last:
+                buf[row] = buf[last]
+        for rows in (self._keys, self._last, self._streams):
+            rows[row] = rows[last]
+            rows.pop()
+
+    def step(self) -> list[tuple[object, ParamSet | NonFiniteError]]:
+        """Take one local step of every member. Returns ``(key, result)``
+        of each member that left: its trained weights, frozen and checked,
+        or the NonFiniteError its gradient or its result hit."""
+        W, G, spans = self._W, self._G, self._spans
+        batches = [next(stream) for stream in self._streams]
         by_length: dict[int, list[int]] = {}
-        batches = [next(s) for s in streams[:m]]
         for i, batch in enumerate(batches):
             by_length.setdefault(len(batch), []).append(i)
         for idx in by_length.values():
             lo, hi = idx[0], idx[-1] + 1
-            if len(idx) == 1:
-                rows = batches[lo][None]
-            else:
-                rows = np.array([batches[i] for i in idx])
+            rows = (batches[lo][None] if len(idx) == 1
+                    else np.array([batches[i] for i in idx]))
             if len(idx) == len(W):  # every row: the views need no slice
-                grad_fn(weights, rows, grads)
+                self._grad_fn(self._weights, rows, self._grads)
             elif hi - lo == len(idx):
-                grad_fn([w[lo:hi] for w in weights], rows,
-                        [g[lo:hi] for g in grads])
+                self._grad_fn([w[lo:hi] for w in self._weights], rows,
+                              [g[lo:hi] for g in self._grads])
             else:  # other lengths sit between these rows: gather, scatter
-                g = np.empty((len(idx), W.shape[1]))
-                grad_fn(split_rows(spans, W[idx]), rows, split_rows(spans, g))
+                w, g = (buf[: len(idx)] for buf in self._gathered)
+                np.take(W, idx, axis=0, out=w, mode="clip")  # unbuffered
+                self._grad_fn(split_rows(spans, w), rows, split_rows(spans, g))
                 G[idx] = g
+        left = []
+        m = len(batches)
         w, g = W[:m], G[:m]
         if not all_finite(g):
-            raise NonFiniteError("gradient has NaN/Inf entries")
-        if step == 0:
-            W = np.empty(W.shape)
-            live = W.view()
-            live.setflags(write=False)
-            weights = split_rows(spans, live)
-        new = W[:m]
-        if prox_rho > 0.0:
-            g += prox_rho * (w - A[:m])
+            for row in np.flatnonzero(~np.isfinite(g).all(axis=1))[::-1]:
+                left.append((self._keys[row],
+                             NonFiniteError(NONFINITE_GRADIENT)))
+                self._drop(row, G)
+            m = len(self._keys)
+            w, g = W[:m], G[:m]
+        # A generation's first step reads its starts, which stay as its
+        # anchors, and writes out of place.
+        fresh, self._fresh = self._fresh, False
+        if fresh:
+            self._set_weights(np.empty(W.shape))
+        new = self._W[:m] if fresh else w
+        cfg, eta = self._cfg, self._cfg.eta
+        if self._prox_rho > 0.0:
+            g += self._prox_rho * (w - self._A[:m])
         if cfg.kind == "vanilla":
             g *= eta
             np.subtract(w, g, out=new)
         elif cfg.kind == "momentum":
-            u = U[:m]
+            u = self._U[:m]
             u *= cfg.gamma
             u += g
             np.multiply(eta, u, out=g)
             np.subtract(w, g, out=new)
         else:
-            drift = w - A[:m]
+            drift = w - self._A[:m]
             g *= eta
             np.subtract(w, g, out=new)
             drift *= eta * cfg.mu
             new -= drift
-    trained = [None] * len(order)
-    for row, k in enumerate(order):
-        flat = W[row] if row_budgets[row] == 1 else W[row].copy()
-        trained[k] = ParamSet._wrap(structure, flat)
-    return trained
+        self._steps += 1
+        for row in range(m - 1, -1, -1) if self._steps in self._last else ():
+            if self._last[row] == self._steps:
+                lone = fresh and self.capacity == 1  # never shown to grad_fn
+                flat = new[row] if lone else new[row].copy()
+                try:
+                    result = ParamSet._wrap(self.structure, flat)
+                except NonFiniteError as exc:
+                    result = exc
+                left.append((self._keys[row], result))
+                self._drop(row)
+        return left

@@ -175,8 +175,10 @@ def run_experiment(
     directory. Each cell directory contains the byte-exact config echo, the
     partition report and the run's log files (:func:`export_metrics`); a
     cell's files replace every :data:`CELL_FILES` entry of an earlier run
-    in its directory. A cell that fails writes no file and ends the run;
-    ``manifest.json`` is written last, once every cell has completed.
+    in its directory, and a matrix cell also removes those an earlier
+    single-cell run left in the output directory. A cell that fails writes
+    no file and ends the run; ``manifest.json`` is written last, once every
+    cell has completed.
     """
     seed = cfg.seed if seed_override is None else seed_override
     base = resolve_out_dir(cfg.out_dir, out_override)
@@ -214,10 +216,13 @@ def run_experiment(
                     export_metrics(log, tmp)
                 os.makedirs(out_dir, exist_ok=True)
                 written = os.listdir(tmp)
-                for name in set(CELL_FILES).difference(written):
-                    stale = os.path.join(out_dir, name)
-                    if os.path.isfile(stale):
-                        os.remove(stale)
+                stale = [os.path.join(out_dir, name)
+                         for name in set(CELL_FILES).difference(written)]
+                if cell:  # a single-cell run wrote its files into the base
+                    stale += [os.path.join(base, name) for name in CELL_FILES]
+                for path in stale:
+                    if os.path.isfile(path):
+                        os.remove(path)
                 for name in written:
                     os.replace(
                         os.path.join(tmp, name), os.path.join(out_dir, name)

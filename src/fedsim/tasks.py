@@ -169,11 +169,11 @@ def stacked_grad(
     (n, d) and ``y[g]`` (n,) are model g's batch. Every product is a
     stacked ``np.matmul`` whose per-row operands have the shapes and strides
     a lone model's would, so BLAS gets the same call per row and each row is
-    bit for bit the gradient of that model alone (the goldens and the cohort
+    bit for bit the gradient of that model alone (the goldens and the pool
     property tests check this). The forward pass and the log-softmax run in
     place in fresh buffers. Returns the (G, n, c) log-probabilities. The
     gradients are not scanned: a caller that keeps them checks them, as
-    :func:`~fedsim.optimizers.run_client_opt` does every step.
+    :class:`~fedsim.optimizers.TrainingPool` does every step.
     """
     G, n = y.shape
     if n == 0:

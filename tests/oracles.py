@@ -5,10 +5,11 @@ out-of-place definition of what the fast code does in place: the
 ``ParamSet`` arithmetic, the synthetic mixture's class means, one
 learner's gradient, the three local update rules (FedProx's proximal step
 per Li et al., arXiv 1812.06127) and the epoch-shuffled batch stream.
-``train_alone`` folds them into one learner's assignment, the form cohort
+``train_alone`` folds them into one learner's assignment, the form pool
 training and ``run_policy`` must match bit for bit. The rest are helpers
-several test files share: file-tree digests, layer lookup by name,
-flat-vector views and central differences.
+several test files share: ``run_client_opt`` (one pool trains a list of
+learners), file-tree digests, layer lookup by name, flat-vector views and
+central differences.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import os
 import numpy as np
 
 from fedsim.engine import _TRAIN_STREAM
-from fedsim.optimizers import _check_batching
+from fedsim.optimizers import TrainingPool, _check_batching
 from fedsim.params import (
     SERIALIZATION_VERSION, ParamSet, _check_same_structure, layer_spans,
     split_rows,
@@ -178,6 +179,28 @@ def train_alone(task, data, p, start, budget, cfg, seed, assignment,
 
 
 # Shared helpers.
+
+def run_client_opt(starts, budgets, batch_streams, cfg, grad_fn,
+                   prox_rho=0.0, capacity=None):
+    """Train learner k ``budgets[k]`` steps from ``starts[k]`` on
+    ``batch_streams[k]``: join every learner into one ``TrainingPool`` of
+    ``capacity`` rows (all of them by default), then step it until it
+    empties. Returns the weights in input order; raises the first error a
+    learner's training hit, in input order."""
+    pool = TrainingPool(starts[0].structure(), capacity or len(starts), cfg,
+                        grad_fn, prox_rho)
+    for k, (start, budget, stream) in enumerate(
+            zip(starts, budgets, batch_streams)):
+        pool.join(k, start, budget, stream)
+    results = {}
+    while len(pool):
+        results.update(pool.step())
+    trained = [results[k] for k in range(len(starts))]
+    for result in trained:
+        if isinstance(result, Exception):
+            raise result
+    return trained
+
 
 def digest_tree(root, skip=()):
     """{path under ``root``, '/'-separated: sha256} of every file below

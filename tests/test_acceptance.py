@@ -28,7 +28,7 @@ from fedsim.engine import (
     plan_semisync,
     run_policy,
 )
-from fedsim.optimizers import OptimizerConfig, run_client_opt
+from fedsim.optimizers import OptimizerConfig
 from fedsim.params import ParamSet, weighted_average
 from fedsim.partition import (
     PartitionSpec,
@@ -40,7 +40,8 @@ from fedsim.runner import bench_cache, run_experiment
 from fedsim.tasks import TaskModel, gen_synthetic, init_params, stacked_grad
 from oracles import (
     central_diff, digest_tree, equal, loss_and_grad, max_abs_diff, rel_err,
-    step_fedprox, step_momentum, step_vanilla, unflat, zeros_like,
+    run_client_opt, step_fedprox, step_momentum, step_vanilla, unflat,
+    zeros_like,
 )
 
 

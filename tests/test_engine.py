@@ -3,12 +3,15 @@
 import json
 import math
 import os
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fedsim import engine
 from fedsim.controller import WeightingScheme
 from fedsim.engine import (
     EvalSnapshot,
@@ -16,13 +19,17 @@ from fedsim.engine import (
     MetricsLog,
     ProtocolConfig,
     _EVENT_RANK,
+    _raise_first_failure,
     _round_half_up,
     plan_semisync,
     run_policy,
 )
-from fedsim.optimizers import OptimizerConfig
+from fedsim.optimizers import NONFINITE_GRADIENT, OptimizerConfig
+from fedsim.params import NonFiniteError
 from fedsim.runner import export_metrics
-from fedsim.tasks import TaskModel, evaluate, gen_synthetic, init_params
+from fedsim.tasks import (
+    Dataset, TaskModel, evaluate, gen_synthetic, init_params, stacked_grad,
+)
 from oracles import equal, from_obj, max_abs_diff
 
 OPT = OptimizerConfig("vanilla", eta=0.05)
@@ -350,6 +357,70 @@ def test_async_budget_below_the_shortest_cycle_commits_nothing():
     assert equal(log.final_model, initial)
     assert log.events == [(0, "fetch", 0), (0, "train_start", 0),
                           (0, "fetch", 1), (0, "train_start", 1)]
+
+
+def test_async_trains_only_the_assignments_it_commits():
+    # At 1000 ms each learner's last fetch would arrive past the budget
+    # (1020 ms and 1200 ms): it never joins the training pool, and the
+    # kernel trains exactly the committed assignments' budgets.
+    joined, rows = [], []
+
+    class RecordingPool(engine.TrainingPool):
+        def join(self, key, start, budget, batches):
+            joined.append((key, budget))
+            super().join(key, start, budget, batches)
+
+    def counting(model, layers, X, y, grads):
+        rows.append(len(y))
+        return stacked_grad(model, layers, X, y, grads)
+
+    with mock.patch.object(engine, "TrainingPool", RecordingPool), \
+            mock.patch.object(engine, "stacked_grad", counting):
+        log, profs = async_world(1000.0)
+    fetches = sum(kind == "fetch" for _, kind, _ in log.events)
+    assert fetches == log.update_requests + 2
+    assert Counter(lid for lid, _ in joined) == Counter(
+        lid for _, lid, _ in log.contributions)
+    budget = {p.learner_id: p.batches_per_epoch for p in profs}
+    assert sum(rows) == sum(b for _, b in joined) == sum(
+        budget[lid] for _, lid, _ in log.contributions)
+
+
+def test_a_training_failure_waits_for_its_group():
+    # Learner 1's shard overflows its gradient at its first step, which the
+    # pool takes beside learner 0's; its failure still surfaces only when
+    # its own group commits, so learner 0's earlier commit fails first.
+    task, train, test, chunks, initial = small_world(2, 200, num_classes=4)
+    features = train.features.copy()
+    features[chunks[1]] = 1e300
+    poisoned = Dataset(features, train.labels, train.num_classes)
+    profs = [profile(0, 3.0, chunks[0]),
+             profile(1, 30.0, chunks[1], device="slow")]
+    cfg = ProtocolConfig("async", OPT, STATIC, epochs=1, time_budget_ms=500.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError):
+            run_policy(cfg, profs, task, poisoned, test, initial, seed=7)
+        with mock.patch.object(engine, "commit",
+                               side_effect=RuntimeError("first commit")), \
+                pytest.raises(RuntimeError, match="first commit"):
+            run_policy(cfg, profs, task, poisoned, test, initial, seed=7)
+
+
+def test_a_cohort_raises_the_failure_lockstep_training_hit_first():
+    # A non-finite gradient at any step came before every result check,
+    # and the results were checked in budget order, largest first.
+    gradient = NonFiniteError(NONFINITE_GRADIENT)
+    late = NonFiniteError("layer 'W' has NaN/Inf entries")
+    early = NonFiniteError("layer 'b' has NaN/Inf entries")
+    for results, first in [
+        ([(9, late), (3, gradient), (1, "model")], gradient),
+        ([(2, late), (5, early)], early),
+        ([(5, late), (5, early)], late),
+    ]:
+        with pytest.raises(NonFiniteError) as info:
+            _raise_first_failure(results)
+        assert info.value is first
+    _raise_first_failure([(4, "model"), (1, "model")])
 
 
 def test_async_zero_idle():

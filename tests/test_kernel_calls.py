@@ -1,0 +1,43 @@
+"""Host-independent counts of the benchmark's gradient kernel calls.
+
+Wall time on a shared host is too noisy to guard a kernel-sharing gain in
+the suite; the call counts are not. ``tools/kernel_calls.py`` runs a
+perfbench workload's config through ``fedsim run`` at its default seed
+with a counting wrapper on ``fedsim.engine.stacked_grad``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_calls.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("kernel_calls", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# workload -> (learner-steps, most kernel calls, fewest kernel calls). The
+# learner-steps are the workload's own; async_fedrec's learners train in
+# one pool across arrival groups (1,043 calls when each group trained as
+# its own lockstep cohort), and semisync_mlp's barrier rounds are already
+# one lockstep cohort each.
+EXPECTED = {
+    "async_fedrec": (1540, 600, 1),
+    "semisync_mlp": (2059, 712, 712),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_workload_kernel_calls(name):
+    tool = load_tool()
+    workloads = tool.load_workloads()
+    assert workloads.DEFAULT_SEED == 11
+    calls, steps = tool.kernel_calls(workloads.config_text(name))
+    learner_steps, most, fewest = EXPECTED[name]
+    assert steps == learner_steps
+    assert fewest <= calls <= most

@@ -9,19 +9,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim import engine
-from fedsim.engine import _TRAIN_STREAM, LearnerProfile, _train_cohort
+from fedsim.controller import WeightingScheme
+from fedsim.engine import (
+    _TRAIN_STREAM, LearnerProfile, ProtocolConfig, run_policy,
+)
 from fedsim.optimizers import (
     OptimizerConfig,
+    TrainingPool,
     assignment_batches,
-    run_client_opt,
 )
 from fedsim.params import NonFiniteError, ParamSet, StructureError
-from fedsim.tasks import TaskModel, gen_synthetic, init_params, stacked_grad
+from fedsim.tasks import (
+    TaskModel, gen_synthetic, init_params, model_structure, stacked_grad,
+)
 from oracles import (
     epoch_batches,
     equal,
     loss_and_grad,
     reference_opt,
+    run_client_opt,
     step_fedprox,
     step_momentum,
     step_vanilla,
@@ -139,11 +145,17 @@ def test_run_client_opt_fedprox_anchor_is_start():
 
 def test_run_client_opt_momentum_buffer_starts_at_zero():
     cfg = OptimizerConfig("momentum", eta=1.0, gamma=0.5)
-    [w1] = run_client_opt([scalar(0.0)], [2], [one_stream()], cfg, fill(1.0))
-    assert val(w1) == -2.5
-    # a second call must not inherit the previous buffer
-    [w2] = run_client_opt([scalar(0.0)], [2], [one_stream()], cfg, fill(1.0))
-    assert val(w2) == -2.5
+    pool = TrainingPool(scalar(0.0).structure(), 2, cfg, fill(1.0))
+    pool.join("a", scalar(0.0), 2, one_stream())
+    pool.join("b", scalar(0.0), 3, one_stream())
+    assert pool.step() == []
+    [(key, w1)] = pool.step()
+    assert (key, val(w1)) == ("a", -2.5)
+    # a learner joining a row another left must not inherit its buffer
+    pool.join("c", scalar(0.0), 2, one_stream())
+    assert [key for key, _ in pool.step()] == ["b"]
+    [(key, w2)] = pool.step()
+    assert (key, val(w2)) == ("c", -2.5)
 
 
 def test_run_client_opt_rejects_zero_budget():
@@ -153,8 +165,18 @@ def test_run_client_opt_rejects_zero_budget():
                        [one_stream(), one_stream()], cfg, grad_is_weights)
 
 
+def test_pool_refuses_a_learner_past_its_capacity():
+    cfg = OptimizerConfig("vanilla", eta=0.1)
+    pool = TrainingPool(scalar(0.0).structure(), 2, cfg, grad_is_weights)
+    pool.join(0, scalar(1.0), 3, one_stream())
+    pool.join(1, scalar(2.0), 3, one_stream())
+    with pytest.raises(ValueError, match="full"):
+        pool.join(2, scalar(3.0), 3, one_stream())
+    assert len(pool) == 2
+
+
 def test_run_client_opt_rejects_starts_of_two_structures():
-    # The (K, P) buffers are split into one structure's layer views.
+    # The (capacity, P) buffers are split into one structure's layer views.
     cfg = OptimizerConfig("vanilla", eta=0.1)
     other = ParamSet(["v"], [np.array([[2.0]])])
     with pytest.raises(StructureError):
@@ -294,6 +316,13 @@ def batches(seed):
     return epoch_batches(len(DATA), BATCH, np.random.default_rng(seed))
 
 
+def assignment_stream(p, seed, assignment):
+    """The batch rows of learner ``p``'s assignment, as ``run_policy``
+    draws them."""
+    return assignment_batches(p.indices, p.batch_size, np.random.default_rng(
+        [seed, _TRAIN_STREAM, p.learner_id, assignment]))
+
+
 KINDS = ["vanilla", "momentum", "fedprox"]
 
 
@@ -329,8 +358,9 @@ def test_prox_rho_gradient_bitwise_equals_axpy_form(
     model = TASKS[task]
     anchor = init_params(model, np.random.default_rng(seed))
     profile = LearnerProfile(0, "fast", BATCH, 1.0, np.arange(len(DATA)))
-    [w] = _train_cohort([(profile, anchor, budget, assignment)], model, DATA,
-                        cfg, seed, rho)
+    [w] = run_client_opt([anchor], [budget],
+                         [assignment_stream(profile, seed, assignment)], cfg,
+                         stacked_ce(model), rho)
     assert equal(w, train_alone(model, DATA, profile, anchor, budget, cfg,
                                 seed, assignment, rho))
 
@@ -363,9 +393,10 @@ def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
 @pytest.mark.parametrize("budgets", [[1], [1, 3, 1]])
 def test_run_client_opt_one_step_rows_are_private_without_a_copy(kind,
                                                                  budgets):
-    # A lone learner's start is read in place and a row trained one step
-    # is returned without a copy-out; neither may leak: every result is
-    # frozen and shares memory with no start and no view grad_fn saw.
+    # A pool of one reads its start in place and returns a row trained one
+    # step without a copy-out; neither may leak, nor may a larger pool's
+    # rows: every result is frozen and shares memory with no start and no
+    # view grad_fn saw.
     cfg = OptimizerConfig(kind, eta=0.1, gamma=0.5, mu=0.1)
     model = TASKS["softmax"]
     rng = np.random.default_rng(7)
@@ -425,6 +456,57 @@ learner_specs = st.lists(
 )
 
 
+def pool_learners(model, specs, rng):
+    """(profile, start, budget, assignment) of each spec, each on its own
+    random shard of DATA."""
+    learners = []
+    for lid, (size, batch, budget, assignment) in enumerate(specs):
+        shard = rng.choice(len(DATA), size=size, replace=False)
+        profile = LearnerProfile(lid, "fast", batch, 1.0, shard)
+        learners.append((profile, init_params(model, rng), budget, assignment))
+    return learners
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(sorted(TASKS)),
+       cfg=optimizer_configs, specs=learner_specs,
+       rho=st.one_of(st.just(0.0), st.floats(1e-4, 0.1)),
+       capacity=st.integers(1, 12), data=st.data())
+def test_pool_interleavings_bitwise_equal_training_alone(
+    seed, task, cfg, specs, rho, capacity, data
+):
+    """Learners with ragged shards, batch sizes and budgets join a pool at
+    random steps, each as soon as a drawn interleaving lets it and there is
+    room, so members at different steps share kernel calls: every learner
+    gets exactly the weights it reaches training alone, and the pool never
+    holds more learners than its capacity."""
+    model = TASKS[task]
+    learners = pool_learners(model, specs, np.random.default_rng(seed))
+    rows = []
+
+    def grad(W, batch_rows, out):
+        rows.append(len(batch_rows))
+        stacked_ce(model)(W, batch_rows, out)
+
+    pool = TrainingPool(model_structure(model), capacity, cfg, grad, rho)
+    trained, queue = {}, list(learners)
+    while queue or len(pool):
+        if queue and len(pool) < capacity and (
+                not len(pool) or data.draw(st.booleans(), label="join")):
+            p, start, budget, a = queue.pop(0)
+            pool.join(p.learner_id, start, budget,
+                      assignment_stream(p, seed, a))
+        else:
+            rows.clear()
+            trained.update(pool.step())
+            assert sum(rows) <= capacity
+        assert len(pool) <= capacity
+    assert sorted(trained) == list(range(len(learners)))
+    for p, start, budget, a in learners:
+        assert equal(trained[p.learner_id], train_alone(
+            model, DATA, p, start, budget, cfg, seed, a, rho))
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), task=st.sampled_from(sorted(TASKS)),
        cfg=optimizer_configs, specs=learner_specs,
@@ -434,75 +516,112 @@ def test_cohort_training_bitwise_equals_one_learner_at_a_time(
     seed, task, cfg, specs, rho, per_chunk
 ):
     """Stacked cohorts (ragged shards and budgets, every row its own
-    anchor, split into chunks) give each learner exactly the weights it
-    would reach training alone."""
+    anchor) joined in order as rows free up in a pool of ``per_chunk`` rows
+    (all learners by default), as run_policy fills it, give each learner
+    exactly the weights it would reach training alone."""
     model = TASKS[task]
-    rng = np.random.default_rng(seed)
-    cohort = []
-    for lid, (size, batch, budget, assignment) in enumerate(specs):
-        shard = rng.choice(len(DATA), size=size, replace=False)
-        profile = LearnerProfile(lid, "fast", batch, 1.0, shard)
-        cohort.append((profile, init_params(model, rng), budget, assignment))
-    entries = cohort[0][1].num_entries
-    cap = engine._COHORT_ENTRIES if per_chunk is None else per_chunk * entries
-    with mock.patch.object(engine, "_COHORT_ENTRIES", cap):
-        trained = list(_train_cohort(cohort, model, DATA, cfg, seed, rho))
-    expected = [train_alone(model, DATA, p, anchor, budget, cfg, seed, a, rho)
-                for p, anchor, budget, a in cohort]
-    assert len(trained) == len(expected)
-    for w, ref in zip(trained, expected):
-        assert equal(w, ref)
+    learners = pool_learners(model, specs, np.random.default_rng(seed))
+    capacity = per_chunk or len(learners)
+    pool = TrainingPool(model_structure(model), capacity, cfg,
+                        stacked_ce(model), rho)
+    trained, queue = {}, list(learners)
+    while queue or len(pool):
+        while queue and len(pool) < capacity:
+            p, start, budget, a = queue.pop(0)
+            pool.join(p.learner_id, start, budget,
+                      assignment_stream(p, seed, a))
+        trained.update(pool.step())
+    assert sorted(trained) == list(range(len(learners)))
+    for p, start, budget, a in learners:
+        assert equal(trained[p.learner_id], train_alone(
+            model, DATA, p, start, budget, cfg, seed, a, rho))
 
 
 def test_cohort_reads_learners_one_chunk_at_a_time():
-    # What bounds memory: a chunk's learners are read only when its first
-    # model is asked for, so a caller holds one chunk of anchors at a time.
+    # What bounds memory: run_policy's pool holds _COHORT_ENTRIES / model
+    # size learners, and a barrier round's learners join it one lockstep
+    # cohort at a time, each cohort once the one before it has left.
     model = TASKS["softmax"]
     rng = np.random.default_rng(8)
+    initial = init_params(model, rng)
     shard = np.arange(len(DATA))
-    read = []
+    profiles = [LearnerProfile(lid, "fast", BATCH, 1.0, shard)
+                for lid in range(5)]
+    seen = []
 
-    def learners():
-        for lid in range(5):
-            read.append(lid)
-            yield (LearnerProfile(lid, "fast", BATCH, 1.0, shard),
-                   init_params(model, rng), 3, 0)
+    class RecordingPool(TrainingPool):
+        def join(self, key, start, budget, batches):
+            super().join(key, start, budget, batches)
+            seen.append(("join", key))
+            assert len(self) <= self.capacity == 2
 
-    cfg = OptimizerConfig("vanilla", eta=0.1)
-    entries = init_params(model, rng).num_entries
-    with mock.patch.object(engine, "_COHORT_ENTRIES", 2 * entries):
-        trained = _train_cohort(learners(), model, DATA, cfg, 1, 0.0)
-        assert read == []
-        next(trained)
-        assert read == [0, 1]
-        next(trained)
-        assert read == [0, 1]
-        next(trained)
-        assert read == [0, 1, 2, 3]
+        def step(self):
+            left = super().step()
+            if left:
+                seen.append(("leave", sorted(key for key, _ in left)))
+            return left
+
+    cfg = ProtocolConfig("sync", OptimizerConfig("vanilla", eta=0.1),
+                         WeightingScheme("fedavg_static"), epochs=1, rounds=1)
+    with mock.patch.object(engine, "_COHORT_ENTRIES",
+                           2 * initial.num_entries), \
+            mock.patch.object(engine, "TrainingPool", RecordingPool):
+        run_policy(cfg, profiles, model, DATA, DATA, initial, seed=1)
+    assert seen == [("join", 0), ("join", 1), ("leave", [0, 1]),
+                    ("join", 2), ("join", 3), ("leave", [2, 3]),
+                    ("join", 4), ("leave", [4])]
+
+
+def test_pool_fails_only_the_divergent_member():
+    # A member whose gradient turns NaN leaves with the error at that step;
+    # the others train on, bit for bit as alone, and the pool's rows stay
+    # right after the failed row is handed to the last member.
+    model = TASKS["mlp1-relu"]
+    rng = np.random.default_rng(6)
+    learners = pool_learners(model, [(len(DATA), BATCH, 4, 0)] * 4, rng)
+    # Finite weights whose hidden layer overflows the logits to NaN.
+    p, start, budget, a = learners[1]
+    huge = ParamSet(start.names,
+                    [np.full(x.shape, 1e300) for x in start.arrays])
+    learners[1] = (p, huge, budget, a)
+    cfg = OptimizerConfig("momentum", eta=0.1, gamma=0.5)
+    pool = TrainingPool(model_structure(model), 4, cfg, stacked_ce(model))
+    for p, start, budget, a in learners:
+        pool.join(p.learner_id, start, budget, assignment_stream(p, 1, a))
+    with np.errstate(all="ignore"):
+        [(key, error)] = pool.step()
+    assert key == 1 and isinstance(error, NonFiniteError)
+    assert len(pool) == 3
+    trained = {}
+    while len(pool):
+        trained.update(pool.step())
+    for p, start, budget, a in learners:
+        if p.learner_id != 1:
+            assert equal(trained[p.learner_id], train_alone(
+                model, DATA, p, start, budget, cfg, 1, a))
 
 
 def test_cohort_with_one_divergent_row_raises_nonfinite():
     model = TASKS["mlp1-relu"]
     rng = np.random.default_rng(6)
-    shard = np.arange(len(DATA))
-    cohort = [
-        (LearnerProfile(lid, "fast", BATCH, 1.0, shard),
-         init_params(model, rng), 4, 0)
-        for lid in range(3)
-    ]
+    starts = [init_params(model, rng) for _ in range(3)]
     # Finite weights whose hidden layer overflows the logits to NaN.
-    huge = ParamSet(cohort[1][1].names,
-                    [np.full(a.shape, 1e300) for a in cohort[1][1].arrays])
-    cohort[1] = (cohort[1][0], huge, 4, 0)
+    starts[1] = ParamSet(starts[1].names,
+                         [np.full(a.shape, 1e300) for a in starts[1].arrays])
     cfg = OptimizerConfig("vanilla", eta=0.1)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-        list(_train_cohort(cohort, model, DATA, cfg, seed=1, prox_rho=0.0))
+        run_client_opt(starts, [4] * 3, [batches(i) for i in range(3)], cfg,
+                       stacked_ce(model))
 
 
 def test_cohort_rejects_anchors_of_another_layout():
-    anchor = init_params(TASKS["softmax"], np.random.default_rng(2))
+    # run_policy trains every assignment from the community model, so an
+    # initial model of another layout fails the first group, as the task's
+    # layout error.
+    task = TASKS["mlp1-relu"]
+    wrong = init_params(TASKS["softmax"], np.random.default_rng(2))
     profile = LearnerProfile(0, "fast", BATCH, 1.0, np.arange(len(DATA)))
-    cfg = OptimizerConfig("vanilla", eta=0.1)
-    with pytest.raises(StructureError):
-        list(_train_cohort([(profile, anchor, 2, 0)], TASKS["mlp1-relu"],
-                           DATA, cfg, seed=1, prox_rho=0.0))
+    cfg = ProtocolConfig("sync", OptimizerConfig("vanilla", eta=0.1),
+                         WeightingScheme("fedavg_static"), epochs=1, rounds=1)
+    with pytest.raises(StructureError, match="mlp1 needs layers"):
+        run_policy(cfg, [profile], task, DATA, DATA, wrong, seed=1)

@@ -432,6 +432,23 @@ def test_rerun_replaces_the_cell(tmp_path, first, second, argv):
     assert (out / "plots").is_dir()
 
 
+def test_matrix_rerun_removes_a_single_cell_runs_files(tmp_path):
+    # A one-lambda semisync run writes its files into the output directory;
+    # a lambda = 1, 2 run into the same directory then leaves exactly what
+    # it writes into an empty one: the cells and the manifest.
+    semisync = SMALL_SYNC.replace("policy = sync", "policy = semisync")
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(semisync.format(out=out) + "lambda = 1\n")
+    assert main(["run", str(cfg_path)]) == 0
+    assert (out / "config.txt").is_file()
+    cfg_path.write_text(semisync.format(out=out) + "lambda = 1, 2\n")
+    assert main(["run", str(cfg_path), "--out", str(fresh)]) == 0
+    assert main(["run", str(cfg_path)]) == 0
+    assert sorted(os.listdir(out)) == ["lam-1", "lam-2", "manifest.json"]
+    assert digest_tree(out) == digest_tree(fresh)
+
+
 @pytest.mark.parametrize("head", [
     b"# caf\xe9 config\n",  # Latin-1, not UTF-8
     b"\xff\xfe",  # a UTF-16 byte-order mark
