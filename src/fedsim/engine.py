@@ -42,9 +42,7 @@ from .controller import (
     init_community,
     record_fetch,
 )
-from .optimizers import (
-    NONFINITE_GRADIENT, OptimizerConfig, TrainingPool, assignment_batches,
-)
+from .optimizers import OptimizerConfig, TrainingPool, assignment_batches
 from .params import NonFiniteError, ParamSet, StructureError, weighted_average
 from .tasks import Dataset, TaskModel, evaluate, model_structure, stacked_grad
 
@@ -237,17 +235,6 @@ def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
     return SchedulePlan(t_max_us=t_max_us, batches=batches)
 
 
-def _raise_first_failure(results: list[tuple[int, object]]) -> None:
-    """Raise what a lockstep cohort of these ``(budget, result)`` raised
-    first: a non-finite gradient at the step it appeared, else the first
-    non-finite result in budget order, largest first."""
-    failed = [(r.args != (NONFINITE_GRADIENT,), -budget, i, r)
-              for i, (budget, r) in enumerate(results)
-              if isinstance(r, NonFiniteError)]
-    if failed:
-        raise min(failed)[-1]
-
-
 def run_policy(
     cfg: ProtocolConfig,
     profiles: list[LearnerProfile],
@@ -295,9 +282,9 @@ def run_policy(
     most one model per learner in flight. A barrier round fetches every
     learner at once, so its learners train in lockstep; under ``async``
     each refetch joins beside learners at other steps, and they share
-    kernel calls. A failed training surfaces only when its group commits,
-    as the group's lockstep cohorts of pool-capacity learners, one after
-    another, raised it, so an earlier failure of the run still wins.
+    kernel calls. A failed training surfaces only when its group commits:
+    the group raises the NonFiniteError of its first failed learner in
+    learner-id order, so an earlier failure of the run still wins.
     """
     profiles = sorted(profiles, key=lambda p: p.learner_id)
     log = MetricsLog(policy=cfg.policy, seed=seed)
@@ -373,12 +360,10 @@ def run_policy(
                             [seed, _TRAIN_STREAM, k, assignment])))
                 trained.update(pool.step())
         models, weights = [], []
-        for i, (finish, lid) in enumerate(arrivals):
-            if i % pool.capacity == 0:  # the next lockstep cohort's failure
-                _raise_first_failure(
-                    [(flight[k][1], trained[k])
-                     for _, k in arrivals[i : i + pool.capacity]])
+        for finish, lid in arrivals:
             w_k = trained.pop(lid)
+            if isinstance(w_k, NonFiniteError):
+                raise w_k
             p, steps, assignment, start, fetch_steps, fetch_version = (
                 flight[lid]
             )

@@ -92,10 +92,6 @@ def _check_batching(num_examples: int, batch_size: int) -> None:
 # minibatch gradients into out.
 GradFn = Callable[[list, np.ndarray, list], None]
 
-# What a member's training hits when its gradient has a NaN/Inf entry.
-NONFINITE_GRADIENT = "gradient has NaN/Inf entries"
-
-
 class TrainingPool:
     """Learners training side by side, each at its own local step.
 
@@ -226,8 +222,8 @@ class TrainingPool:
         w, g = W[:m], G[:m]
         if not all_finite(g):
             for row in np.flatnonzero(~np.isfinite(g).all(axis=1))[::-1]:
-                left.append((self._keys[row],
-                             NonFiniteError(NONFINITE_GRADIENT)))
+                left.append((self._keys[row], NonFiniteError(
+                    "gradient has NaN/Inf entries")))
                 self._drop(row, G)
             m = len(self._keys)
             w, g = W[:m], G[:m]

@@ -3,8 +3,7 @@
 Turns a parsed :class:`ExperimentConfig` into datasets, partitions, learner
 profiles and a protocol run, then writes every artifact needed to reproduce
 and inspect the run: each file a cell or a run writes is written here, the
-run's log files by :func:`export_metrics`. Also hosts the aggregation-cost
-microbenchmark behind the ``bench-cache`` CLI subcommand.
+run's log files by :func:`export_metrics`.
 """
 
 from __future__ import annotations
@@ -14,15 +13,13 @@ import json
 import os
 import sys
 import tempfile
-import time
 
 import numpy as np
 
 from . import params
 from .config import ConfigError, ExperimentConfig, cell_name
-from .controller import init_community, cached_update, snapshot
+from .controller import snapshot
 from .engine import LearnerProfile, MetricsLog, run_policy
-from .params import ParamSet
 from .partition import assign_classes, assign_to_devices, make_sizes
 from .tasks import gen_synthetic, init_params
 
@@ -248,109 +245,3 @@ def run_experiment(
     _write_json(os.path.join(base, "manifest.json"), manifest)
     return 0
 
-
-def bench_cache(
-    learner_counts=(10, 100, 1000),
-    model_entries=(10_000,),
-    repeats: int = 5,
-    inner: int = 20,
-    seed: int = 7,
-    out_path: str | None = None,
-):
-    """Time contribution replacement against full re-aggregation.
-
-    For every (number of learners, model size) pair the benchmark saturates
-    a controller state, then measures (a) the per-call cost of replacing one
-    learner's contribution through the incremental cache and (b) the cost of
-    re-averaging every stored model. Returns (rows, fits) where rows are
-    ``(mode, n_learners, model_entries, repeat, seconds)`` and fits hold a
-    least-squares line of seconds against learner count per mode and model
-    size. Seconds are CPU seconds of this process: a busy neighbour
-    stretches a call's wall time, but not the CPU time the call takes.
-    """
-    if repeats < 2:
-        raise ValueError("need at least two repeats to fit a line")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for entries in model_entries:
-        shapes = _three_layer_shapes(entries)
-        fresh = [
-            ParamSet(
-                [f"layer{i}" for i in range(len(shapes))],
-                [rng.standard_normal(s) for s in shapes],
-            )
-            for _ in range(8)
-        ]
-        saturated = []
-        for n in learner_counts:
-            state = init_community(fresh[0])
-            weights = rng.uniform(1.0, 100.0, size=n)
-            for k in range(n):
-                cached_update(
-                    state, k, fresh[k % len(fresh)], float(weights[k]), 1, 0
-                )
-            saturated.append((n, state, weights))
-        # Each repeat visits every learner count in turn, so drift in host
-        # speed spreads over all counts instead of lining up with one.
-        for rep in range(repeats):
-            for n, state, weights in saturated:
-                # One untimed commit first: the first call after switching
-                # states runs on cold caches, and at ~50 us a call that
-                # alone can read as a slope in N.
-                cached_update(state, 0, fresh[0], float(weights[0]), 1, 0)
-                t0 = time.process_time()
-                for i in range(inner):
-                    cached_update(
-                        state, i % n, fresh[i % len(fresh)],
-                        float(weights[i % n]), 1, 0,
-                    )
-                dt = (time.process_time() - t0) / inner
-                rows.append(("cached", n, entries, rep, dt))
-        for rep in range(repeats):
-            for n, state, _ in saturated:
-                # At least three calls per point: one ~10 ms call at
-                # N = 1000 reads a stall of the process as the whole point.
-                recompute_inner = max(3, 200 // n)
-                t0 = time.process_time()
-                for _ in range(recompute_inner):
-                    models = [rec.model for rec in state.records.values()]
-                    values = [rec.value for rec in state.records.values()]
-                    params.weighted_average(models, values)
-                dt = (time.process_time() - t0) / recompute_inner
-                rows.append(("recompute", n, entries, rep, dt))
-    fits = fit_bench(rows)
-    if out_path:
-        lines = ["mode,n_learners,model_entries,repeat,seconds"]
-        lines += [
-            f"{mode},{n},{entries},{rep},{dt!r}"
-            for mode, n, entries, rep, dt in rows
-        ]
-        _write_text(out_path, "\n".join(lines) + "\n")
-    return rows, fits
-
-
-def _three_layer_shapes(entries: int) -> list[tuple[int, ...]]:
-    a = entries // 2
-    b = entries // 4
-    return [(a,), (b,), (entries - a - b,)]
-
-
-def fit_bench(rows) -> dict:
-    """Least-squares seconds-vs-learners line per (mode, model size)."""
-    # Imported here: scipy is most of the package's import time, and only
-    # the benchmark fit needs it.
-    from scipy import stats
-
-    fits: dict = {}
-    keys = sorted({(mode, entries) for mode, _, entries, _, _ in rows})
-    for mode, entries in keys:
-        xs = [n for m, n, e, _, _ in rows if m == mode and e == entries]
-        ys = [dt for m, _, e, _, dt in rows if m == mode and e == entries]
-        line = stats.linregress(xs, ys)
-        fits[(mode, entries)] = {
-            "slope": float(line.slope),
-            "intercept": float(line.intercept),
-            "r_squared": float(line.rvalue) ** 2,
-            "slope_pvalue": float(line.pvalue),
-        }
-    return fits

@@ -8,13 +8,15 @@ per Li et al., arXiv 1812.06127) and the epoch-shuffled batch stream.
 ``train_alone`` folds them into one learner's assignment, the form pool
 training and ``run_policy`` must match bit for bit. The rest are helpers
 several test files share: ``run_client_opt`` (one pool trains a list of
-learners), file-tree digests, layer lookup by name, flat-vector views and
-central differences.
+learners), file-tree digests, layer lookup by name, flat-vector views,
+central differences and loading a script of ``tools/``.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -246,3 +248,13 @@ def rel_err(num, ana):
     """Largest entrywise gap, relative to the larger magnitude or 1."""
     denom = np.maximum(1.0, np.maximum(np.abs(num), np.abs(ana)))
     return float(np.max(np.abs(num - ana) / denom))
+
+
+def load_tool(name):
+    """The module ``tools/<name>.py``, loaded from its file: the tools are
+    scripts, not a package."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

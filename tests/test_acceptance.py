@@ -36,11 +36,11 @@ from fedsim.partition import (
     assign_to_devices,
     make_sizes,
 )
-from fedsim.runner import bench_cache, run_experiment
+from fedsim.runner import run_experiment
 from fedsim.tasks import TaskModel, gen_synthetic, init_params, stacked_grad
 from oracles import (
-    central_diff, digest_tree, equal, loss_and_grad, max_abs_diff, rel_err,
-    run_client_opt, step_fedprox, step_momentum, step_vanilla, unflat,
+    central_diff, digest_tree, equal, load_tool, loss_and_grad, max_abs_diff,
+    rel_err, run_client_opt, step_fedprox, step_momentum, step_vanilla, unflat,
     zeros_like,
 )
 
@@ -142,10 +142,12 @@ def test_criterion_2_cache_equals_recompute(announce):
 
 
 def test_criterion_3_cache_scaling(announce):
+    tool = load_tool("bench_cache")
+
     def body(check):
         fits = None
         for attempt_seed in (7, 1013):  # one retry for the stochastic fit
-            rows, fits = bench_cache(
+            rows, fits = tool.bench_cache(
                 learner_counts=(10, 100, 1000), model_entries=(10_000,),
                 repeats=5, inner=20, seed=attempt_seed)
             if fits[("cached", 10_000)]["slope_pvalue"] > 0.05:

@@ -19,12 +19,11 @@ from fedsim.engine import (
     MetricsLog,
     ProtocolConfig,
     _EVENT_RANK,
-    _raise_first_failure,
     _round_half_up,
     plan_semisync,
     run_policy,
 )
-from fedsim.optimizers import NONFINITE_GRADIENT, OptimizerConfig
+from fedsim.optimizers import OptimizerConfig
 from fedsim.params import NonFiniteError
 from fedsim.runner import export_metrics
 from fedsim.tasks import (
@@ -406,21 +405,30 @@ def test_a_training_failure_waits_for_its_group():
             run_policy(cfg, profs, task, poisoned, test, initial, seed=7)
 
 
-def test_a_cohort_raises_the_failure_lockstep_training_hit_first():
-    # A non-finite gradient at any step came before every result check,
-    # and the results were checked in budget order, largest first.
-    gradient = NonFiniteError(NONFINITE_GRADIENT)
-    late = NonFiniteError("layer 'W' has NaN/Inf entries")
-    early = NonFiniteError("layer 'b' has NaN/Inf entries")
-    for results, first in [
-        ([(9, late), (3, gradient), (1, "model")], gradient),
-        ([(2, late), (5, early)], early),
-        ([(5, late), (5, early)], late),
-    ]:
-        with pytest.raises(NonFiniteError) as info:
-            _raise_first_failure(results)
-        assert info.value is first
-    _raise_first_failure([(4, "model"), (1, "model")])
+def test_a_group_raises_the_failure_of_its_lowest_failed_learner():
+    # Both learners of one round fail at their one step: learner 1's
+    # gradient is NaN, and learner 0's stays finite but overflows its
+    # update. The round raises learner 0's failure, the first in learner-id
+    # order, though a lockstep cohort met learner 1's gradient first.
+    task, train, test, chunks, initial = small_world(2, 20)
+    features = train.features.copy()
+    features[chunks[0]] = 0.0  # marks learner 0's rows for the kernel
+    features[chunks[1]] = np.nan
+    poisoned = Dataset(features, train.labels, train.num_classes)
+
+    def kernel(model, layers, X, y, grads):
+        stacked_grad(model, layers, X, y, grads)
+        for g in grads:
+            g[(X == 0.0).all(axis=(1, 2))] = 1e308  # finite; 2 * 1e308 is not
+
+    profs = [profile(0, 3.0, chunks[0]), profile(1, 3.0, chunks[1])]
+    cfg = ProtocolConfig("sync", OptimizerConfig("vanilla", eta=2.0), STATIC,
+                         epochs=1, rounds=1)
+    with np.errstate(all="ignore"), \
+            mock.patch.object(engine, "stacked_grad", kernel), \
+            pytest.raises(NonFiniteError, match="^layer ") as info:
+        run_policy(cfg, profs, task, poisoned, test, initial, seed=7)
+    assert "gradient" not in str(info.value)
 
 
 def test_async_zero_idle():

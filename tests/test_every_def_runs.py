@@ -1,9 +1,9 @@
-"""``src/`` keeps only what ``fedsim run`` and ``fedsim bench-cache`` execute.
+"""``src/`` keeps only what ``fedsim run`` executes.
 
 A fresh interpreter sets a profile hook before ``import fedsim``, then runs
 the CLI on a few tiny configs that between them reach every policy, task,
-partition, optimizer and weighting scheme, one partition report, one
-invalid config and one small cache bench. Every ``def`` under
+partition, optimizer and weighting scheme, one seed override, one
+partition report and one invalid config. Every ``def`` under
 ``src/fedsim`` must have been entered: a function only tests call belongs
 in the tests (``tests/oracles.py``), not in the package.
 """
@@ -32,7 +32,8 @@ ASYNC = {"policy": "async", "time_budget_ms": 20, "epochs": 1}
 # (keys over COMMON's, extra CLI arguments, exit code) of each run.
 RUNS = [
     ({"task": {"kind": "softmax_regression"},
-      "protocol": {"policy": "sync", "rounds": 2, "epochs": 1}}, [], 0),
+      "protocol": {"policy": "sync", "rounds": 2, "epochs": 1}},
+     ["--seed", "3"], 0),
     ({"task": {"kind": "mlp1", "activation": "relu"},
       "partition": {"size_dist": "powerlaw", "class_dist": "non_iid",
                     "classes_per_learner": 2},
@@ -46,8 +47,6 @@ RUNS = [
     ({}, ["--report-partitions-only"], 0),
     ({"protocol": {"policy": "nope"}}, [], 2),
 ]
-BENCH = ["bench-cache", "--learners", "2", "3", "--sizes", "30",
-         "--repeats", "2"]
 
 # Records (file, first line) of every Python function the CLI calls enter.
 CHILD = r"""
@@ -102,7 +101,6 @@ def entered(tmp_path_factory):
             for name, keys in sections.items()))
         argvs.append(["run", str(config), "--out", str(work / f"out{i}"),
                       *extra])
-    argvs.append(BENCH)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
@@ -114,7 +112,7 @@ def entered(tmp_path_factory):
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(out_path.read_text())
-    assert result["codes"] == [code for _, _, code in RUNS] + [0]
+    assert result["codes"] == [code for _, _, code in RUNS]
     return {(os.path.realpath(f), line) for f, line in result["entered"]}
 
 

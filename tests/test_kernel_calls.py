@@ -6,19 +6,9 @@ perfbench workload's config through ``fedsim run`` at its default seed
 with a counting wrapper on ``fedsim.engine.stacked_grad``.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_calls.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("kernel_calls", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from oracles import load_tool
 
 
 # workload -> (learner-steps, most kernel calls, fewest kernel calls). The
@@ -34,7 +24,7 @@ EXPECTED = {
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_workload_kernel_calls(name):
-    tool = load_tool()
+    tool = load_tool("kernel_calls")
     workloads = tool.load_workloads()
     assert workloads.DEFAULT_SEED == 11
     calls, steps = tool.kernel_calls(workloads.config_text(name))

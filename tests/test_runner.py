@@ -1,25 +1,22 @@
-"""End-to-end experiment runner, output layout, CLI, and the cache bench."""
+"""End-to-end experiment runner, output layout, CLI, and the cache bench
+(``tools/bench_cache.py``)."""
 
 import json
 import os
-import subprocess
-import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-import fedsim
 from fedsim.cli import main
 from fedsim.config import parse_config_text
 from fedsim.runner import (
     OUTPUT_ROOT_ENV,
-    bench_cache,
     build_world,
-    fit_bench,
     resolve_out_dir,
     run_experiment,
 )
-from oracles import digest_tree, load
+from oracles import digest_tree, load, load_tool
 
 SMALL_SYNC = """
 [experiment]
@@ -474,7 +471,7 @@ def test_cli_partition_report_flag(tmp_path):
 
 def test_bench_cache_rows_and_fits(tmp_path):
     out_csv = tmp_path / "bench.csv"
-    rows, fits = bench_cache(
+    rows, fits = load_tool("bench_cache").bench_cache(
         learner_counts=(4, 8, 16),
         model_entries=(300,),
         repeats=3,
@@ -503,46 +500,45 @@ def test_fit_bench_detects_linear_growth():
                          1e-4 * (1.0 + 0.01 * rng.standard_normal())))
             rows.append(("recompute", n, 100, rep,
                          1e-6 * n * (1.0 + 0.01 * rng.standard_normal())))
-    fits = fit_bench(rows)
+    fits = load_tool("bench_cache").fit_bench(rows)
     assert fits[("recompute", 100)]["r_squared"] >= 0.99
     assert fits[("recompute", 100)]["slope"] > 0
     assert fits[("cached", 100)]["slope_pvalue"] > 0.05
 
 
-def test_cli_bench_smoke(capsys):
-    assert main(["bench-cache", "--learners", "4", "8",
-                 "--sizes", "200", "--repeats", "3"]) == 0
+def test_cli_bench_smoke(tmp_path, monkeypatch, capsys):
+    # the bench's command line without --out: a median table, no file
+    tool = load_tool("bench_cache")
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(tool, "LEARNERS", (4, 8)), \
+            mock.patch.object(tool, "SIZES", (200,)), \
+            mock.patch.object(tool, "REPEATS", 3):
+        assert tool.main([]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    medians = {(r[0], r[2]) for r in rows if len(r) == 4 and r[1] == "200"}
+    assert medians == {(mode, n) for mode in ("cached", "recompute")
+                       for n in ("4", "8")}
+    assert os.listdir(tmp_path) == []
+
+
+def test_bench_tool_prints_its_fits_and_writes_its_table(tmp_path, capsys):
+    tool = load_tool("bench_cache")
+    out_csv = tmp_path / "bench.csv"
+    with mock.patch.object(tool, "LEARNERS", (4, 8)), \
+            mock.patch.object(tool, "SIZES", (200,)), \
+            mock.patch.object(tool, "REPEATS", 2):
+        assert tool.main(["--out", str(out_csv)]) == 0
     out = capsys.readouterr().out
-    assert "cached" in out and "recompute" in out
+    for mode in ("cached", "recompute"):
+        assert f"{mode} (200 entries): slope=" in out
+    assert "cached (200 entries): slope " in out  # the verdict lines
+    assert "recompute (200 entries): time " in out
+    lines = out_csv.read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2 * 2  # header, modes * counts * repeats
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--repeats", "1"], "must be >= 2"),
-    (["--learners", "0", "4"], "must be >= 1"),
-    (["--learners", "8"], "at least two distinct"),
-    (["--learners", "8", "8"], "at least two distinct"),
-    (["--sizes", "2"], "must be >= 3"),
-    (["--repeats", "x"], "invalid int value"),
-])
-def test_cli_bench_rejects_out_of_range_arguments(capsys, args, message):
+def test_cli_has_no_bench_cache_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench-cache", *args])
+        main(["bench-cache"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
-
-
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is most of the package's import time; only bench-cache needs it
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fedsim.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    code = ("import sys, fedsim.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True,
-        text=True, check=True, timeout=60,
-    ).stdout
-    assert out.strip() == "[]"
+    assert "invalid choice: 'bench-cache'" in capsys.readouterr().err

@@ -6,8 +6,10 @@ binds must appear as a loaded name in the same file. ``from __future__``
 imports are directives, and ``src/fedsim/__init__.py`` imports the names it
 binds for the package, so both are exempt.
 
-fedsim is single-threaded: no module of the package imports a thread or
-process module, so nothing in it runs concurrently with the event loop.
+No module of the package imports a forbidden module, even inside a
+function. fedsim is single-threaded: no thread or process module, so
+nothing in it runs concurrently with the event loop. fedsim needs numpy
+only: no scipy, which the test extra and ``tools/bench_cache.py`` use.
 """
 
 import ast
@@ -21,7 +23,9 @@ FILES = sorted(
     if path != ROOT / "src" / "fedsim" / "__init__.py"
 )
 PACKAGE = sorted((ROOT / "src" / "fedsim").glob("*.py"))
-CONCURRENCY_MODULES = {"threading", "_thread", "multiprocessing", "concurrent"}
+FORBIDDEN_MODULES = {
+    "threading", "_thread", "multiprocessing", "concurrent", "scipy",
+}
 
 
 def unused_imports(source):
@@ -39,9 +43,9 @@ def unused_imports(source):
     return [(line, name) for line, name in bound if name not in read]
 
 
-def concurrency_imports(source):
+def forbidden_imports(source):
     """(line, module) of each absolute import of a thread or process
-    module in ``source``."""
+    module, or of scipy, in ``source``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -51,7 +55,7 @@ def concurrency_imports(source):
         else:
             continue
         found += [(node.lineno, m) for m in modules
-                  if m.split(".")[0] in CONCURRENCY_MODULES]
+                  if m.split(".")[0] in FORBIDDEN_MODULES]
     return found
 
 
@@ -77,15 +81,23 @@ def test_scan_finds_a_concurrency_import():
               "from _thread import start_new_thread\n"
               "from .threading import helper\n"
               "def f():\n    import threading as t\n")
-    assert concurrency_imports(source) == [
+    assert forbidden_imports(source) == [
         (1, "threading"), (3, "concurrent.futures"), (4, "multiprocessing"),
         (5, "_thread"), (8, "threading"),
     ]
 
 
+def test_scan_finds_a_nested_scipy_import():
+    source = ("import numpy as np\n"
+              "def fit(xs, ys):\n"
+              "    from scipy import stats\n"
+              "    return stats.linregress(xs, ys)\n")
+    assert forbidden_imports(source) == [(3, "scipy")]
+
+
 def test_package_imports_no_thread_or_process_module():
     found = {str(path.relative_to(ROOT)): modules
              for path in PACKAGE
-             if (modules := concurrency_imports(
+             if (modules := forbidden_imports(
                  path.read_text(encoding="utf-8")))}
     assert found == {}
