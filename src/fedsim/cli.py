@@ -4,7 +4,9 @@ One subcommand::
 
     fedsim run <config> [--out DIR] [--seed N] [--report-partitions-only]
 
-Relative output paths resolve under $FEDSIM_OUTPUT_ROOT when it is set.
+``--seed`` and ``--out`` replace ``[experiment] seed`` and ``output``
+before the config is parsed, so they are checked as those keys are, and a
+relative output path resolves under $FEDSIM_OUTPUT_ROOT when it is set.
 The aggregation cache's microbenchmark is ``tools/bench_cache.py``.
 """
 
@@ -18,19 +20,6 @@ from .partition import PartitionError
 from .runner import run_experiment
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
@@ -40,10 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run the experiment described by a config file")
     run_p.add_argument("config", help="path to the experiment config")
-    run_p.add_argument("--out", default=None, help="output directory override")
-    run_p.add_argument(
-        "--seed", type=_int_at_least(0), default=None, help="seed override"
-    )
+    run_p.add_argument("--out", help="replaces [experiment] output")
+    run_p.add_argument("--seed", help="replaces [experiment] seed")
     run_p.add_argument(
         "--report-partitions-only",
         action="store_true",
@@ -53,10 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(args.config, args.seed, args.out)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -64,16 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        return run_experiment(
-            cfg,
-            out_override=args.out,
-            seed_override=args.seed,
-            partitions_only=args.report_partitions_only,
-        )
-    except ConfigError as exc:
-        # An output path that resolves to nothing.
-        print(str(exc), file=sys.stderr)
-        return 2
+        return run_experiment(cfg, partitions_only=args.report_partitions_only)
     except PartitionError as exc:
         # Raised while building the world, before any output is written:
         # the config asks for a partition this dataset cannot realize.

@@ -8,6 +8,11 @@ the first problem. A key that fails its parser is left out of the parsed
 values, and a check across keys runs only when every key it reads parsed,
 so one bad value never reports a second, made-up one. Every key has a
 default, so an empty file is a valid experiment.
+
+The command line's ``--seed`` and ``--out`` are parsed here too: a flag's
+text replaces its ``[experiment]`` key's before the schema parses it. A
+relative output path is joined to ``$FEDSIM_OUTPUT_ROOT`` when that is set,
+so the parsed seed and output directory are the ones the run uses.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 from dataclasses import dataclass
 
 from .controller import WEIGHTING_KINDS, WeightingScheme
@@ -24,6 +30,7 @@ from .partition import CLASS_DISTS, SIZE_DISTS, PartitionSpec
 from .tasks import ACTIVATIONS, TASK_KINDS, TaskModel
 
 DEFAULT_SEED = 1990
+OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 
 
 # Parsers take (key, raw text) and return a typed value, or raise ValueError
@@ -83,8 +90,10 @@ def _bool(key, raw):
     raise ValueError(f"{raw!r} is not a boolean")
 
 
-def _text(key, raw):
-    return raw.strip()
+def _output(key, raw):
+    """A path; a relative one is joined to the output root when it is set."""
+    out, root = raw.strip(), os.environ.get(OUTPUT_ROOT_ENV, "")
+    return os.path.join(root, out) if root and not os.path.isabs(out) else out
 
 
 def _list(item, nonempty=False):
@@ -125,7 +134,7 @@ def _clock_ms(min_us):
 SCHEMA = {
     "experiment": {
         "seed": (str(DEFAULT_SEED), _int(0)),
-        "output": ("runs/experiment", _text),
+        "output": ("runs/experiment", _output),
     },
     "task": {
         "kind": ("softmax_regression", _choice(TASK_KINDS)),
@@ -175,9 +184,11 @@ SCHEMA = {
     },
 }
 
-# Checks across keys of one section: (section, keys, rule, violation).
+# Checks of parsed keys of one section: (section, keys, rule, violation).
 # Each runs only when every key it reads parsed.
 _CHECKS = (
+    ("experiment", ("output",), bool,
+     "the output path is empty: set [experiment] output or pass --out"),
     ("learners", ("num_fast", "num_slow"),
      lambda fast, slow: fast + slow >= 1,
      "[learners] num_fast + num_slow must be >= 1"),
@@ -209,7 +220,8 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     """A parsed experiment. ``protocol`` holds the first lambda value; a
-    semisync run with several values runs one cell per value."""
+    semisync run with several values runs one cell per value. ``seed`` and
+    ``out_dir`` are the run's own, flags and output root applied."""
 
     seed: int
     out_dir: str
@@ -232,10 +244,15 @@ class ExperimentConfig:
         return self.num_fast + self.num_slow
 
 
-def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
+def parse_config_text(
+    text: str, source: str = "<string>", seed: str | None = None,
+    output: str | None = None,
+) -> ExperimentConfig:
     """Parse and validate a config document; raises :class:`ConfigError`
     carrying all violations if anything is wrong. ``source`` names the
-    document in a syntax error."""
+    document in a syntax error; ``seed`` and ``output``, when given, are the
+    text of ``[experiment] seed`` and ``output`` in place of the
+    document's."""
     violations: list[str] = []
     # No header can spell a newline, so [DEFAULT] is an ordinary section
     # (an unknown one) instead of defaults for every other section.
@@ -259,6 +276,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
                 violations.append(f"[{section}] unknown key {key!r}")
             else:
                 raw[section][key] = value
+    for key, flag in (("seed", seed), ("output", output)):
+        if flag is not None:
+            raw["experiment"][key] = flag
 
     values: dict[str, dict] = {}
     for section, keys in SCHEMA.items():
@@ -323,8 +343,10 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     )
 
 
-def parse_config(path: str) -> ExperimentConfig:
+def parse_config(
+    path: str, seed: str | None = None, output: str | None = None
+) -> ExperimentConfig:
     # newline="" keeps the file's line endings in ``source_text``, so the
     # cell's config.txt echoes the file byte for byte.
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_config_text(fh.read(), source=path)
+        return parse_config_text(fh.read(), path, seed, output)

@@ -282,9 +282,12 @@ def run_policy(
     most one model per learner in flight. A barrier round fetches every
     learner at once, so its learners train in lockstep; under ``async``
     each refetch joins beside learners at other steps, and they share
-    kernel calls. A failed training surfaces only when its group commits:
-    the group raises the NonFiniteError of its first failed learner in
-    learner-id order, so an earlier failure of the run still wins.
+    kernel calls. A failed training surfaces only when its group commits,
+    so an earlier failure of the run still wins: the group raises the
+    NonFiniteError of its first failed learner in learner-id order, its
+    message prefixed with that learner's id, assignment and arrival time.
+    Training and commits run with numpy's overflow and invalid-value
+    warnings off, evaluation with them on.
     """
     profiles = sorted(profiles, key=lambda p: p.learner_id)
     log = MetricsLog(policy=cfg.policy, seed=seed)
@@ -350,41 +353,48 @@ def run_policy(
         if not groups and initial.structure() != structure:
             # Every anchor is a community model of the initial's layout.
             raise StructureError(f"{task.kind} needs layers {structure}")
-        for _, lid in arrivals:  # step the pool until the group is done
-            while lid not in trained:
-                while waiting and len(pool) < pool.capacity:
-                    _, k, anchor = heapq.heappop(waiting)
-                    p, budget, assignment = flight[k][:3]
-                    pool.join(k, anchor, budget, assignment_batches(
-                        p.indices, p.batch_size, np.random.default_rng(
-                            [seed, _TRAIN_STREAM, k, assignment])))
-                trained.update(pool.step())
-        models, weights = [], []
-        for finish, lid in arrivals:
-            w_k = trained.pop(lid)
-            if isinstance(w_k, NonFiniteError):
-                raise w_k
-            p, steps, assignment, start, fetch_steps, fetch_version = (
-                flight[lid]
-            )
-            log.events.append((finish, "train_end", lid))
-            log.events.append((finish, "update_request", lid))
-            log.utilization.append((lid, assignment, finish - start, t - finish))
-            if barrier:
-                value = float(p.data_size)
-                models.append(w_k)
-                weights.append(value)
-            else:
-                w_c, value = commit(
-                    cfg.weighting, state, lid, w_k, p.data_size, fetch_steps,
-                    steps, fetch_version,
+        # The gradient scan and ParamSet's finiteness check catch an
+        # overflow, so numpy's warnings for it would say nothing more.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, lid in arrivals:  # step the pool until the group is done
+                while lid not in trained:
+                    while waiting and len(pool) < pool.capacity:
+                        _, k, anchor = heapq.heappop(waiting)
+                        p, budget, assignment = flight[k][:3]
+                        pool.join(k, anchor, budget, assignment_batches(
+                            p.indices, p.batch_size, np.random.default_rng(
+                                [seed, _TRAIN_STREAM, k, assignment])))
+                    trained.update(pool.step())
+            models, weights = [], []
+            for finish, lid in arrivals:
+                w_k = trained.pop(lid)
+                p, steps, assignment, start, fetch_steps, fetch_version = (
+                    flight[lid]
                 )
-                log.events.append((t, "community_commit", lid))
-                fetch(p, t, assignment + 1)
-            log.contributions.append((t, lid, value))
+                if isinstance(w_k, NonFiniteError):
+                    raise NonFiniteError(
+                        f"learner {lid}, assignment {assignment}, arrival at "
+                        f"{finish / 1000.0!r} ms: {w_k}")
+                log.events.append((finish, "train_end", lid))
+                log.events.append((finish, "update_request", lid))
+                log.utilization.append(
+                    (lid, assignment, finish - start, t - finish))
+                if barrier:
+                    value = float(p.data_size)
+                    models.append(w_k)
+                    weights.append(value)
+                else:
+                    w_c, value = commit(
+                        cfg.weighting, state, lid, w_k, p.data_size,
+                        fetch_steps, steps, fetch_version,
+                    )
+                    log.events.append((t, "community_commit", lid))
+                    fetch(p, t, assignment + 1)
+                log.contributions.append((t, lid, value))
+            if barrier:
+                w_c = weighted_average(models, weights)
         groups += 1
         if barrier:
-            w_c = weighted_average(models, weights)
             log.events.append((t, "community_commit", -1))
             if groups < cfg.rounds:
                 for p in profiles:

@@ -17,13 +17,11 @@ import tempfile
 import numpy as np
 
 from . import params
-from .config import ConfigError, ExperimentConfig, cell_name
+from .config import ExperimentConfig, cell_name
 from .controller import snapshot
 from .engine import LearnerProfile, MetricsLog, run_policy
 from .partition import assign_classes, assign_to_devices, make_sizes
 from .tasks import gen_synthetic, init_params
-
-OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 
 # Every file a cell directory can hold. A cell moving into place removes
 # the ones it did not write, so no earlier run's file outlives a rerun.
@@ -36,19 +34,6 @@ CELL_FILES = (
 # Seed-stream tag for model initialization (dataset generation uses 0..2,
 # per-assignment batch shuffles use 3).
 _INIT_STREAM = 4
-
-
-def resolve_out_dir(configured: str, override: str | None = None) -> str:
-    """Apply the --out override and the output-root environment variable;
-    an empty result is a :class:`ConfigError`."""
-    out = configured if override is None else override
-    root = os.environ.get(OUTPUT_ROOT_ENV, "")
-    if root and not os.path.isabs(out):
-        out = os.path.join(root, out)
-    if not out:
-        raise ConfigError(["the output path is empty: set [experiment] "
-                           "output or pass --out"])
-    return out
 
 
 def build_world(cfg: ExperimentConfig, seed: int):
@@ -159,26 +144,21 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
         _write_text(path("final_model.json"), text)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_override: str | None = None,
-    seed_override: int | None = None,
-    partitions_only: bool = False,
-) -> int:
-    """Run every requested cell; returns 0 iff all of them completed.
+def run_experiment(cfg: ExperimentConfig, partitions_only: bool = False) -> int:
+    """Run every requested cell at ``cfg.seed``; returns 0 iff all of them
+    completed.
 
-    A semisync lambda list fans out into one output directory per value
-    (matrix mode); otherwise the run writes directly into the output
-    directory. Each cell directory contains the byte-exact config echo, the
-    partition report and the run's log files (:func:`export_metrics`); a
-    cell's files replace every :data:`CELL_FILES` entry of an earlier run
-    in its directory, and a matrix cell also removes those an earlier
-    single-cell run left in the output directory. A cell that fails writes
-    no file and ends the run; ``manifest.json`` is written last, once every
-    cell has completed.
+    A semisync lambda list fans out into one directory per value under
+    ``cfg.out_dir`` (matrix mode); otherwise the run writes directly into
+    ``cfg.out_dir``. Each cell directory contains the byte-exact config
+    echo, the partition report and the run's log files
+    (:func:`export_metrics`); a cell's files replace every
+    :data:`CELL_FILES` entry of an earlier run in its directory, and a
+    matrix cell also removes those an earlier single-cell run left in the
+    output directory. A cell that fails writes no file and ends the run;
+    ``manifest.json`` is written last, once every cell has completed.
     """
-    seed = cfg.seed if seed_override is None else seed_override
-    base = resolve_out_dir(cfg.out_dir, out_override)
+    seed, base = cfg.seed, cfg.out_dir
     train, test, result, profiles = build_world(cfg, seed)
 
     matrix = cfg.protocol.policy == "semisync" and len(cfg.lambda_values) > 1

@@ -424,9 +424,10 @@ def test_a_group_raises_the_failure_of_its_lowest_failed_learner():
     profs = [profile(0, 3.0, chunks[0]), profile(1, 3.0, chunks[1])]
     cfg = ProtocolConfig("sync", OptimizerConfig("vanilla", eta=2.0), STATIC,
                          epochs=1, rounds=1)
+    first = r"^learner 0, assignment 0, arrival at \d+\.\d+ ms: layer "
     with np.errstate(all="ignore"), \
             mock.patch.object(engine, "stacked_grad", kernel), \
-            pytest.raises(NonFiniteError, match="^layer ") as info:
+            pytest.raises(NonFiniteError, match=first) as info:
         run_policy(cfg, profs, task, poisoned, test, initial, seed=7)
     assert "gradient" not in str(info.value)
 

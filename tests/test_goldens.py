@@ -291,9 +291,10 @@ def run_cells(root):
     {cell: {file: sha256}}, config.txt left out."""
     digests = {}
     for cell in sorted(CELLS):
-        cfg = parse_config_text(TEMPLATE.format(**{**DEFAULTS, **CELLS[cell]}))
         out = os.path.join(root, cell)
-        if run_experiment(cfg, out_override=out) != 0:
+        cfg = parse_config_text(TEMPLATE.format(**{**DEFAULTS, **CELLS[cell]}),
+                                output=out)
+        if run_experiment(cfg) != 0:
             raise RuntimeError(f"cell {cell} failed")
         digests[cell] = digest_tree(out, skip=("config.txt",))
     return digests

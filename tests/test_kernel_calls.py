@@ -6,9 +6,16 @@ perfbench workload's config through ``fedsim run`` at its default seed
 with a counting wrapper on ``fedsim.engine.stacked_grad``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from oracles import load_tool
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_calls.py"
 
 
 # workload -> (learner-steps, most kernel calls, fewest kernel calls). The
@@ -31,3 +38,15 @@ def test_workload_kernel_calls(name):
     learner_steps, most, fewest = EXPECTED[name]
     assert steps == learner_steps
     assert fewest <= calls <= most
+
+
+def test_tool_runs_from_a_plain_checkout(tmp_path):
+    # With no PYTHONPATH, run from elsewhere, the script still finds the
+    # checkout's package, whether or not fedsim is installed.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(TOOL), "async_wide"],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert row[0] == "async_wide" and row[1:3] == ["300", "300"]

@@ -205,9 +205,10 @@ def test_save_load_file(tmp_path, monkeypatch):
     cfg = parse_config_text(
         "[task]\nkind = mlp1\ninput_dim = 3\nnum_classes = 2\nper_class = 6\n"
         "test_per_class = 2\n[learners]\nnum_fast = 1\nnum_slow = 1\n"
-        "batch_size = 4\n[protocol]\nrounds = 1\nepochs = 1\n"
+        "batch_size = 4\n[protocol]\nrounds = 1\nepochs = 1\n",
+        output=str(tmp_path),
     )
-    assert runner.run_experiment(cfg, out_override=str(tmp_path)) == 0
+    assert runner.run_experiment(cfg) == 0
     (log,) = logs
     path = tmp_path / "final_model.json"
     assert path.read_bytes() == json.dumps(to_obj(log.final_model)).encode()

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from fedsim.runner import OUTPUT_ROOT_ENV
+from fedsim.config import OUTPUT_ROOT_ENV
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 

@@ -3,20 +3,20 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from fedsim.cli import main
-from fedsim.config import parse_config_text
-from fedsim.runner import (
-    OUTPUT_ROOT_ENV,
-    build_world,
-    resolve_out_dir,
-    run_experiment,
-)
+from fedsim.config import OUTPUT_ROOT_ENV, ConfigError, parse_config_text
+from fedsim.runner import build_world, run_experiment
 from oracles import digest_tree, load, load_tool
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SMALL_SYNC = """
 [experiment]
@@ -144,9 +144,9 @@ def test_run_experiment_byte_identical_reruns(tmp_path):
 def test_seed_override_changes_results(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cfg_a = parse_config_text(SMALL_SYNC.format(out=out_a))
-    cfg_b = parse_config_text(SMALL_SYNC.format(out=out_b))
+    cfg_b = parse_config_text(SMALL_SYNC.format(out=out_b), seed="99")
     run_experiment(cfg_a)
-    run_experiment(cfg_b, seed_override=99)
+    run_experiment(cfg_b)
     ma = open(out_a / "metrics.csv").read()
     mb = open(out_b / "metrics.csv").read()
     assert ma != mb
@@ -180,6 +180,27 @@ def test_divergent_eta_fails_the_run(tmp_path, capsys):
         assert run_experiment(cfg) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "NonFiniteError"
     assert os.listdir(tmp_path) == ["run"]
+    assert os.listdir(tmp_path / "run") == []
+
+
+def test_a_diverging_run_prints_one_line_naming_the_learner(tmp_path):
+    # No numpy warning reaches stderr: the failure's one JSON line says
+    # which learner diverged, in which assignment and when it arrived.
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(SMALL_ASYNC.format(out=tmp_path / "run").replace(
+        "[protocol]", "[optimizer]\neta = 1e300\n[protocol]"
+    ).replace("input_dim = 6", "kind = mlp1\nhidden_dim = 5\ninput_dim = 6"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim", "run", str(cfg_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "cell": ".", "error": "NonFiniteError",
+        "detail": "learner 0, assignment 0, arrival at 30.0 ms: "
+                  "gradient has NaN/Inf entries",
+    }
     assert os.listdir(tmp_path / "run") == []
 
 
@@ -285,12 +306,31 @@ def test_build_world_shapes():
     assert total == 240
 
 
-def test_resolve_out_dir_env_root(tmp_path, monkeypatch):
+def test_output_root_joins_relative_outputs(tmp_path, monkeypatch):
+    # The root applies to the key and to --out alike; an absolute path is
+    # left as it is, and an empty --out under a set root is the root.
     monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-    assert resolve_out_dir("runs/x") == str(tmp_path / "runs" / "x")
-    # absolute paths and explicit overrides bypass the root
-    assert resolve_out_dir("/abs/path") == "/abs/path"
-    assert resolve_out_dir("runs/x", str(tmp_path / "o")) == str(tmp_path / "o")
+    text = "[experiment]\noutput = runs/x\n"
+
+    def out_dir(output=None, text=text):
+        return parse_config_text(text, output=output).out_dir
+
+    assert out_dir() == str(tmp_path / "runs" / "x")
+    assert out_dir("o") == str(tmp_path / "o")
+    assert out_dir("/abs/path") == "/abs/path"
+    assert out_dir(text="[experiment]\noutput = /abs/path\n") == "/abs/path"
+    assert out_dir("") == os.path.join(str(tmp_path), "")
+
+
+def test_flags_replace_the_keys_text_before_it_is_parsed():
+    # The file's own text for a key a flag replaces is never parsed.
+    text = "[experiment]\nseed = abc\noutput =\n"
+    cfg = parse_config_text(text, seed="5", output="runs/y")
+    assert (cfg.seed, cfg.out_dir) == (5, "runs/y")
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text)
+    assert info.value.violations == [
+        "[experiment] seed: 'abc' is not an integer", EMPTY_OUTPUT_MESSAGE]
 
 
 def test_cli_run_and_exit_codes(tmp_path):
@@ -308,6 +348,22 @@ def test_cli_out_and_seed_flags(tmp_path):
     assert main(["run", str(cfg_path), "--out", str(out), "--seed", "5"]) == 0
     assert json.load(open(out / "manifest.json"))["seed"] == 5
     assert not (tmp_path / "ignored").exists()
+
+
+def test_seed_flag_and_seed_key_write_the_same_cells(tmp_path):
+    # --seed 5 is [experiment] seed = 5: every file but the config echo,
+    # the file's own text, is the same.
+    flagged, keyed = tmp_path / "flagged", tmp_path / "keyed"
+    for name, seed in (("flagged", "17"), ("keyed", "5")):
+        (tmp_path / f"{name}.ini").write_text(
+            SMALL_ASYNC.replace("seed = 23", f"seed = {seed}")
+            .format(out=tmp_path / name))
+    assert main(["run", str(tmp_path / "flagged.ini"), "--seed", "5"]) == 0
+    assert main(["run", str(tmp_path / "keyed.ini")]) == 0
+    assert (digest_tree(flagged, skip=("config.txt",))
+            == digest_tree(keyed, skip=("config.txt",)))
+    assert (flagged / "config.txt").read_text() != (
+        keyed / "config.txt").read_text()
 
 
 def test_cli_config_error_is_exit_2(tmp_path, capsys):
@@ -365,7 +421,9 @@ EMPTY_OUTPUT_MESSAGE = ("the output path is empty: set [experiment] output "
 
 
 @pytest.mark.parametrize("edits, argv, message", [
-    ([], ["--seed", "-1"], "must be >= 0, got -1"),
+    ([], ["--seed", "-1"],
+     "invalid config:\n  - [experiment] seed: must satisfy seed >= 0, got -1"),
+    ([], ["--seed", "abc"], "[experiment] seed: 'abc' is not an integer"),
     ([("[learners]", "[partition]\nclass_dist = non_iid\n"
                      "class_count_override = 11, 1, 1\n[learners]")], [],
      "class quota 11 outside [1, 4]"),
@@ -379,7 +437,7 @@ EMPTY_OUTPUT_MESSAGE = ("the output path is empty: set [experiment] output "
     (EMPTY_LEARNER, ["--report-partitions-only"], EMPTY_LEARNER_MESSAGE),
     ([("output = {out}", "output =")], [], EMPTY_OUTPUT_MESSAGE),
     ([], ["--out", ""], EMPTY_OUTPUT_MESSAGE),
-], ids=["negative_seed", "class_quota", "too_few_examples",
+], ids=["negative_seed", "seed_not_int", "class_quota", "too_few_examples",
         "latency_past_clock", "lambdas_share_a_cell", "empty_learner",
         "empty_learner_report_only", "empty_output", "empty_out_flag"])
 def test_cli_setup_failures_exit_2(tmp_path, capsys, monkeypatch, edits, argv,
@@ -396,11 +454,7 @@ def test_cli_setup_failures_exit_2(tmp_path, capsys, monkeypatch, edits, argv,
     text = text.format(out=out)
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(text)
-    try:
-        code = main(["run", str(cfg_path), *argv])
-    except SystemExit as exc:  # argparse rejects the flag itself
-        code = exc.code
-    assert code == 2
+    assert main(["run", str(cfg_path), *argv]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert os.listdir(tmp_path) == ["run.ini"]

@@ -20,13 +20,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
-from fedsim import params
-from fedsim.controller import cached_update, init_community
-from fedsim.params import ParamSet
+# The checkout's package comes first, as the test suite's pythonpath puts
+# it, so the script runs from a plain checkout.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fedsim import params  # noqa: E402
+from fedsim.controller import cached_update, init_community  # noqa: E402
+from fedsim.params import ParamSet  # noqa: E402
 
 # The sweep main runs.
 LEARNERS = (10, 100, 1000)

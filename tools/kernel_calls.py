@@ -22,7 +22,11 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_WORKLOADS = _ROOT / "perfbench" / "workloads.py"
+# The checkout's package comes first, as the test suite's pythonpath puts
+# it, so the script runs from a plain checkout.
+sys.path.insert(0, str(_ROOT / "src"))
 
 
 def load_workloads():
