@@ -19,7 +19,8 @@ computed against an old community model counts less.
 
 The controller is single-threaded: the engine's event loop is its one
 caller. A caller that drives it from several threads must serialize every
-call on one state itself.
+call on one state itself. It holds state only: a run's final state is
+exported as ``controller_snapshot.json`` by :mod:`fedsim.runner`.
 """
 
 from __future__ import annotations
@@ -237,22 +238,3 @@ def commit(
         state, learner_id, model, value, steps, fetch_version
     ), value
 
-
-def snapshot(state: CommunityState) -> dict:
-    """JSON-serializable view of the aggregation bookkeeping."""
-    return {
-        "format_version": 1,
-        "version": state.version,
-        "committed_steps": state.committed_steps,
-        "normalizer": state.normalizer,
-        "learners": {
-            str(k): {
-                "value": rec.value,
-                "local_steps": rec.local_steps,
-                # The key says steps but the value is the fetch
-                # version (ROADMAP item 6).
-                "fetch_steps": rec.fetch_version,
-            }
-            for k, rec in sorted(state.records.items())
-        },
-    }

@@ -15,7 +15,8 @@ how many batches a learner trains per assignment:
 The clock counts integer microseconds. Nothing here measures wall time, so
 two runs with the same inputs produce identical logs; evaluation happens
 outside the clock and costs zero virtual time. A run returns its
-:class:`MetricsLog` and writes no file: :mod:`fedsim.runner` writes them.
+:class:`MetricsLog` and writes no file: :mod:`fedsim.runner` builds and
+writes them, the order of the event stream's lines included.
 
 Local training runs in one :class:`~fedsim.optimizers.TrainingPool` per
 run. A learner's training is fixed when it fetches (its anchor, budget and
@@ -63,15 +64,6 @@ _TRAIN_STREAM = 3
 # step; a model past half this size is dominated by its own flops, so it
 # trains alone and its memory stays that of one learner.
 _COHORT_ENTRIES = 1 << 15
-
-_EVENT_RANK = {
-    "fetch": 0,
-    "train_start": 1,
-    "train_end": 2,
-    "update_request": 3,
-    "community_commit": 4,
-    "eval": 5,
-}
 
 
 def _round_half_up(x: float) -> int:
@@ -197,11 +189,6 @@ class MetricsLog:
         # Every update request moves one model up and one model back down.
         return 2 * self.update_requests
 
-    def sorted_events(self) -> list[tuple[int, str, int]]:
-        return sorted(
-            self.events, key=lambda e: (e[0], _EVENT_RANK[e[1]], e[2])
-        )
-
 
 def plan_semisync(lam: float, profiles: list[LearnerProfile]) -> SchedulePlan:
     """Size per-round batch budgets from the slowest full-epoch time.
@@ -268,9 +255,11 @@ def run_policy(
     order. So a group is one round under a barrier and one timestamp under
     ``async``, and a barrier run's round count is its group count.
     The community model is evaluated after every ``cfg.eval_every``-th
-    group and after the last one. A group that would close past the float
-    range, where exported times stop being numbers, raises ValueError
-    before it commits.
+    group and after the last one; an evaluation whose loss is not finite
+    (a finite model whose logits or mean loss overflow) raises
+    NonFiniteError naming its virtual time. A group that would close past
+    the float range, where exported times stop being numbers, raises
+    ValueError before it commits.
 
     Training runs in one pool of ``_COHORT_ENTRIES // model size`` rows,
     at least 1 and at most one per learner. An assignment waits to join it
@@ -286,8 +275,8 @@ def run_policy(
     so an earlier failure of the run still wins: the group raises the
     NonFiniteError of its first failed learner in learner-id order, its
     message prefixed with that learner's id, assignment and arrival time.
-    Training and commits run with numpy's overflow and invalid-value
-    warnings off, evaluation with them on.
+    Training, commits and evaluation run with numpy's overflow and
+    invalid-value warnings off.
     """
     profiles = sorted(profiles, key=lambda p: p.learner_id)
     log = MetricsLog(policy=cfg.policy, seed=seed)
@@ -353,8 +342,9 @@ def run_policy(
         if not groups and initial.structure() != structure:
             # Every anchor is a community model of the initial's layout.
             raise StructureError(f"{task.kind} needs layers {structure}")
-        # The gradient scan and ParamSet's finiteness check catch an
-        # overflow, so numpy's warnings for it would say nothing more.
+        # The gradient scan, ParamSet's finiteness check and the loss check
+        # catch an overflow, so numpy's warnings for it would say nothing
+        # more.
         with np.errstate(over="ignore", invalid="ignore"):
             for _, lid in arrivals:  # step the pool until the group is done
                 while lid not in trained:
@@ -393,18 +383,21 @@ def run_policy(
                 log.contributions.append((t, lid, value))
             if barrier:
                 w_c = weighted_average(models, weights)
-        groups += 1
-        if barrier:
-            log.events.append((t, "community_commit", -1))
-            if groups < cfg.rounds:
-                for p in profiles:
-                    fetch(p, t, groups)
-        if groups % cfg.eval_every == 0 or not heap or heap[0][0] > horizon_us:
-            accuracy, loss = evaluate(task, w_c, test)
-            log.evals.append(
-                EvalSnapshot(t, groups - 1, log.update_requests, accuracy, loss)
-            )
-            log.events.append((t, "eval", -1))
+            groups += 1
+            if barrier:
+                log.events.append((t, "community_commit", -1))
+                if groups < cfg.rounds:
+                    for p in profiles:
+                        fetch(p, t, groups)
+            if (groups % cfg.eval_every == 0 or not heap
+                    or heap[0][0] > horizon_us):
+                accuracy, loss = evaluate(task, w_c, test)
+                if not math.isfinite(loss):
+                    raise NonFiniteError(
+                        f"evaluation at {t / 1000.0!r} ms: loss is {loss!r}")
+                log.evals.append(EvalSnapshot(
+                    t, groups - 1, log.update_requests, accuracy, loss))
+                log.events.append((t, "eval", -1))
     log.federation_rounds = groups if barrier else 0
     log.final_model = w_c
     log.final_state = state

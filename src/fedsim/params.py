@@ -8,7 +8,8 @@ per model and one finiteness scan. Instances are immutable so they can be
 shared freely across the simulation without defensive copies. The run path
 needs no other arithmetic: the out-of-place helpers the tests compare
 against (``axpy``, ``scale``, ``equal``, ``load``, ...) live in
-``tests/oracles.py``.
+``tests/oracles.py``. A model's JSON form, ``final_model.json``, is built
+and written by :mod:`fedsim.runner`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from typing import Iterator, Sequence
 
 import numpy as np
-
-SERIALIZATION_VERSION = 1
 
 Structure = tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -185,13 +184,3 @@ def weighted_average(models: Sequence[ParamSet], weights: Sequence[float]) -> Pa
     acc /= total
     return ParamSet._wrap(first.structure(), acc)
 
-
-def to_obj(ps: ParamSet) -> dict:
-    """JSON-serializable representation: layer-name header plus flat data."""
-    return {
-        "format_version": SERIALIZATION_VERSION,
-        "layers": [
-            {"name": n, "shape": list(a.shape), "data": a.ravel().tolist()}
-            for n, a in ps
-        ],
-    }

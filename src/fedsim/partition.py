@@ -3,7 +3,9 @@
 Partition sizes follow one of three shapes (uniform, geometric right-skew,
 power law) and class composition is either IID or restricted to a fixed
 number of classes per learner. The whole procedure is seedless: given the
-same spec, sizes and dataset it always produces the same partitions.
+same spec, sizes and dataset it always produces the same partitions. A
+partition is state only: its report, ``partition_report.json``, is built
+and written by :mod:`fedsim.runner`.
 """
 
 from __future__ import annotations
@@ -83,28 +85,6 @@ class PartitionResult:
     @property
     def sizes(self) -> list[int]:
         return [len(ix) for ix in self.indices]
-
-    def class_histogram(self, dataset: Dataset) -> list[dict[int, int]]:
-        out = []
-        for ix in self.indices:
-            vals, counts = np.unique(dataset.labels[ix], return_counts=True)
-            out.append({int(v): int(c) for v, c in zip(vals, counts)})
-        return out
-
-    def to_obj(self, dataset: Dataset) -> dict:
-        hist = self.class_histogram(dataset)
-        return {
-            "format_version": 1,
-            "learners": [
-                {
-                    "learner_id": k,
-                    "size": len(self.indices[k]),
-                    "owned_classes": list(self.owned_classes[k]),
-                    "class_histogram": {str(c): n for c, n in hist[k].items()},
-                }
-                for k in range(len(self.indices))
-            ],
-        }
 
 
 def _largest_remainder(total: int, proportions: np.ndarray) -> list[int]:

@@ -2,8 +2,10 @@
 
 Turns a parsed :class:`ExperimentConfig` into datasets, partitions, learner
 profiles and a protocol run, then writes every artifact needed to reproduce
-and inspect the run: each file a cell or a run writes is written here, the
-run's log files by :func:`export_metrics`.
+and inspect the run. Each file a cell or a run writes is built and written
+here, its format included: the run's log files by :func:`export_metrics`,
+the config echo, partition report and manifest by :func:`run_experiment`.
+The simulation modules hold state only and write nothing.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import tempfile
 
 import numpy as np
 
-from . import params
 from .config import ExperimentConfig, cell_name
-from .controller import snapshot
 from .engine import LearnerProfile, MetricsLog, run_policy
 from .partition import assign_classes, assign_to_devices, make_sizes
 from .tasks import gen_synthetic, init_params
@@ -34,6 +34,12 @@ CELL_FILES = (
 # Seed-stream tag for model initialization (dataset generation uses 0..2,
 # per-assignment batch shuffles use 3).
 _INIT_STREAM = 4
+
+# Line order of events.jsonl within one virtual time, then by learner: an
+# async learner's refetch comes before its own commit at the same instant.
+_EVENT_RANK = {kind: rank for rank, kind in enumerate((
+    "fetch", "train_start", "train_end", "update_request",
+    "community_commit", "eval"))}
 
 
 def build_world(cfg: ExperimentConfig, seed: int):
@@ -107,7 +113,8 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
     # cost: keys in sorted order, float repr for the time.
     lines = [
         f'{{"kind": "{kind}", "learner": {lid}, "virtual_ms": {t / 1000.0!r}}}'
-        for t, kind, lid in log.sorted_events()
+        for t, kind, lid in sorted(
+            log.events, key=lambda e: (e[0], _EVENT_RANK[e[1]], e[2]))
     ]
     _write_text(path("events.jsonl"), "\n".join(lines) + "\n")
 
@@ -136,11 +143,29 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
             "batches": {str(k): v for k, v in sorted(log.schedule.batches.items())},
         }
     _write_json(path("summary.json"), summary)
-    if log.final_state is not None:
-        _write_json(path("controller_snapshot.json"), snapshot(log.final_state))
+    state = log.final_state
+    if state is not None:
+        _write_json(path("controller_snapshot.json"), {
+            "format_version": 1,
+            "version": state.version,
+            "committed_steps": state.committed_steps,
+            "normalizer": state.normalizer,
+            "learners": {
+                # The key says steps but the value is the fetch version
+                # (ROADMAP item 6).
+                str(k): {"value": rec.value, "local_steps": rec.local_steps,
+                         "fetch_steps": rec.fetch_version}
+                for k, rec in sorted(state.records.items())
+            },
+        })
     if log.final_model is not None:
-        # Compact JSON holds no newline, so the text mode changes no byte.
-        text = json.dumps(params.to_obj(log.final_model))
+        # A layer-name header and each layer's flat data. Compact JSON
+        # holds no newline, so the text mode changes no byte.
+        layers = [
+            {"name": n, "shape": list(a.shape), "data": a.ravel().tolist()}
+            for n, a in log.final_model
+        ]
+        text = json.dumps({"format_version": 1, "layers": layers})
         _write_text(path("final_model.json"), text)
 
 
@@ -168,9 +193,15 @@ def run_experiment(cfg: ExperimentConfig, partitions_only: bool = False) -> int:
         else [("", cfg.lambda_values[0])]
     )
 
-    report = result.to_obj(train)
-    for entry, p in zip(report["learners"], profiles):
-        entry["device_class"] = p.device_class
+    learners = []
+    for p, owned in zip(profiles, result.owned_classes):
+        hist = np.unique(train.labels[p.indices], return_counts=True)
+        learners.append({
+            "learner_id": p.learner_id, "size": p.data_size,
+            "owned_classes": list(owned), "device_class": p.device_class,
+            "class_histogram": {str(c): int(n) for c, n in zip(*hist)},
+        })
+    report = {"format_version": 1, "learners": learners}
 
     completed = []
     for cell, lam in cells:

@@ -23,8 +23,7 @@ import numpy as np
 from fedsim.engine import _TRAIN_STREAM
 from fedsim.optimizers import TrainingPool, _check_batching
 from fedsim.params import (
-    SERIALIZATION_VERSION, ParamSet, _check_same_structure, layer_spans,
-    split_rows,
+    ParamSet, _check_same_structure, layer_spans, split_rows,
 )
 from fedsim.tasks import _MEAN_SCALE, _mean_nll, model_structure, stacked_grad
 
@@ -61,8 +60,13 @@ def equal(x, y):
     return np.array_equal(x.flat, y.flat)
 
 
+# The one ``format_version`` of ``final_model.json`` this reader accepts.
+SERIALIZATION_VERSION = 1
+
+
 def from_obj(obj):
-    """The inverse of ``fedsim.params.to_obj``."""
+    """The model in ``obj``, the JSON form of ``final_model.json``: a
+    layer-name header plus each layer's flat data."""
     version = obj.get("format_version")
     if version != SERIALIZATION_VERSION:
         raise ValueError(

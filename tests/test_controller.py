@@ -1,6 +1,7 @@
 """Aggregation cache, staleness weighting, and the async mixing path."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,15 +18,16 @@ from fedsim.controller import (
     init_community,
     poly_staleness,
     record_fetch,
-    snapshot,
     staleness_discount,
 )
+from fedsim.engine import MetricsLog
 from fedsim.params import (
     NonFiniteError,
     ParamSet,
     StructureError,
     weighted_average,
 )
+from fedsim.runner import export_metrics
 from oracles import equal, max_abs_diff, zeros_like
 
 
@@ -317,11 +319,12 @@ def test_prox_rho_only_under_fedasync_poly():
     assert WeightingScheme("fedrec_staleness", rho=0.25).prox_rho == 0.0
 
 
-def test_snapshot_shape():
+def test_snapshot_shape(tmp_path):
     rng = np.random.default_rng(14)
     state = fresh_state(rng)
     cached_update(state, 1, rand_params(rng), 4.0, steps=3, fetch_version=0)
-    snap = snapshot(state)
+    export_metrics(MetricsLog("async", 0, final_state=state), str(tmp_path))
+    snap = json.loads((tmp_path / "controller_snapshot.json").read_text())
     assert snap["format_version"] == 1
     assert snap["version"] == 1
     assert snap["committed_steps"] == 3

@@ -18,7 +18,6 @@ from fedsim.engine import (
     LearnerProfile,
     MetricsLog,
     ProtocolConfig,
-    _EVENT_RANK,
     _round_half_up,
     plan_semisync,
     run_policy,
@@ -475,12 +474,20 @@ def test_async_final_eval_present_and_final_model_consistent():
     assert log.evals[-1].loss == loss
 
 
-def test_event_stream_structure():
+# Every event kind, in the order events.jsonl lists the events of one
+# virtual time (then by learner).
+EVENT_KINDS = ("fetch", "train_start", "train_end", "update_request",
+               "community_commit", "eval")
+
+
+def test_event_stream_structure(tmp_path):
     log, _ = sync_fast_slow(rounds=2)
     kinds = {kind for _, kind, _ in log.events}
-    assert kinds == {"fetch", "train_start", "train_end", "update_request",
-                     "community_commit", "eval"}
-    ordered = log.sorted_events()
+    assert kinds == set(EVENT_KINDS)
+    export_metrics(log, str(tmp_path))
+    with open(tmp_path / "events.jsonl") as fh:
+        ordered = [(e["virtual_ms"], e["kind"], e["learner"])
+                   for e in map(json.loads, fh)]
     times = [t for t, _, _ in ordered]
     assert times == sorted(times)
     # per learner: fetch never after its own train_start at the same time
@@ -570,7 +577,7 @@ def test_export_metrics_float_round_trip(tmp_path):
 
 @settings(max_examples=100, deadline=None)
 @given(events=st.lists(st.tuples(st.integers(0, 10**13),
-                                 st.sampled_from(sorted(_EVENT_RANK)),
+                                 st.sampled_from(EVENT_KINDS),
                                  st.integers(-1, 10**4)), max_size=20))
 def test_events_jsonl_lines_are_sorted_key_json(events, tmp_path_factory):
     log = MetricsLog(policy="async", seed=0, events=events)
@@ -580,6 +587,7 @@ def test_events_jsonl_lines_are_sorted_key_json(events, tmp_path_factory):
     expected = [
         json.dumps({"virtual_ms": t / 1000.0, "kind": kind, "learner": lid},
                    sort_keys=True)
-        for t, kind, lid in log.sorted_events()
+        for t, kind, lid in sorted(
+            events, key=lambda e: (e[0], EVENT_KINDS.index(e[1]), e[2]))
     ]
     assert lines == (expected or [""])

@@ -11,16 +11,16 @@ from hypothesis.extra import numpy as hnp
 from fedsim.params import (
     NonFiniteError,
     ParamSet,
-    SERIALIZATION_VERSION,
     StructureError,
     all_finite,
-    to_obj,
     weighted_average,
 )
 from fedsim import runner
 from fedsim.config import parse_config_text
+from fedsim.engine import MetricsLog
 from oracles import (
-    axpy, equal, from_obj, layer, load, max_abs_diff, scale, zeros_like,
+    SERIALIZATION_VERSION, axpy, equal, from_obj, layer, load, max_abs_diff,
+    scale, zeros_like,
 )
 
 
@@ -173,21 +173,36 @@ def test_max_abs_diff():
     assert max_abs_diff(a, b) == 0.5
 
 
-def test_serialization_round_trip():
+def written_model(model, out_dir):
+    """The ``final_model.json`` object a log holding ``model`` writes."""
+    runner.export_metrics(MetricsLog("sync", 0, final_model=model),
+                          str(out_dir))
+    return json.loads((out_dir / "final_model.json").read_text())
+
+
+def compact_json(model):
+    """The bytes of ``final_model.json`` for ``model``: a layer-name header
+    plus each layer's flat data, in compact JSON."""
+    return json.dumps({
+        "format_version": SERIALIZATION_VERSION,
+        "layers": [
+            {"name": n, "shape": list(a.shape), "data": a.ravel().tolist()}
+            for n, a in model
+        ],
+    }).encode()
+
+
+def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     p = random_params(rng)
-    obj = to_obj(p)
+    obj = written_model(p, tmp_path)
     assert obj["format_version"] == SERIALIZATION_VERSION
-    q = from_obj(obj)
-    assert equal(p, q)
-    # json safe
-    q2 = from_obj(json.loads(json.dumps(obj)))
-    assert equal(p, q2)
+    assert equal(p, from_obj(obj))
+    assert (tmp_path / "final_model.json").read_bytes() == compact_json(p)
 
 
-def test_serialization_rejects_unknown_version():
-    p = make([("w", [[1.0]])])
-    obj = to_obj(p)
+def test_serialization_rejects_unknown_version(tmp_path):
+    obj = written_model(make([("w", [[1.0]])]), tmp_path)
     obj["format_version"] = SERIALIZATION_VERSION + 1
     with pytest.raises(ValueError):
         from_obj(obj)
@@ -211,7 +226,7 @@ def test_save_load_file(tmp_path, monkeypatch):
     assert runner.run_experiment(cfg) == 0
     (log,) = logs
     path = tmp_path / "final_model.json"
-    assert path.read_bytes() == json.dumps(to_obj(log.final_model)).encode()
+    assert path.read_bytes() == compact_json(log.final_model)
     assert equal(load(path), log.final_model)
 
 

@@ -1,8 +1,11 @@
 """Data partitioning: sizes, class quotas, assignment, device mapping."""
 
+import json
+
 import numpy as np
 import pytest
 
+from fedsim.config import parse_config_text
 from fedsim.partition import (
     HEAD_EXPANDED_QUOTAS,
     PartitionError,
@@ -13,6 +16,7 @@ from fedsim.partition import (
     assign_to_devices,
     make_sizes,
 )
+from fedsim.runner import build_world, run_experiment
 from fedsim.tasks import gen_synthetic
 
 
@@ -213,12 +217,25 @@ def test_noniid_respects_class_ownership():
         assert set(np.unique(data.labels[ix])) <= set(owned)
 
 
-def test_iid_uniform_is_class_balanced():
-    spec = PartitionSpec(num_learners=5)
-    data, sizes, res = build(spec, 4, 50)  # 200 examples, 40 each
-    hist = res.class_histogram(data)
-    for h in hist:
-        assert set(h.values()) == {10}  # 40 per learner / 4 classes
+def written_report(out, num_classes, per_class, learners, partition=""):
+    """The ``partition_report.json`` a partitions-only run of that world
+    writes into ``out``, and the partition ``build_world`` gives it."""
+    cfg = parse_config_text(
+        f"[experiment]\nseed = 13\noutput = {out}\n"
+        f"[task]\ninput_dim = 4\nnum_classes = {num_classes}\n"
+        f"per_class = {per_class}\n[learners]\nnum_fast = {learners}\n"
+        f"num_slow = 0\n[partition]\n{partition}"
+    )
+    assert run_experiment(cfg, partitions_only=True) == 0
+    report = json.loads((out / "partition_report.json").read_text())
+    return report, build_world(cfg, cfg.seed)[2]
+
+
+def test_iid_uniform_is_class_balanced(tmp_path):
+    report, _ = written_report(tmp_path, 4, 50, 5)  # 200 examples, 40 each
+    for entry in report["learners"]:
+        # 40 per learner / 4 classes
+        assert set(entry["class_histogram"].values()) == {10}
 
 
 def test_assign_classes_infeasible_quota():
@@ -281,11 +298,9 @@ def test_device_length_mismatch_raises():
         assign_to_devices(res, ["fast"])
 
 
-def test_partition_report_json_shape():
-    spec = PartitionSpec(num_learners=3, class_dist="non_iid",
-                         classes_per_learner=2)
-    data, sizes, res = build(spec, 4, 30)
-    obj = res.to_obj(data)
+def test_partition_report_json_shape(tmp_path):
+    obj, res = written_report(tmp_path, 4, 30, 3,
+                              "class_dist = non_iid\nclasses_per_learner = 2\n")
     assert obj["format_version"] == 1
     assert len(obj["learners"]) == 3
     for k, entry in enumerate(obj["learners"]):

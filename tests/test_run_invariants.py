@@ -4,20 +4,26 @@ The goldens pin today's bytes; these properties state what any run must do,
 whatever its policy, weighting, task and timing: learners follow the
 fetch / train / request cycle, counters agree with the logs, idle time adds
 up to the round length, evaluations fall where ``eval_every`` puts them,
-and under an async cache weighting each learner's controller record
-agrees with its contribution rows. Latencies start at 0.0005 ms, the
+and under an async cache weighting each learner's record in the
+``controller_snapshot.json`` the run's log writes agrees with its
+contribution rows. Latencies start at 0.0005 ms, the
 smallest value ``LearnerProfile`` accepts, so no example can stall the
 clock.
 """
 
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fedsim.controller import WEIGHTING_KINDS, WeightingScheme, snapshot
+from fedsim.controller import WEIGHTING_KINDS, WeightingScheme
 from fedsim.engine import (
     POLICIES, LearnerProfile, ProtocolConfig, ms_to_us, run_policy,
 )
 from fedsim.optimizers import OptimizerConfig
+from fedsim.runner import export_metrics
 from fedsim.tasks import TASK_KINDS, TaskModel, gen_synthetic, init_params
 
 NUM_CLASSES = 3
@@ -155,7 +161,10 @@ def test_controller_records_follow_contributions(world, seed):
     rows: dict[int, list[int]] = {}
     for i, (_, lid, _) in enumerate(log.contributions):
         rows.setdefault(lid, []).append(i)
-    learners = snapshot(log.final_state)["learners"]
+    with tempfile.TemporaryDirectory() as out:
+        export_metrics(log, out)
+        with open(os.path.join(out, "controller_snapshot.json")) as fh:
+            learners = json.load(fh)["learners"]
     assert sorted(int(k) for k in learners) == sorted(rows)
     for lid, mine in rows.items():
         record = learners[str(lid)]

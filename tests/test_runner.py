@@ -204,6 +204,30 @@ def test_a_diverging_run_prints_one_line_naming_the_learner(tmp_path):
     assert os.listdir(tmp_path / "run") == []
 
 
+def test_a_non_finite_evaluation_fails_its_group(tmp_path):
+    # Round 0's community model is finite, but its logits overflow on the
+    # test set: the loss is NaN, and the run fails at that evaluation
+    # instead of writing it.
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        f"[experiment]\noutput = {tmp_path / 'run'}\n"
+        "[task]\nkind = mlp1\nhidden_dim = 8\nper_class = 20\n"
+        "[learners]\nnum_fast = 3\nnum_slow = 2\nbatch_size = 100\n"
+        "t_beta_slow_ms = 3\n[protocol]\npolicy = semisync\nrounds = 1\n"
+        "[optimizer]\nkind = vanilla\neta = 1e300\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim", "run", str(cfg_path), "--seed", "11"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "cell": ".", "error": "NonFiniteError",
+        "detail": "evaluation at 30.0 ms: loss is nan",
+    }
+    assert os.listdir(tmp_path / "run") == []
+
+
 @pytest.mark.parametrize("text", [
     # The semisync horizon overflows the clock.
     "[protocol]\npolicy = semisync\nlambda = 1e306\n",

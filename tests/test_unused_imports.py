@@ -10,6 +10,10 @@ No module of the package imports a forbidden module, even inside a
 function. fedsim is single-threaded: no thread or process module, so
 nothing in it runs concurrently with the event loop. fedsim needs numpy
 only: no scipy, which the test extra and ``tools/bench_cache.py`` use.
+
+Every file a run writes is built in ``src/fedsim/runner.py``: no other
+module of the package imports ``json`` or holds the ``"format_version"``
+literal that heads a written format, so a format changes in one module.
 """
 
 import ast
@@ -59,6 +63,22 @@ def forbidden_imports(source):
     return found
 
 
+def file_formats(source):
+    """(line, what) of each import of ``json`` and each
+    ``"format_version"`` string literal in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value == "format_version":
+            found.append((node.lineno, '"format_version"'))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "import json") for a in node.names
+                      if a.name.split(".")[0] == "json"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "json"):
+            found.append((node.lineno, "import json"))
+    return sorted(found)
+
+
 def test_scan_finds_an_unused_name():
     source = ("from __future__ import annotations\n"
               "import os\nimport os.path as osp\nimport numpy as np\n"
@@ -100,4 +120,24 @@ def test_package_imports_no_thread_or_process_module():
              for path in PACKAGE
              if (modules := forbidden_imports(
                  path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def test_scan_finds_a_file_format():
+    source = ('"""Writes format_version 1."""\n'
+              "import json\nimport json.decoder as jd\n"
+              "from json import dumps\nfrom .json import helper\n"
+              "def to_obj(ps):\n"
+              '    return {"format_version": 1, "kind": "format_version 1"}\n')
+    assert file_formats(source) == [
+        (2, "import json"), (3, "import json"), (4, "import json"),
+        (7, '"format_version"'),
+    ]
+
+
+def test_only_runner_builds_a_written_format():
+    found = {str(path.relative_to(ROOT)): formats
+             for path in PACKAGE
+             if path.name != "runner.py"
+             and (formats := file_formats(path.read_text(encoding="utf-8")))}
     assert found == {}
