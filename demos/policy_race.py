@@ -49,8 +49,8 @@ def build_world(seed):
 
 
 def summarize(name, log):
-    idle = sum(row[3] for row in log.utilization)
-    active = sum(row[2] for row in log.utilization)
+    idle = sum(a.commit_us - a.arrival_us for a in log.assignments)
+    active = sum(a.arrival_us - a.fetch_us for a in log.assignments)
     total = idle + active
     share = idle / total if total else 0.0
     print(f"\n{name}: {log.update_requests} update requests, "

@@ -48,7 +48,7 @@ def main():
     print(f"  {'learner':>7} {'ms/batch':>9} {'commits':>8} "
           f"{'first':>7} {'mean':>7}")
     for p in profiles:
-        ws = [w for _, lid, w in log.contributions if lid == p.learner_id]
+        ws = [a.weight for a in log.assignments if a.learner == p.learner_id]
         mean = sum(ws) / len(ws) if ws else float("nan")
         first = ws[0] if ws else float("nan")
         print(f"  {p.learner_id:>7d} {p.time_per_batch_us / 1000:>9.0f} "

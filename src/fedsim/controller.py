@@ -19,8 +19,11 @@ computed against an old community model counts less.
 
 The controller is single-threaded: the engine's event loop is its one
 caller. A caller that drives it from several threads must serialize every
-call on one state itself. It holds state only: a run's final state is
-exported as ``controller_snapshot.json`` by :mod:`fedsim.runner`.
+call on one state itself. It holds what the cache needs only: each
+learner's latest model and weight, and the counters a fetch reads off the
+state. The engine's assignment records keep each fetch's facts, and
+:mod:`fedsim.runner` exports the run's final state with them as
+``controller_snapshot.json``.
 """
 
 from __future__ import annotations
@@ -74,9 +77,7 @@ class WeightingScheme:
 @dataclass
 class ContributionRecord:
     model: ParamSet
-    value: float        # p_k, this contribution's aggregation weight
-    fetch_version: int  # community version when the model was fetched
-    local_steps: int    # batches applied locally to produce the model
+    value: float  # p_k, this contribution's aggregation weight
 
 
 @dataclass
@@ -101,26 +102,15 @@ def init_community(initial: ParamSet) -> CommunityState:
     )
 
 
-def record_fetch(state: CommunityState) -> tuple[ParamSet, int, int]:
-    """Serve the community model with the two counters it was served at.
-
-    Returns (model, committed steps at fetch, version at fetch); the caller
-    hands the counters back at commit time for the staleness computations.
-    """
-    return state.model, state.committed_steps, state.version
-
-
 def cached_update(
     state: CommunityState,
     learner_id: int,
     model: ParamSet,
     value: float,
     steps: int,
-    fetch_version: int,
 ) -> ParamSet:
     """Replace learner ``learner_id``'s contribution, a model trained
-    ``steps`` batches from the community version ``fetch_version``, and
-    return the new community model W / P. Mutates ``state`` only if every
+    ``steps`` batches, and return the new community model W / P. Mutates ``state`` only if every
     new value is valid; cost is O(model size) regardless of how many
     learners have contributed.
     """
@@ -151,12 +141,7 @@ def cached_update(
     state.weighted_sum = flat
     state.normalizer = new_normalizer
     state.model = community
-    state.records[learner_id] = ContributionRecord(
-        model=model,
-        value=value,
-        fetch_version=fetch_version,
-        local_steps=steps,
-    )
+    state.records[learner_id] = ContributionRecord(model=model, value=value)
     state.committed_steps += steps
     state.version += 1
     return community
@@ -234,7 +219,5 @@ def commit(
         value = float(data_size)
     else:
         value = staleness_discount(state.committed_steps, fetch_steps, steps)
-    return cached_update(
-        state, learner_id, model, value, steps, fetch_version
-    ), value
+    return cached_update(state, learner_id, model, value, steps), value
 

@@ -15,8 +15,10 @@ how many batches a learner trains per assignment:
 The clock counts integer microseconds. Nothing here measures wall time, so
 two runs with the same inputs produce identical logs; evaluation happens
 outside the clock and costs zero virtual time. A run returns its
-:class:`MetricsLog` and writes no file: :mod:`fedsim.runner` builds and
-writes them, the order of the event stream's lines included.
+:class:`MetricsLog`: one :class:`Assignment` record per fetch, the
+evaluation snapshots and the final model. It writes no file:
+:mod:`fedsim.runner` builds every file as a view of those records, the
+event stream and its line order included.
 
 Local training runs in one :class:`~fedsim.optimizers.TrainingPool` per
 run. A learner's training is fixed when it fetches (its anchor, budget and
@@ -32,17 +34,12 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
 
-from .controller import (
-    CommunityState,
-    WeightingScheme,
-    commit,
-    init_community,
-    record_fetch,
-)
+from .controller import CommunityState, WeightingScheme, commit, init_community
 from .optimizers import OptimizerConfig, TrainingPool, assignment_batches
 from .params import NonFiniteError, ParamSet, StructureError, weighted_average
 from .tasks import Dataset, TaskModel, evaluate, model_structure, stacked_grad
@@ -165,15 +162,36 @@ class EvalSnapshot(NamedTuple):
 
 
 @dataclass
+class Assignment:
+    """One learner's fetch -> train -> commit cycle; times in virtual us.
+
+    ``index`` counts the learner's fetches, so it is the round under a
+    barrier. ``fetch_steps`` and ``fetch_version`` are the committed steps
+    and the commits the served model had (steps are counted under the
+    cached async schemes only). A commit sets ``commit_us`` and ``weight``:
+    the shard size, the ``fedrec_staleness`` weight or the
+    ``fedasync_poly`` alpha.
+    """
+
+    learner: int
+    index: int
+    fetch_us: int
+    steps: int
+    fetch_steps: int
+    fetch_version: int
+    arrival_us: int
+    commit_us: int | None = None
+    weight: float | None = None
+
+
+@dataclass
 class MetricsLog:
     policy: str
     seed: int
-    events: list[tuple[int, str, int]] = field(default_factory=list)
+    # Committed assignments in commit order, and those in flight at the end.
+    assignments: list[Assignment] = field(default_factory=list)
+    in_flight: list[Assignment] = field(default_factory=list)
     evals: list[EvalSnapshot] = field(default_factory=list)
-    # (learner_id, round_index, active_us, idle_us)
-    utilization: list[tuple[int, int, int, int]] = field(default_factory=list)
-    # (t_us, learner_id, aggregation weight)
-    contributions: list[tuple[int, int, float]] = field(default_factory=list)
     federation_rounds: int = 0
     schedule: SchedulePlan | None = None
     final_state: CommunityState | None = None
@@ -181,8 +199,8 @@ class MetricsLog:
 
     @property
     def update_requests(self) -> int:
-        # Every update request, committed or averaged, adds one row.
-        return len(self.contributions)
+        # Every update request, committed or averaged, is one assignment.
+        return len(self.assignments)
 
     @property
     def models_exchanged(self) -> int:
@@ -243,7 +261,8 @@ def run_policy(
     Under ``async`` every request commits through the controller on arrival,
     in learner-id order within a timestamp, and the learner refetches at
     once, so idle time is zero. The run ends when the next arrival would land
-    past the time budget; models still in flight are dropped. Under ``sync``
+    past the time budget; models still in flight are dropped, and their
+    records end in ``log.in_flight``. Under ``sync``
     and ``semisync`` requests wait at a round barrier that closes at the
     slowest arrival. There the round's models are averaged by shard size in
     learner-id order and, unless ``cfg.rounds`` rounds are done, every
@@ -260,6 +279,12 @@ def run_policy(
     NonFiniteError naming its virtual time. A group that would close past
     the float range, where exported times stop being numbers, raises
     ValueError before it commits.
+
+    Every fetch makes one :class:`Assignment` record. Its group's commit
+    fills in the commit time and weight and appends it to
+    ``log.assignments``, so that list is in commit order, and within a
+    group in learner-id order. The record's ``fetch_version`` is the count
+    of commits before its fetch.
 
     Training runs in one pool of ``_COHORT_ENTRIES // model size`` rows,
     at least 1 and at most one per learner. An assignment waits to join it
@@ -298,10 +323,10 @@ def run_policy(
     capacity = max(1, _COHORT_ENTRIES // initial.num_entries)
     pool = TrainingPool(structure, min(capacity, len(profiles)),
                         cfg.optimizer, grad_fn, prox_rho)
-    # learner id -> (profile, budget, assignment, fetch time, fetch steps,
-    # fetch version) of its assignment in flight, the one record of what it
-    # fetched; a refetch replaces the entry.
-    flight: dict[int, tuple] = {}
+    by_id = {p.learner_id: p for p in profiles}
+    # learner id -> the record of its assignment in flight; its commit moves
+    # the record to the log, and a refetch puts a new one in its place.
+    flight: dict[int, Assignment] = {}
     heap: list[tuple[int, int]] = []
     # (arrival, learner id, anchor) of each assignment waiting to join the
     # pool, and learner id -> what its training gave (the trained model or
@@ -309,24 +334,21 @@ def run_policy(
     waiting: list[tuple[int, int, ParamSet]] = []
     trained: dict[int, ParamSet | NonFiniteError] = {}
 
-    def fetch(p: LearnerProfile, t: int, assignment: int) -> None:
-        lid = p.learner_id
-        anchor, steps, version = (
-            (w_c, 0, 0) if barrier else record_fetch(state)
-        )
+    def fetch(p: LearnerProfile, t: int, index: int) -> None:
         if log.schedule is None:
             budget = cfg.epochs * p.batches_per_epoch
-        elif assignment == 0:
+        elif index == 0:
             budget = p.batches_per_epoch
         else:
-            budget = log.schedule.batches[lid]
-        flight[lid] = (p, budget, assignment, t, steps, version)
-        log.events.append((t, "fetch", lid))
-        log.events.append((t, "train_start", lid))
-        arrival = t + budget * p.time_per_batch_us
-        heapq.heappush(heap, (arrival, lid))
-        if arrival <= horizon_us:  # one past the horizon never trains
-            heapq.heappush(waiting, (arrival, lid, anchor))
+            budget = log.schedule.batches[p.learner_id]
+        a = flight[p.learner_id] = Assignment(
+            p.learner_id, index, t, budget,
+            0 if barrier else state.committed_steps, len(log.assignments),
+            t + budget * p.time_per_batch_us)
+        heapq.heappush(heap, (a.arrival_us, a.learner))
+        if a.arrival_us <= horizon_us:  # one past the horizon never trains
+            # w_c is the model the last group served (state.model if async).
+            heapq.heappush(waiting, (a.arrival_us, a.learner, w_c))
 
     for p in profiles:
         fetch(p, 0, 0)
@@ -334,11 +356,13 @@ def run_policy(
     while heap and heap[0][0] <= horizon_us:
         t = max(heap)[0] if barrier else heap[0][0]
         if t > sys.float_info.max:
-            raise ValueError(f"virtual time {t} us is past the float range")
+            # t / 1000.0 would raise OverflowError: format it exactly.
+            raise ValueError(f"virtual time {Decimal(t).scaleb(-3):.3e} ms "
+                             "is past the float range")
         arrivals = []
         while heap and heap[0][0] <= t:
-            arrivals.append(heapq.heappop(heap))
-        arrivals.sort(key=lambda e: e[1])
+            arrivals.append(heapq.heappop(heap)[1])
+        arrivals.sort()
         if not groups and initial.structure() != structure:
             # Every anchor is a community model of the initial's layout.
             raise StructureError(f"{task.kind} needs layers {structure}")
@@ -346,49 +370,41 @@ def run_policy(
         # catch an overflow, so numpy's warnings for it would say nothing
         # more.
         with np.errstate(over="ignore", invalid="ignore"):
-            for _, lid in arrivals:  # step the pool until the group is done
+            for lid in arrivals:  # step the pool until the group is done
                 while lid not in trained:
                     while waiting and len(pool) < pool.capacity:
                         _, k, anchor = heapq.heappop(waiting)
-                        p, budget, assignment = flight[k][:3]
-                        pool.join(k, anchor, budget, assignment_batches(
+                        p, a = by_id[k], flight[k]
+                        pool.join(k, anchor, a.steps, assignment_batches(
                             p.indices, p.batch_size, np.random.default_rng(
-                                [seed, _TRAIN_STREAM, k, assignment])))
+                                [seed, _TRAIN_STREAM, k, a.index])))
                     trained.update(pool.step())
             models, weights = [], []
-            for finish, lid in arrivals:
+            for lid in arrivals:
                 w_k = trained.pop(lid)
-                p, steps, assignment, start, fetch_steps, fetch_version = (
-                    flight[lid]
-                )
+                p, a = by_id[lid], flight.pop(lid)
                 if isinstance(w_k, NonFiniteError):
                     raise NonFiniteError(
-                        f"learner {lid}, assignment {assignment}, arrival at "
-                        f"{finish / 1000.0!r} ms: {w_k}")
-                log.events.append((finish, "train_end", lid))
-                log.events.append((finish, "update_request", lid))
-                log.utilization.append(
-                    (lid, assignment, finish - start, t - finish))
+                        f"learner {lid}, assignment {a.index}, arrival at "
+                        f"{a.arrival_us / 1000.0!r} ms: {w_k}")
+                a.commit_us = t
+                log.assignments.append(a)
                 if barrier:
-                    value = float(p.data_size)
+                    a.weight = float(p.data_size)
                     models.append(w_k)
-                    weights.append(value)
+                    weights.append(a.weight)
                 else:
-                    w_c, value = commit(
+                    w_c, a.weight = commit(
                         cfg.weighting, state, lid, w_k, p.data_size,
-                        fetch_steps, steps, fetch_version,
+                        a.fetch_steps, a.steps, a.fetch_version,
                     )
-                    log.events.append((t, "community_commit", lid))
-                    fetch(p, t, assignment + 1)
-                log.contributions.append((t, lid, value))
+                    fetch(p, t, a.index + 1)
             if barrier:
                 w_c = weighted_average(models, weights)
             groups += 1
-            if barrier:
-                log.events.append((t, "community_commit", -1))
-                if groups < cfg.rounds:
-                    for p in profiles:
-                        fetch(p, t, groups)
+            if barrier and groups < cfg.rounds:
+                for p in profiles:
+                    fetch(p, t, groups)
             if (groups % cfg.eval_every == 0 or not heap
                     or heap[0][0] > horizon_us):
                 accuracy, loss = evaluate(task, w_c, test)
@@ -397,7 +413,7 @@ def run_policy(
                         f"evaluation at {t / 1000.0!r} ms: loss is {loss!r}")
                 log.evals.append(EvalSnapshot(
                     t, groups - 1, log.update_requests, accuracy, loss))
-                log.events.append((t, "eval", -1))
+    log.in_flight = [flight[k] for k in sorted(flight)]
     log.federation_rounds = groups if barrier else 0
     log.final_model = w_c
     log.final_state = state

@@ -4,8 +4,9 @@ Turns a parsed :class:`ExperimentConfig` into datasets, partitions, learner
 profiles and a protocol run, then writes every artifact needed to reproduce
 and inspect the run. Each file a cell or a run writes is built and written
 here, its format included: the run's log files by :func:`export_metrics`,
-the config echo, partition report and manifest by :func:`run_experiment`.
-The simulation modules hold state only and write nothing.
+mostly as views of the log's one record per assignment, and the config
+echo, partition report and manifest by :func:`run_experiment`. The
+simulation modules hold state only and write nothing.
 """
 
 from __future__ import annotations
@@ -84,10 +85,13 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
     """Write every file of the run's log into ``out_dir``.
 
     Output is formatted so identical logs serialize to identical bytes:
-    metrics.csv (one row per evaluation), idle.csv (per learner and round),
-    events.jsonl (the ordered event stream), contributions.csv,
-    summary.json, controller_snapshot.json (when the run kept a controller
-    state) and final_model.json (when it holds a model).
+    metrics.csv (one row per evaluation), summary.json,
+    controller_snapshot.json (when the run kept a controller state) and
+    final_model.json (when it holds a model). idle.csv and
+    contributions.csv (one row per committed assignment) and events.jsonl
+    (the ordered event stream) are views of the log's assignment records,
+    as are the snapshot's per-learner steps and fetch version, taken from
+    each learner's last commit.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -103,24 +107,36 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
     _write_text(path("metrics.csv"), "\n".join(lines) + "\n")
 
     lines = ["learner_id,round,active_ms,idle_ms"]
-    for lid, r, active_us, idle_us in log.utilization:
-        lines.append(
-            f"{lid},{r},{active_us / 1000.0:.3f},{idle_us / 1000.0:.3f}"
-        )
+    for a in log.assignments:
+        lines.append(f"{a.learner},{a.index},"
+                     f"{(a.arrival_us - a.fetch_us) / 1000.0:.3f},"
+                     f"{(a.commit_us - a.arrival_us) / 1000.0:.3f}")
     _write_text(path("idle.csv"), "\n".join(lines) + "\n")
 
+    # Each assignment's events; a barrier group's commits are one server
+    # line (learner -1), which the set keeps once since groups close at
+    # distinct times.
+    events = {(ev.t_us, "eval", -1) for ev in log.evals}
+    for a in log.assignments + log.in_flight:
+        events.add((a.fetch_us, "fetch", a.learner))
+        events.add((a.fetch_us, "train_start", a.learner))
+    for a in log.assignments:
+        events.add((a.arrival_us, "train_end", a.learner))
+        events.add((a.arrival_us, "update_request", a.learner))
+        events.add((a.commit_us, "community_commit",
+                    a.learner if log.policy == "async" else -1))
     # The text json.dumps(..., sort_keys=True) gives, without its per-call
     # cost: keys in sorted order, float repr for the time.
     lines = [
         f'{{"kind": "{kind}", "learner": {lid}, "virtual_ms": {t / 1000.0!r}}}'
         for t, kind, lid in sorted(
-            log.events, key=lambda e: (e[0], _EVENT_RANK[e[1]], e[2]))
+            events, key=lambda e: (e[0], _EVENT_RANK[e[1]], e[2]))
     ]
     _write_text(path("events.jsonl"), "\n".join(lines) + "\n")
 
     lines = ["virtual_ms,learner_id,weight"]
-    for t, lid, value in log.contributions:
-        lines.append(f"{t / 1000.0:.3f},{lid},{value!r}")
+    for a in log.assignments:
+        lines.append(f"{a.commit_us / 1000.0:.3f},{a.learner},{a.weight!r}")
     _write_text(path("contributions.csv"), "\n".join(lines) + "\n")
 
     summary = {
@@ -145,6 +161,7 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
     _write_json(path("summary.json"), summary)
     state = log.final_state
     if state is not None:
+        last = {a.learner: a for a in log.assignments}
         _write_json(path("controller_snapshot.json"), {
             "format_version": 1,
             "version": state.version,
@@ -153,8 +170,8 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
             "learners": {
                 # The key says steps but the value is the fetch version
                 # (ROADMAP item 6).
-                str(k): {"value": rec.value, "local_steps": rec.local_steps,
-                         "fetch_steps": rec.fetch_version}
+                str(k): {"value": rec.value, "local_steps": last[k].steps,
+                         "fetch_steps": last[k].fetch_version}
                 for k, rec in sorted(state.records.items())
             },
         })

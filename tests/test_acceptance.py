@@ -129,7 +129,7 @@ def test_criterion_2_cache_equals_recompute(announce):
             w = rand_model(rng)
             p = float(rng.uniform(0.5, 20.0))
             steps = int(rng.integers(1, 9))
-            out = cached_update(state, k, w, p, steps, 0)
+            out = cached_update(state, k, w, p, steps)
             latest[k] = (w, p)
             oracle = weighted_average(
                 [latest[j][0] for j in sorted(latest)],
@@ -267,8 +267,9 @@ def test_criterion_5_idle_accounting(announce):
     def body(check):
         log, profs = idle_world("sync", rounds=3)
         rows = {}
-        for lid, r, active, idle in log.utilization:
-            rows[(lid, r)] = (active, idle)
+        for a in log.assignments:
+            rows[(a.learner, a.index)] = (a.arrival_us - a.fetch_us,
+                                          a.commit_us - a.arrival_us)
         for r in range(3):
             round_span = max(a + i for (lid2, r2), (a, i) in rows.items()
                              if r2 == r)
@@ -280,7 +281,8 @@ def test_criterion_5_idle_accounting(announce):
 
         log, profs = idle_world("semisync", rounds=4)
         slowest_batch_us = max(p.time_per_batch_us for p in profs)
-        for lid, r, active, idle in log.utilization:
+        for a in log.assignments:
+            lid, r, idle = a.learner, a.index, a.commit_us - a.arrival_us
             if r == 0:
                 continue  # profiling round is unaligned by design
             check(idle <= slowest_batch_us,
@@ -322,9 +324,8 @@ def test_criterion_6_communication_accounting(announce):
                              time_budget_ms=budget_ms)
         log = run_policy(cfg, profs, task, train, test, initial, seed=4)
         counts = {0: 0, 1: 0, 2: 0}
-        for _, kind, lid in log.events:
-            if kind == "update_request":
-                counts[lid] += 1
+        for a in log.assignments:
+            counts[a.learner] += 1
         for p in profs:
             cycle_us = p.batches_per_epoch * p.time_per_batch_us
             oracle = int(budget_ms * 1000.0) // cycle_us

@@ -17,10 +17,9 @@ from fedsim.controller import (
     fedasync_update,
     init_community,
     poly_staleness,
-    record_fetch,
     staleness_discount,
 )
-from fedsim.engine import MetricsLog
+from fedsim.engine import Assignment, MetricsLog
 from fedsim.params import (
     NonFiniteError,
     ParamSet,
@@ -48,22 +47,22 @@ def test_initial_community_is_broadcast():
     assert state.version == 0 and state.committed_steps == 0
 
 
-def test_record_fetch_reports_counters():
+def test_state_counts_committed_steps_and_versions():
+    # A fetch reads the served model and these two counters off the state.
     rng = np.random.default_rng(2)
-    state = fresh_state(rng)
-    model, steps, version = record_fetch(state)
-    assert steps == 0 and version == 0
-    assert equal(model, state.model)
-    cached_update(state, 0, rand_params(rng), 10.0, steps=7, fetch_version=0)
-    model, steps, version = record_fetch(state)
-    assert steps == 7 and version == 1
+    initial = rand_params(rng)
+    state = init_community(initial)
+    assert state.committed_steps == 0 and state.version == 0
+    assert equal(state.model, initial)
+    cached_update(state, 0, rand_params(rng), 10.0, steps=7)
+    assert state.committed_steps == 7 and state.version == 1
 
 
 def test_single_contribution_dominates():
     rng = np.random.default_rng(3)
     state = fresh_state(rng)
     w = rand_params(rng)
-    out = cached_update(state, 0, w, 123.0, steps=5, fetch_version=0)
+    out = cached_update(state, 0, w, 123.0, steps=5)
     assert max_abs_diff(out, w) <= 1e-12
     assert state.normalizer == 123.0
     assert state.committed_steps == 5
@@ -75,9 +74,9 @@ def test_replacement_uses_latest_contribution_only():
     state = fresh_state(rng)
     a0, a1 = rand_params(rng), rand_params(rng)
     b = rand_params(rng)
-    cached_update(state, 0, a0, 2.0, steps=1, fetch_version=0)
-    cached_update(state, 1, b, 3.0, steps=1, fetch_version=0)
-    out = cached_update(state, 0, a1, 5.0, steps=1, fetch_version=0)
+    cached_update(state, 0, a0, 2.0, steps=1)
+    cached_update(state, 1, b, 3.0, steps=1)
+    out = cached_update(state, 0, a1, 5.0, steps=1)
     expect = weighted_average([a1, b], [5.0, 3.0])
     assert max_abs_diff(out, expect) <= 1e-12
     assert state.normalizer == pytest.approx(8.0)
@@ -93,8 +92,7 @@ def test_cache_matches_full_recompute_interleaved():
         k = int(rng.integers(0, 10))
         w = rand_params(rng)
         p = float(rng.uniform(0.5, 20.0))
-        out = cached_update(state, k, w, p, steps=int(rng.integers(1, 9)),
-                            fetch_version=0)
+        out = cached_update(state, k, w, p, steps=int(rng.integers(1, 9)))
         latest[k] = (w, p)
         models = [latest[j][0] for j in sorted(latest)]
         weights = [latest[j][1] for j in sorted(latest)]
@@ -115,10 +113,10 @@ def test_cache_commit_allocates_two_model_buffers_at_any_learner_count():
     for n in (10, 100, 1000):
         state = init_community(zeros_like(models[0]))
         for k in range(n):
-            cached_update(state, k, models[k % 4], float(k + 1), 1, 0)
+            cached_update(state, k, models[k % 4], float(k + 1), 1)
         tracemalloc.start()
         try:
-            cached_update(state, 0, models[1], 2.0, 1, 0)
+            cached_update(state, 0, models[1], 2.0, 1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -134,7 +132,7 @@ def test_cache_scale_invariance():
     for c in (1.0, 1000.0):
         state = init_community(updates[0][1])
         for k, w, p in updates:
-            out = cached_update(state, k, w, c * p, steps=1, fetch_version=0)
+            out = cached_update(state, k, w, c * p, steps=1)
         outs.append(out)
     assert max_abs_diff(outs[0], outs[1]) <= 1e-12
 
@@ -143,8 +141,7 @@ def test_cached_update_rejects_degenerate_total():
     rng = np.random.default_rng(7)
     state = fresh_state(rng)
     with pytest.raises(DegenerateWeightError):
-        cached_update(state, 0, rand_params(rng), 0.0, steps=1,
-                      fetch_version=0)
+        cached_update(state, 0, rand_params(rng), 0.0, steps=1)
     # and the state must be untouched afterwards
     assert state.normalizer == 0.0 and state.version == 0
     assert not state.records
@@ -155,14 +152,14 @@ def test_cached_update_validates_inputs():
     state = fresh_state(rng)
     w = rand_params(rng)
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, float("nan"), steps=1, fetch_version=0)
+        cached_update(state, 0, w, float("nan"), steps=1)
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, -1.0, steps=1, fetch_version=0)
+        cached_update(state, 0, w, -1.0, steps=1)
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, 1.0, steps=0, fetch_version=0)
+        cached_update(state, 0, w, 1.0, steps=0)
     bad = ParamSet(["other"], [np.zeros((2, 2))])
     with pytest.raises(StructureError):
-        cached_update(state, 0, bad, 1.0, steps=1, fetch_version=0)
+        cached_update(state, 0, bad, 1.0, steps=1)
 
 
 def test_staleness_discount_pinned_values():
@@ -226,7 +223,7 @@ def commit_bits(state):
     return (
         bits(state.model.flat), bits(state.weighted_sum), state.normalizer,
         state.committed_steps, state.version,
-        {k: (bits(r.model.flat), r.value, r.fetch_version, r.local_steps)
+        {k: (bits(r.model.flat), r.value)
          for k, r in state.records.items()},
     )
 
@@ -253,7 +250,7 @@ def test_commit_equals_the_direct_update_bit_for_bit(kind):
                 else staleness_discount(direct.committed_steps, fetch_steps,
                                         steps)
             )
-            want = cached_update(direct, lid, w, weight, steps, fetch_version)
+            want = cached_update(direct, lid, w, weight, steps)
         assert value == weight
         assert bits(got.flat) == bits(want.flat)
         assert commit_bits(state) == commit_bits(direct)
@@ -322,15 +319,19 @@ def test_prox_rho_only_under_fedasync_poly():
 def test_snapshot_shape(tmp_path):
     rng = np.random.default_rng(14)
     state = fresh_state(rng)
-    cached_update(state, 1, rand_params(rng), 4.0, steps=3, fetch_version=0)
-    export_metrics(MetricsLog("async", 0, final_state=state), str(tmp_path))
+    cached_update(state, 1, rand_params(rng), 4.0, steps=3)
+    # Learner 1's one commit: fetched at version 0, 3 steps, weight 4.
+    ledger = [Assignment(1, 0, 0, 3, 0, 0, 3, 3, 4.0)]
+    export_metrics(MetricsLog("async", 0, assignments=ledger,
+                              final_state=state), str(tmp_path))
     snap = json.loads((tmp_path / "controller_snapshot.json").read_text())
     assert snap["format_version"] == 1
     assert snap["version"] == 1
     assert snap["committed_steps"] == 3
     assert snap["normalizer"] == 4.0
     assert list(snap["learners"]) == ["1"]
-    assert snap["learners"]["1"]["local_steps"] == 3
+    assert snap["learners"]["1"] == {"value": 4.0, "local_steps": 3,
+                                     "fetch_steps": 0}
 
 
 def state_view(state):
@@ -344,13 +345,12 @@ def state_view(state):
 def test_failed_commit_of_subnormal_weight_leaves_state_untouched():
     rng = np.random.default_rng(16)
     state = fresh_state(rng)
-    served = record_fetch(state)[0]
+    served = state.model
     before = state_view(state)
     with pytest.raises(NonFiniteError):
-        cached_update(state, 0, rand_params(rng), 5e-324, steps=1,
-                      fetch_version=0)
+        cached_update(state, 0, rand_params(rng), 5e-324, steps=1)
     assert state_view(state) == before
-    assert equal(record_fetch(state)[0], served)
+    assert equal(state.model, served)
 
 
 def entries(values):
@@ -397,14 +397,12 @@ def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
     for op in ops:
         before = state_view(state)
         if op[0] == "fetch":
-            model, steps, version = record_fetch(state)
-            assert equal(model, served)
-            assert (steps, version) == (state.committed_steps, state.version)
+            assert equal(state.model, served)
             continue
         try:
             if op[0] == "cache":
                 _, k, w, value, steps = op
-                served = cached_update(state, k, w, value, steps, 0)
+                served = cached_update(state, k, w, value, steps)
             else:
                 _, w, mixing, fetch_version, adaptive = op
                 served, _ = fedasync_update(state, w, mixing, fetch_version,
@@ -477,11 +475,11 @@ def test_commits_match_the_formula_with_temporaries_and_two_scans(
     state = init_community(initial)
     for op in ops:
         if op[0] == "fetch":
-            record_fetch(state)
-        elif op[0] == "cache":
+            continue  # a fetch only reads the state
+        if op[0] == "cache":
             _, k, w, value, steps = op
             expected = outcome(reference_commit, state, k, w, value)
-            got = outcome(cached_update, state, k, w, value, max(steps, 1), 0)
+            got = outcome(cached_update, state, k, w, value, max(steps, 1))
             if isinstance(expected, type):
                 assert got is expected
             else:

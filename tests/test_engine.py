@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fedsim import engine
 from fedsim.controller import WeightingScheme
 from fedsim.engine import (
+    Assignment,
     EvalSnapshot,
     LearnerProfile,
     MetricsLog,
@@ -193,12 +194,15 @@ def test_plan_blames_the_epoch_when_it_overflows_before_lambda():
 
 def test_barrier_round_past_the_float_range_raises():
     # 1e305 ms per batch is a count the clock holds, but 100 batches end the
-    # round past the float range: the run refuses it before training.
+    # round past the float range: the run refuses it before training, and
+    # says the close time in a few characters, not its 311 digits of us.
     task, train, test, chunks, initial = small_world(2, 500)
     profs = [profile(0, 30.0, chunks[0]), profile(1, 1e305, chunks[1])]
     cfg = ProtocolConfig("sync", OPT, STATIC, epochs=4, rounds=1)
-    with pytest.raises(ValueError, match="past the float range"):
+    with pytest.raises(ValueError) as err:
         run_policy(cfg, profs, task, train, test, initial, seed=3)
+    assert str(err.value) == (
+        "virtual time 1.000e+307 ms is past the float range")
 
 
 def test_protocol_config_validation():
@@ -216,6 +220,13 @@ def test_protocol_config_validation():
         ProtocolConfig("sync", OPT, STATIC, eval_every=0)
 
 
+def idle_rows(log):
+    """{(learner, round): (active us, idle us)} of a log's commits."""
+    return {(a.learner, a.index): (a.arrival_us - a.fetch_us,
+                                   a.commit_us - a.arrival_us)
+            for a in log.assignments}
+
+
 def sync_fast_slow(rounds=2):
     task, train, test, chunks, initial = small_world(2, 500, num_classes=4)
     profs = [profile(0, 30.0, chunks[0]), profile(1, 300.0, chunks[1],
@@ -229,7 +240,7 @@ def test_sync_idle_worked_example():
     # 3000 ms for the fast learner, 30000 ms for the slow one, so the fast
     # learner idles 27000 ms per round and the slow one never waits
     log, _ = sync_fast_slow(rounds=2)
-    rows = {(lid, r): (a, i) for lid, r, a, i in log.utilization}
+    rows = idle_rows(log)
     for r in range(2):
         assert rows[(0, r)] == (3_000_000, 27_000_000)
         assert rows[(1, r)] == (30_000_000, 0)
@@ -244,7 +255,7 @@ def test_sync_round_boundaries_and_counters():
                                              90_000_000]
     assert [ev.round_index for ev in log.evals] == [0, 1, 2]
     # evaluation costs no virtual time: round 1 starts exactly at 30000 ms
-    starts = [(t, lid) for t, kind, lid in log.events if kind == "train_start"]
+    starts = [(a.fetch_us, a.learner) for a in log.assignments]
     assert (30_000_000, 0) in starts and (30_000_000, 1) in starts
 
 
@@ -253,7 +264,7 @@ def test_sync_homogeneous_zero_idle():
     profs = [profile(k, 50.0, chunks[k]) for k in range(3)]
     cfg = ProtocolConfig("sync", OPT, STATIC, epochs=2, rounds=2)
     log = run_policy(cfg, profs, task, train, test, initial, seed=3)
-    assert all(idle == 0 for _, _, _, idle in log.utilization)
+    assert all(idle == 0 for _, idle in idle_rows(log).values())
 
 
 def test_sync_eval_every_includes_last_round():
@@ -267,7 +278,7 @@ def test_sync_eval_every_includes_last_round():
 
 def test_sync_contribution_weights_are_data_sizes():
     log, profs = sync_fast_slow(rounds=1)
-    weights = sorted(v for _, _, v in log.contributions)
+    weights = sorted(a.weight for a in log.assignments)
     assert weights == [500.0, 500.0]
 
 
@@ -279,7 +290,7 @@ def test_semisync_cold_start_then_planned_budgets():
     log = run_policy(cfg, profs, task, train, test, initial, seed=9)
     plan = plan_semisync(2.0, profs)
     assert log.schedule == plan
-    rows = {(lid, r): (a, i) for lid, r, a, i in log.utilization}
+    rows = idle_rows(log)
     # round 0 is one profiling epoch: 25 batches each
     assert rows[(0, 0)][0] == 25 * 30_000
     assert rows[(1, 0)][0] == 25 * 300_000
@@ -296,7 +307,7 @@ def test_semisync_scheduled_idle_below_one_batch():
     cfg = ProtocolConfig("semisync", OPT, STATIC, lam=1.5, rounds=4)
     log = run_policy(cfg, profs, task, train, test, initial, seed=11)
     slowest_batch_us = max(p.time_per_batch_us for p in profs)
-    for lid, r, active, idle in log.utilization:
+    for (lid, r), (active, idle) in idle_rows(log).items():
         if r == 0:
             continue
         assert idle <= slowest_batch_us, (lid, r, idle)
@@ -326,10 +337,7 @@ def test_async_commit_counts_match_cycle_arithmetic():
     # 200 examples, batch 20, 1 epoch: cycles are 10*3 ms and 10*30 ms;
     # within 1000 ms that is floor(1000/30)=33 and floor(1000/300)=3 commits
     log, profs = async_world(1000.0)
-    per_learner = {0: 0, 1: 0}
-    for _, kind, lid in log.events:
-        if kind == "update_request":
-            per_learner[lid] += 1
+    per_learner = Counter(a.learner for a in log.assignments)
     assert per_learner == {0: 33, 1: 3}
     assert log.update_requests == 36
     assert log.federation_rounds == 0
@@ -338,10 +346,7 @@ def test_async_commit_counts_match_cycle_arithmetic():
 def test_async_exact_multiple_budget():
     # budget exactly 10 fast cycles: the boundary commit still lands
     log, profs = async_world(300.0)
-    per_learner = {0: 0, 1: 0}
-    for _, kind, lid in log.events:
-        if kind == "update_request":
-            per_learner[lid] += 1
+    per_learner = Counter(a.learner for a in log.assignments)
     assert per_learner == {0: 10, 1: 1}
 
 
@@ -350,11 +355,12 @@ def test_async_budget_below_the_shortest_cycle_commits_nothing():
     # holds each learner's first fetch and nothing else.
     log, _ = async_world(29.0)
     initial = small_world(2, 200, num_classes=4)[-1]
-    assert log.contributions == [] and log.utilization == []
+    assert log.assignments == []
     assert log.evals == [] and log.update_requests == 0
     assert equal(log.final_model, initial)
-    assert log.events == [(0, "fetch", 0), (0, "train_start", 0),
-                          (0, "fetch", 1), (0, "train_start", 1)]
+    # 10 batches of 3 ms and of 30 ms, fetched at 0 at version 0.
+    assert log.in_flight == [Assignment(0, 0, 0, 10, 0, 0, 30_000),
+                             Assignment(1, 0, 0, 10, 0, 0, 300_000)]
 
 
 def test_async_trains_only_the_assignments_it_commits():
@@ -375,13 +381,13 @@ def test_async_trains_only_the_assignments_it_commits():
     with mock.patch.object(engine, "TrainingPool", RecordingPool), \
             mock.patch.object(engine, "stacked_grad", counting):
         log, profs = async_world(1000.0)
-    fetches = sum(kind == "fetch" for _, kind, _ in log.events)
+    fetches = len(log.assignments) + len(log.in_flight)
     assert fetches == log.update_requests + 2
     assert Counter(lid for lid, _ in joined) == Counter(
-        lid for _, lid, _ in log.contributions)
+        a.learner for a in log.assignments)
     budget = {p.learner_id: p.batches_per_epoch for p in profs}
     assert sum(rows) == sum(b for _, b in joined) == sum(
-        budget[lid] for _, lid, _ in log.contributions)
+        budget[a.learner] for a in log.assignments)
 
 
 def test_a_training_failure_waits_for_its_group():
@@ -433,8 +439,8 @@ def test_a_group_raises_the_failure_of_its_lowest_failed_learner():
 
 def test_async_zero_idle():
     log, _ = async_world(500.0)
-    assert log.utilization
-    assert all(idle == 0 for _, _, _, idle in log.utilization)
+    assert log.assignments
+    assert all(a.commit_us == a.arrival_us for a in log.assignments)
 
 
 def test_async_eval_times_strictly_increase():
@@ -446,20 +452,19 @@ def test_async_eval_times_strictly_increase():
 
 def test_async_fedrec_weights_bounded_and_fresh_first():
     log, _ = async_world(1000.0, weighting=WeightingScheme("fedrec_staleness"))
-    assert log.contributions
-    t0, lid0, v0 = log.contributions[0]
-    assert v0 == 1.0  # first commit has nothing intervening
-    assert all(0.0 < v <= 1.0 for _, _, v in log.contributions)
+    assert log.assignments
+    assert log.assignments[0].weight == 1.0  # nothing intervening
+    assert all(0.0 < a.weight <= 1.0 for a in log.assignments)
     # the slow learner's commits land amid many fast commits, so its later
     # contributions are discounted
-    slow = [v for _, lid, v in log.contributions if lid == 1]
+    slow = [a.weight for a in log.assignments if a.learner == 1]
     assert slow and slow[-1] < 1.0
 
 
 def test_async_fedasync_mixing_alphas():
     scheme = WeightingScheme("fedasync_poly", mixing=0.5)
     log, _ = async_world(1000.0, weighting=scheme)
-    assert all(0.0 < v <= 0.5 for _, _, v in log.contributions)
+    assert all(0.0 < a.weight <= 0.5 for a in log.assignments)
     # community model is the broadcast model, not a cache average
     assert log.final_state is not None
     assert log.final_state.normalizer == 0.0
@@ -482,12 +487,12 @@ EVENT_KINDS = ("fetch", "train_start", "train_end", "update_request",
 
 def test_event_stream_structure(tmp_path):
     log, _ = sync_fast_slow(rounds=2)
-    kinds = {kind for _, kind, _ in log.events}
-    assert kinds == set(EVENT_KINDS)
     export_metrics(log, str(tmp_path))
     with open(tmp_path / "events.jsonl") as fh:
         ordered = [(e["virtual_ms"], e["kind"], e["learner"])
                    for e in map(json.loads, fh)]
+    kinds = {kind for _, kind, _ in ordered}
+    assert kinds == set(EVENT_KINDS)
     times = [t for t, _, _ in ordered]
     assert times == sorted(times)
     # per learner: fetch never after its own train_start at the same time
@@ -516,8 +521,8 @@ def test_run_policy_dispatch_and_determinism():
         a = run_policy(cfg, profs, task, train, test, initial, seed=21)
         b = run_policy(cfg, profs, task, train, test, initial, seed=21)
         assert a.evals == b.evals
-        assert a.events == b.events
-        assert a.contributions == b.contributions
+        assert a.assignments == b.assignments
+        assert a.in_flight == b.in_flight
         assert max_abs_diff(a.final_model, b.final_model) == 0.0
 
 
@@ -575,12 +580,43 @@ def test_export_metrics_float_round_trip(tmp_path):
     assert row[0] == "1.234"
 
 
+@st.composite
+def ledgers(draw):
+    """A policy and a log of drawn records: times in [0, 1e13] us,
+    committed ones ending at or after their arrival."""
+    def record(commit):
+        fetch = draw(st.integers(0, 10**13))
+        arrival = draw(st.integers(fetch, 10**13))
+        return Assignment(
+            draw(st.integers(0, 10**4)), draw(st.integers(0, 50)), fetch,
+            draw(st.integers(1, 10**6)), 0, 0, arrival,
+            draw(st.integers(arrival, 10**13)) if commit else None,
+            draw(st.floats(0.0, 1e4)) if commit else None)
+
+    policy = draw(st.sampled_from(("sync", "semisync", "async")))
+    log = MetricsLog(policy=policy, seed=0)
+    log.assignments = [record(True) for _ in range(draw(st.integers(0, 8)))]
+    log.in_flight = [record(False) for _ in range(draw(st.integers(0, 3)))]
+    log.evals = [EvalSnapshot(t, 0, 0, 0.5, 1.0) for t in draw(
+        st.lists(st.integers(0, 10**13), max_size=3, unique=True))]
+    return log
+
+
 @settings(max_examples=100, deadline=None)
-@given(events=st.lists(st.tuples(st.integers(0, 10**13),
-                                 st.sampled_from(EVENT_KINDS),
-                                 st.integers(-1, 10**4)), max_size=20))
-def test_events_jsonl_lines_are_sorted_key_json(events, tmp_path_factory):
-    log = MetricsLog(policy="async", seed=0, events=events)
+@given(log=ledgers())
+def test_events_jsonl_lines_are_sorted_key_json(log, tmp_path_factory):
+    # Every assignment's fetch and train_start, every commit's train_end and
+    # update_request at its arrival and its community_commit (the server's,
+    # learner -1, under a barrier), and every eval, each once.
+    events = {(ev.t_us, "eval", -1) for ev in log.evals}
+    for a in log.assignments + log.in_flight:
+        events |= {(a.fetch_us, "fetch", a.learner),
+                   (a.fetch_us, "train_start", a.learner)}
+    for a in log.assignments:
+        committer = a.learner if log.policy == "async" else -1
+        events |= {(a.arrival_us, "train_end", a.learner),
+                   (a.arrival_us, "update_request", a.learner),
+                   (a.commit_us, "community_commit", committer)}
     out = tmp_path_factory.mktemp("events")
     export_metrics(log, str(out))
     lines = open(os.path.join(out, "events.jsonl")).read().splitlines()

@@ -17,27 +17,43 @@ buffer.
   engine must match it bit for bit. Under ``fedavg_static`` the community
   model is the shard-size weighted average of each learner's latest model,
   which the engine's incremental cache matches within 1e-9 (criterion 2).
+
+Each reference also builds the run's ledger: one record per assignment,
+committed ones in commit order and then those in flight at the end. It
+states every fact the protocol text gives (learner, index, fetch, steps,
+arrival, commit, weight and the fetch version, the commit count at the
+fetch), so the engine's records must equal it but for the fetch steps,
+which are the controller's own counter.
 """
 
+import dataclasses
 import heapq
 
 from hypothesis import given, settings, strategies as st
 
-from fedsim.engine import EvalSnapshot, ms_to_us, plan_semisync, run_policy
+from fedsim.engine import (
+    Assignment, EvalSnapshot, ms_to_us, plan_semisync, run_policy,
+)
 from fedsim.params import weighted_average
 from fedsim.tasks import evaluate
 from oracles import axpy, equal, max_abs_diff, scale, train_alone
 from test_run_invariants import worlds
 
 
+def ledger(log):
+    """A run's records, committed then in flight, without fetch steps."""
+    return [dataclasses.replace(a, fetch_steps=None)
+            for a in log.assignments + log.in_flight]
+
+
 def reference_run(cfg, profiles, task, train, test, initial, seed):
-    """(final model, evals, contributions, utilization) of a barrier run."""
+    """(final model, evals, ledger) of a barrier run."""
     profiles = sorted(profiles, key=lambda p: p.learner_id)
     plan = plan_semisync(cfg.lam, profiles) if cfg.policy == "semisync" else None
     model, start = initial, 0
-    evals, contributions, utilization = [], [], []
+    evals, records = [], []
     for r in range(cfg.rounds):
-        models, finishes = [], []
+        models, fetched = [], []
         for p in profiles:
             if plan is None:
                 budget = cfg.epochs * p.batches_per_epoch
@@ -47,19 +63,19 @@ def reference_run(cfg, profiles, task, train, test, initial, seed):
                 budget = plan.batches[p.learner_id]
             models.append(train_alone(task, train, p, model, budget,
                                       cfg.optimizer, seed, r))
-            finishes.append(start + budget * p.time_per_batch_us)
-        close = max(finishes)
-        for p, finish in zip(profiles, finishes):
-            utilization.append(
-                (p.learner_id, r, finish - start, close - finish)
-            )
-            contributions.append((close, p.learner_id, float(p.data_size)))
+            fetched.append(Assignment(
+                p.learner_id, r, start, budget, None, len(records),
+                start + budget * p.time_per_batch_us))
+        close = max(a.arrival_us for a in fetched)
+        for p, a in zip(profiles, fetched):
+            a.commit_us, a.weight = close, float(p.data_size)
+        records += fetched
         model = weighted_average(models, [float(p.data_size) for p in profiles])
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
-            evals.append(EvalSnapshot(close, r, len(contributions),
+            evals.append(EvalSnapshot(close, r, len(records),
                                       *evaluate(task, model, test)))
         start = close
-    return model, evals, contributions, utilization
+    return model, evals, records
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -67,58 +83,64 @@ def reference_run(cfg, profiles, task, train, test, initial, seed):
        seed=st.integers(0, 2**16))
 def test_barrier_run_equals_reference(world, seed):
     log = run_policy(*world, seed)
-    model, evals, contributions, utilization = reference_run(*world, seed)
+    model, evals, records = reference_run(*world, seed)
     assert equal(log.final_model, model)
     assert log.evals == evals
-    assert log.contributions == contributions
-    assert log.utilization == utilization
+    assert ledger(log) == records
 
 
 def async_reference_run(cfg, profiles, task, train, test, initial, seed):
-    """(final model, evals, contributions, utilization) of an async run."""
+    """(final model, evals, ledger) of an async run."""
     profiles = {p.learner_id: p for p in profiles}
     scheme = cfg.weighting
     poly = scheme.kind == "fedasync_poly"
     horizon = ms_to_us(cfg.time_budget_ms)
-    model, commits, groups = initial, 0, 0
+    model, groups = initial, 0
     latest = {}  # learner id -> its latest committed model
-    # learner id -> (anchor, commits at fetch, fetch time, assignment)
-    fetched = {lid: (initial, 0, 0, 0) for lid in profiles}
+    fetched = {}  # learner id -> (anchor, record) of its fetch in flight
+    records = []
     heap = []
-    for lid, p in sorted(profiles.items()):
-        heapq.heappush(heap, (cfg.epochs * p.batches_per_epoch
-                              * p.time_per_batch_us, lid))
-    evals, contributions, utilization = [], [], []
+
+    def fetch(lid, t, index):
+        p = profiles[lid]
+        budget = cfg.epochs * p.batches_per_epoch
+        a = Assignment(lid, index, t, budget, None, len(records),
+                       t + budget * p.time_per_batch_us)
+        fetched[lid] = (model, a)
+        heapq.heappush(heap, (a.arrival_us, lid))
+
+    for lid in sorted(profiles):
+        fetch(lid, 0, 0)
+    evals = []
     while heap and heap[0][0] <= horizon:
         t, lid = heapq.heappop(heap)
         p = profiles[lid]
-        anchor, fetch_commits, start, assignment = fetched[lid]
-        budget = cfg.epochs * p.batches_per_epoch
-        local = train_alone(task, train, p, anchor, budget, cfg.optimizer,
-                            seed, assignment, scheme.rho if poly else 0.0)
+        anchor, a = fetched[lid]
+        local = train_alone(task, train, p, anchor, a.steps, cfg.optimizer,
+                            seed, a.index, scheme.rho if poly else 0.0)
         if poly:
-            value = scheme.mixing * (commits - fetch_commits + 1) ** -0.5
-            model = axpy(value, local, scale(1.0 - value, model))
+            a.weight = scheme.mixing * (
+                len(records) - a.fetch_version + 1) ** -0.5
+            model = axpy(a.weight, local, scale(1.0 - a.weight, model))
         else:
-            value = float(p.data_size)
+            a.weight = float(p.data_size)
             latest[lid] = local
             ids = sorted(latest)
             model = weighted_average(
                 [latest[k] for k in ids],
                 [float(profiles[k].data_size) for k in ids],
             )
-        commits += 1
-        contributions.append((t, lid, value))
-        utilization.append((lid, assignment, t - start, 0))
-        fetched[lid] = (model, commits, t, assignment + 1)
-        heapq.heappush(heap, (t + budget * p.time_per_batch_us, lid))
+        a.commit_us = t
+        records.append(a)
+        fetch(lid, t, a.index + 1)
         if heap[0][0] == t:  # more arrivals at this time: same group
             continue
         groups += 1
         if groups % cfg.eval_every == 0 or heap[0][0] > horizon:
-            evals.append(EvalSnapshot(t, groups - 1, len(contributions),
+            evals.append(EvalSnapshot(t, groups - 1, len(records),
                                       *evaluate(task, model, test)))
-    return model, evals, contributions, utilization
+    in_flight = [fetched[lid][1] for lid in sorted(fetched)]
+    return model, evals, records + in_flight
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -127,10 +149,8 @@ def async_reference_run(cfg, profiles, task, train, test, initial, seed):
        seed=st.integers(0, 2**16))
 def test_async_run_equals_reference(world, seed):
     log = run_policy(*world, seed)
-    model, evals, contributions, utilization = async_reference_run(*world,
-                                                                   seed)
-    assert log.contributions == contributions
-    assert log.utilization == utilization
+    model, evals, records = async_reference_run(*world, seed)
+    assert ledger(log) == records
     assert [e[:3] for e in log.evals] == [e[:3] for e in evals]
     if world[0].weighting.kind == "fedasync_poly":
         assert equal(log.final_model, model)

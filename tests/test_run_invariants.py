@@ -1,12 +1,12 @@
 """Run-level invariants of ``run_policy`` over small random worlds.
 
 The goldens pin today's bytes; these properties state what any run must do,
-whatever its policy, weighting, task and timing: learners follow the
-fetch / train / request cycle, counters agree with the logs, idle time adds
-up to the round length, evaluations fall where ``eval_every`` puts them,
-and under an async cache weighting each learner's record in the
-``controller_snapshot.json`` the run's log writes agrees with its
-contribution rows. Latencies start at 0.0005 ms, the
+whatever its policy, weighting, task and timing: each learner's assignment
+records chain fetch to commit to refetch, counters agree with the ledger,
+idle time adds up to the round length, evaluations fall where
+``eval_every`` puts them, and under an async cache weighting each learner's
+record in the ``controller_snapshot.json`` the run's log writes agrees with
+its committed records. Latencies start at 0.0005 ms, the
 smallest value ``LearnerProfile`` accepts, so no example can stall the
 clock.
 """
@@ -28,9 +28,6 @@ from fedsim.tasks import TASK_KINDS, TaskModel, gen_synthetic, init_params
 
 NUM_CLASSES = 3
 INPUT_DIM = 4
-# One learner's events in the order it produces them; a barrier commit is
-# the server's (learner -1), so only async cycles end in a learner commit.
-CYCLE = ("fetch", "train_start", "train_end", "update_request")
 
 
 @st.composite
@@ -87,63 +84,58 @@ def test_run_invariants(world, seed):
     log = run_policy(cfg, profiles, task, train, test, initial, seed)
     barrier = cfg.policy != "async"
     horizon_us = ms_to_us(cfg.time_budget_ms)
+    commits = [a.commit_us for a in log.assignments]
+    assert commits == sorted(commits)
 
-    # Each learner's own events are time-ordered and follow its cycle; every
-    # fetch has exactly one train_end, except under async, where the run
-    # ends with each learner's last model in flight past the horizon.
+    # The chain rule: a learner's committed records, then its record in
+    # flight, are its assignments 0..k; the first is fetched at 0 and each
+    # later one when the one before commits. Under async every learner ends
+    # with one model in flight past the horizon, under a barrier none.
     for p in profiles:
-        mine = [(t, kind) for t, kind, lid in log.events
-                if lid == p.learner_id]
-        times = [t for t, _ in mine]
-        assert times == sorted(times)
-        cycle = CYCLE if barrier else (*CYCLE, "community_commit")
-        kinds = [kind for _, kind in mine]
-        assert kinds == [cycle[i % len(cycle)] for i in range(len(kinds))]
-        fetches = [t for t, kind in mine if kind == "fetch"]
-        train_ends = kinds.count("train_end")
+        committed = [a for a in log.assignments if a.learner == p.learner_id]
+        flying = [a for a in log.in_flight if a.learner == p.learner_id]
+        chain = committed + flying
+        assert [a.index for a in chain] == list(range(len(chain)))
+        assert [a.fetch_us for a in chain] == [
+            0, *(a.commit_us for a in committed)][:len(chain)]
+        for a in chain:
+            assert a.arrival_us == a.fetch_us + a.steps * p.time_per_batch_us
+        for a in committed:
+            assert a.commit_us >= a.arrival_us
+            assert a.commit_us == a.arrival_us or barrier
         if barrier:
-            assert train_ends == len(fetches) == cfg.rounds
+            assert len(committed) == cfg.rounds and not flying
         else:
-            assert kinds[-2:] == ["fetch", "train_start"]
-            assert train_ends == len(fetches) - 1
-            cycle_us = cfg.epochs * p.batches_per_epoch * p.time_per_batch_us
-            assert fetches[-1] + cycle_us > horizon_us
-    server = [t for t, kind, lid in log.events if lid == -1]
-    assert server == sorted(server)
-
-    assert log.update_requests == len(log.contributions)
-    assert log.update_requests == sum(
-        kind == "update_request" for _, kind, _ in log.events
-    )
+            assert len(flying) == 1 and flying[0].arrival_us > horizon_us
+    assert len(log.in_flight) == (0 if barrier else len(profiles))
 
     # A commit group is one round under a barrier, one timestamp under async.
+    group_ends = sorted(set(commits))
     if barrier:
-        group_ends = [t for t, kind, lid in log.events
-                      if kind == "community_commit"]
         assert len(group_ends) == log.federation_rounds == cfg.rounds
         starts = [0, *group_ends[:-1]]
-        for lid, r, active_us, idle_us in log.utilization:
+        for a in log.assignments:
+            active_us = a.arrival_us - a.fetch_us
+            idle_us = a.commit_us - a.arrival_us
             assert active_us > 0 and idle_us >= 0
-            assert active_us + idle_us == group_ends[r] - starts[r]
-        assert sorted((r, lid) for lid, r, _, _ in log.utilization) == [
+            assert active_us + idle_us == group_ends[a.index] - starts[a.index]
+        assert sorted((a.index, a.learner) for a in log.assignments) == [
             (r, p.learner_id) for r in range(cfg.rounds) for p in profiles
         ]
     else:
-        group_ends = sorted({t for t, _, _ in log.contributions})
         assert all(t <= horizon_us for t in group_ends)
-        assert all(idle == 0 for _, _, _, idle in log.utilization)
         assert log.federation_rounds == 0
 
-    # Evaluations fall after every eval_every-th group and after the last.
+    # Evaluations fall after every eval_every-th group and after the last,
+    # each counting the commits at or before it.
     last = len(group_ends) - 1
     expected = [g for g in range(len(group_ends))
                 if (g + 1) % cfg.eval_every == 0 or g == last]
     assert [ev.round_index for ev in log.evals] == expected
     assert [ev.t_us for ev in log.evals] == [group_ends[g] for g in expected]
+    assert log.update_requests == len(log.assignments)
     for ev in log.evals:
-        assert ev.update_requests == sum(
-            t <= ev.t_us for t, _, _ in log.contributions
-        )
+        assert ev.update_requests == sum(t <= ev.t_us for t in commits)
 
 
 @settings(max_examples=30, deadline=None, database=None)
@@ -155,18 +147,19 @@ def test_run_invariants(world, seed):
 def test_controller_records_follow_contributions(world, seed):
     # Commit i (0-based) leaves the community at version i + 1, and the
     # committing learner refetches at once; its first fetch is version 0.
-    # So each learner's record holds its last row's weight and the version
-    # one past its previous row.
+    # So each learner's record holds its last commit's weight and steps and
+    # the version one past its previous commit.
     log = run_policy(*world, seed)
     rows: dict[int, list[int]] = {}
-    for i, (_, lid, _) in enumerate(log.contributions):
-        rows.setdefault(lid, []).append(i)
+    for i, a in enumerate(log.assignments):
+        rows.setdefault(a.learner, []).append(i)
     with tempfile.TemporaryDirectory() as out:
         export_metrics(log, out)
         with open(os.path.join(out, "controller_snapshot.json")) as fh:
             learners = json.load(fh)["learners"]
     assert sorted(int(k) for k in learners) == sorted(rows)
     for lid, mine in rows.items():
-        record = learners[str(lid)]
-        assert record["value"] == log.contributions[mine[-1]][2]
+        record, last = learners[str(lid)], log.assignments[mine[-1]]
+        assert record["value"] == last.weight
+        assert record["local_steps"] == last.steps
         assert record["fetch_steps"] == (mine[-2] + 1 if len(mine) > 1 else 0)
