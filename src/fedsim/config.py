@@ -1,18 +1,22 @@
 """Experiment configuration: flat INI-style key-value files with sections.
 
 Every key is declared once, in :data:`SCHEMA`, with its default and the
-parser that types and bounds it. Parsing is strict but total: every unknown
-section or key, failed cast, and domain violation is collected, and
-:class:`ConfigError` reports the whole list at once instead of stopping at
-the first problem. A key that fails its parser is left out of the parsed
-values, and a check across keys runs only when every key it reads parsed,
-so one bad value never reports a second, made-up one. Every key has a
-default, so an empty file is a valid experiment.
+parser that types and bounds it; one number parser serves every int and
+float key. Parsing is strict but total: every unknown section or key,
+failed cast, and domain violation is collected, and :class:`ConfigError`
+reports the whole list at once instead of stopping at the first problem.
+A key that fails its parser is left out of the parsed values, and a check
+across keys runs only when every key it reads parsed, so one bad value
+never reports a second, made-up one. Every key has a default, so an empty
+file is a valid experiment.
 
 The command line's ``--seed`` and ``--out`` are parsed here too: a flag's
 text replaces its ``[experiment]`` key's before the schema parses it. A
 relative output path is joined to ``$FEDSIM_OUTPUT_ROOT`` when that is set,
 so the parsed seed and output directory are the ones the run uses.
+The run's cells are parsed here as well: the loop that refuses two lambda
+values sharing a cell builds the ``(name, lambda)`` list the runner
+iterates.
 """
 
 from __future__ import annotations
@@ -36,30 +40,23 @@ OUTPUT_ROOT_ENV = "FEDSIM_OUTPUT_ROOT"
 # Parsers take (key, raw text) and return a typed value, or raise ValueError
 # whose args are the violation texts, without the "[section] key: " prefix.
 
-def _int(low=None):
+def _number(cast, low=None, strict=False, below=None, upto=None, spec="",
+            min_us=None):
+    """An ``int`` or ``float`` (``cast``) ``>= low`` (``> low`` if strict),
+    optionally ``< below`` or ``<= upto``; ``spec`` formats the value in
+    the lower-bound message. A float must be finite. With ``min_us`` the
+    value is milliseconds that round to at least that many whole clock
+    microseconds; a count past the float range fails in ``ms_to_us``."""
     def parse(key, raw):
         try:
-            value = int(raw)
+            value = cast(raw)
         except ValueError:
-            raise ValueError(f"{raw!r} is not an integer") from None
-        if low is not None and value < low:
-            raise ValueError(f"must satisfy {key} >= {low}, got {value}")
-        return value
-    return parse
-
-
-def _float(low, strict=False, below=None, upto=None, spec=""):
-    """A finite number ``>= low`` (``> low`` if strict), optionally
-    ``< below`` or ``<= upto``; ``spec`` formats the value in the
-    lower-bound message."""
-    def parse(key, raw):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"{raw!r} is not a number") from None
-        if not math.isfinite(value):
+            kind = "an integer" if cast is int else "a number"
+            raise ValueError(f"{raw!r} is not {kind}") from None
+        # Only a float: an int past the float range is a valid count.
+        if cast is float and not math.isfinite(value):
             raise ValueError(f"must be a finite number, got {value}")
-        if value <= low if strict else value < low:
+        if low is not None and (value <= low if strict else value < low):
             op = ">" if strict else ">="
             raise ValueError(
                 f"must satisfy {key} {op} {low}, got {value:{spec}}"
@@ -68,6 +65,11 @@ def _float(low, strict=False, below=None, upto=None, spec=""):
             raise ValueError(f"must satisfy {key} < {below}, got {value}")
         if upto is not None and value > upto:
             raise ValueError(f"must satisfy {key} <= {upto}, got {value}")
+        if min_us is not None and ms_to_us(value) < min_us:
+            raise ValueError(
+                f"must round to at least {min_us} us "
+                f"({(min_us - 0.5) / 1000:g} ms), got {value}"
+            )
         return value
     return parse
 
@@ -116,70 +118,56 @@ def _list(item, nonempty=False):
     return parse
 
 
-def _clock_ms(min_us):
-    """Milliseconds > 0 that round to at least ``min_us`` whole clock
-    microseconds; a count past the float range fails in ``ms_to_us``."""
-    def parse(key, raw):
-        value = _float(0.0, strict=True)(key, raw)
-        if ms_to_us(value) < min_us:
-            raise ValueError(
-                f"must round to at least {min_us} us "
-                f"({(min_us - 0.5) / 1000:g} ms), got {value}"
-            )
-        return value
-    return parse
-
-
 # section -> key -> (default text, parser)
 SCHEMA = {
     "experiment": {
-        "seed": (str(DEFAULT_SEED), _int(0)),
+        "seed": (str(DEFAULT_SEED), _number(int, 0)),
         "output": ("runs/experiment", _output),
     },
     "task": {
         "kind": ("softmax_regression", _choice(TASK_KINDS)),
-        "input_dim": ("20", _int(1)),
-        "num_classes": ("10", _int(2)),
-        "hidden_dim": ("32", _int(1)),
+        "input_dim": ("20", _number(int, 1)),
+        "num_classes": ("10", _number(int, 2)),
+        "hidden_dim": ("32", _number(int, 1)),
         "activation": ("relu", _choice(ACTIVATIONS)),
-        "per_class": ("100", _int(1)),
-        "test_per_class": ("50", _int(1)),
-        "cluster_spread": ("1.0", _float(0.0)),
+        "per_class": ("100", _number(int, 1)),
+        "test_per_class": ("50", _number(int, 1)),
+        "cluster_spread": ("1.0", _number(float, 0.0)),
     },
     "partition": {
         "size_dist": ("uniform", _choice(SIZE_DISTS)),
         "class_dist": ("iid", _choice(CLASS_DISTS)),
-        "classes_per_learner": ("0", _int(0)),
-        "ratio": ("1.3", _float(1.0, strict=True)),
-        "exponent": ("1.5", _float(0.0, strict=True)),
-        "class_count_override": ("", _list(_int())),
+        "classes_per_learner": ("0", _number(int, 0)),
+        "ratio": ("1.3", _number(float, 1.0, strict=True)),
+        "exponent": ("1.5", _number(float, 0.0, strict=True)),
+        "class_count_override": ("", _list(_number(int))),
     },
     "learners": {
-        "num_fast": ("5", _int(0)),
-        "num_slow": ("5", _int(0)),
-        "t_beta_fast_ms": ("30", _clock_ms(1)),
-        "t_beta_slow_ms": ("300", _clock_ms(1)),
-        "batch_size": ("100", _int(1)),
+        "num_fast": ("5", _number(int, 0)),
+        "num_slow": ("5", _number(int, 0)),
+        "t_beta_fast_ms": ("30", _number(float, 0.0, strict=True, min_us=1)),
+        "t_beta_slow_ms": ("300", _number(float, 0.0, strict=True, min_us=1)),
+        "batch_size": ("100", _number(int, 1)),
     },
     "protocol": {
         "policy": ("sync", _choice(POLICIES)),
-        "epochs": ("4", _int(1)),
-        "lambda": ("2", _list(_float(0.0, strict=True, spec="g"),
+        "epochs": ("4", _number(int, 1)),
+        "lambda": ("2", _list(_number(float, 0.0, strict=True, spec="g"),
                               nonempty=True)),
-        "rounds": ("10", _int(1)),
-        "time_budget_ms": ("60000", _clock_ms(0)),
-        "eval_every": ("1", _int(1)),
+        "rounds": ("10", _number(int, 1)),
+        "time_budget_ms": ("60000", _number(float, 0.0, strict=True, min_us=0)),
+        "eval_every": ("1", _number(int, 1)),
     },
     "optimizer": {
         "kind": ("vanilla", _choice(OPTIMIZER_KINDS)),
-        "eta": ("0.05", _float(0.0, strict=True)),
-        "gamma": ("0.75", _float(0.0, below=1)),
-        "mu": ("0.001", _float(0.0)),
+        "eta": ("0.05", _number(float, 0.0, strict=True)),
+        "gamma": ("0.75", _number(float, 0.0, below=1)),
+        "mu": ("0.001", _number(float, 0.0)),
     },
     "weighting": {
         "scheme": ("fedavg_static", _choice(WEIGHTING_KINDS)),
-        "mixing": ("0.5", _float(0.0, strict=True, upto=1)),
-        "rho": ("0.005", _float(0.0)),
+        "mixing": ("0.5", _number(float, 0.0, strict=True, upto=1)),
+        "rho": ("0.005", _number(float, 0.0)),
         "staleness_adaptive": ("true", _bool),
     },
 }
@@ -219,9 +207,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """A parsed experiment. ``protocol`` holds the first lambda value; a
-    semisync run with several values runs one cell per value. ``seed`` and
-    ``out_dir`` are the run's own, flags and output root applied."""
+    """A parsed experiment. ``cells`` lists the run's ``(name, lambda)``
+    cells: ``(("", lam),)`` for one lambda value, written straight into
+    ``out_dir``, and one ``(cell_name(lam), lam)`` per value of a semisync
+    lambda list, in file order. ``protocol`` holds the first value.
+    ``seed`` and ``out_dir`` are the run's own, flags and output root
+    applied."""
 
     seed: int
     out_dir: str
@@ -236,7 +227,7 @@ class ExperimentConfig:
     t_beta_slow_ms: float
     batch_size: int
     protocol: ProtocolConfig
-    lambda_values: tuple[float, ...]
+    cells: tuple[tuple[str, float], ...]
     source_text: str = ""
 
     @property
@@ -292,9 +283,8 @@ def parse_config_text(
         got = values[section]
         if all(k in got for k in keys) and not rule(*(got[k] for k in keys)):
             violations.append(message)
-    got = values["protocol"]
+    got, cells = values["protocol"], {}
     if got.get("policy") == "semisync":  # one cell per lambda value
-        cells: dict[str, float] = {}
         for lam in got.get("lambda", ()):
             name = cell_name(lam)
             if name in cells:
@@ -320,7 +310,7 @@ def parse_config_text(
     )
     data = {k: task.pop(k)
             for k in ("per_class", "test_per_class", "cluster_spread")}
-    lambda_values = protocol.pop("lambda")
+    lams = protocol.pop("lambda")
     try:
         task_model = TaskModel(**task)
         partition_spec = PartitionSpec(
@@ -332,14 +322,15 @@ def parse_config_text(
             optimizer=OptimizerConfig(**values["optimizer"]),
             weighting=WeightingScheme(kind=weighting.pop("scheme"),
                                       **weighting),
-            lam=lambda_values[0], **protocol,
+            lam=lams[0], **protocol,
         )
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
     return ExperimentConfig(
         seed=experiment["seed"], out_dir=experiment["output"],
         task=task_model, partition=partition_spec, protocol=protocol_config,
-        lambda_values=lambda_values, source_text=text, **data, **learners,
+        cells=tuple(cells.items()) if len(lams) > 1 else (("", lams[0]),),
+        source_text=text, **data, **learners,
     )
 
 

@@ -301,9 +301,16 @@ def run_policy(
     NonFiniteError of its first failed learner in learner-id order, its
     message prefixed with that learner's id, assignment and arrival time.
     Training, commits and evaluation run with numpy's overflow and
-    invalid-value warnings off.
+    invalid-value warnings off. A run needs at least one learner and
+    distinct learner ids; it raises ValueError before any fetch otherwise.
     """
     profiles = sorted(profiles, key=lambda p: p.learner_id)
+    # Records, results and heap entries are keyed by learner id.
+    ids = [p.learner_id for p in profiles]
+    repeated = [k for k, j in zip(ids, ids[1:]) if k == j]
+    if not ids or repeated:
+        raise ValueError(f"learner id {repeated[0]} is repeated" if repeated
+                         else "cannot run without learners")
     log = MetricsLog(policy=cfg.policy, seed=seed)
     barrier = cfg.policy != "async"
     if cfg.policy == "semisync":

@@ -19,9 +19,11 @@ import tempfile
 
 import numpy as np
 
-from .config import ExperimentConfig, cell_name
+from .config import ExperimentConfig
 from .engine import LearnerProfile, MetricsLog, run_policy
-from .partition import assign_classes, assign_to_devices, make_sizes
+from .partition import (
+    PartitionError, assign_classes, assign_to_devices, make_sizes,
+)
 from .tasks import gen_synthetic, init_params
 
 # Every file a cell directory can hold. A cell moving into place removes
@@ -187,43 +189,41 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, partitions_only: bool = False) -> int:
-    """Run every requested cell at ``cfg.seed``; returns 0 iff all of them
-    completed.
+    """Run every cell of ``cfg.cells`` at ``cfg.seed``; returns 0 iff all
+    of them completed.
 
-    A semisync lambda list fans out into one directory per value under
-    ``cfg.out_dir`` (matrix mode); otherwise the run writes directly into
-    ``cfg.out_dir``. Each cell directory contains the byte-exact config
-    echo, the partition report and the run's log files
-    (:func:`export_metrics`); a cell's files replace every
-    :data:`CELL_FILES` entry of an earlier run in its directory, and a
-    matrix cell also removes those an earlier single-cell run left in the
-    output directory. A cell that fails writes no file and ends the run;
-    ``manifest.json`` is written last, once every cell has completed.
+    A cell named ``""`` writes directly into ``cfg.out_dir``, and a named
+    one (a semisync lambda list's) into its directory under it. Each cell
+    directory contains the byte-exact config echo, the partition report and
+    the run's log files (:func:`export_metrics`); a cell's files replace
+    every :data:`CELL_FILES` entry of an earlier run in its directory, and a
+    named cell also removes those an earlier single-cell run left in the
+    output directory. ``manifest.json`` is written last, once every cell
+    has completed.
+
+    A world that cannot be built, or a cell that fails, writes no file and
+    ends the run: one JSON line on stderr names the error and the cell
+    (``"."`` for the world or the unnamed cell), and the run returns 1. A
+    :class:`PartitionError`, a config that asks for a partition the dataset
+    cannot realize, propagates instead, for the caller to report as a
+    config fault.
     """
     seed, base = cfg.seed, cfg.out_dir
-    train, test, result, profiles = build_world(cfg, seed)
+    completed, cell = [], ""
+    try:
+        train, test, result, profiles = build_world(cfg, seed)
+        learners = []
+        for p, owned in zip(profiles, result.owned_classes):
+            hist = np.unique(train.labels[p.indices], return_counts=True)
+            learners.append({
+                "learner_id": p.learner_id, "size": p.data_size,
+                "owned_classes": list(owned), "device_class": p.device_class,
+                "class_histogram": {str(c): int(n) for c, n in zip(*hist)},
+            })
+        report = {"format_version": 1, "learners": learners}
 
-    matrix = cfg.protocol.policy == "semisync" and len(cfg.lambda_values) > 1
-    cells = (
-        [(cell_name(lam), lam) for lam in cfg.lambda_values]
-        if matrix
-        else [("", cfg.lambda_values[0])]
-    )
-
-    learners = []
-    for p, owned in zip(profiles, result.owned_classes):
-        hist = np.unique(train.labels[p.indices], return_counts=True)
-        learners.append({
-            "learner_id": p.learner_id, "size": p.data_size,
-            "owned_classes": list(owned), "device_class": p.device_class,
-            "class_histogram": {str(c): int(n) for c, n in zip(*hist)},
-        })
-    report = {"format_version": 1, "learners": learners}
-
-    completed = []
-    for cell, lam in cells:
-        out_dir = os.path.join(base, cell) if cell else base
-        try:
+        for cell, lam in cfg.cells:
+            out_dir = os.path.join(base, cell) if cell else base
             # Every file is built in a temp directory and moved into the
             # cell only once all of them exist, so a failed cell writes none.
             os.makedirs(base, exist_ok=True)
@@ -253,16 +253,18 @@ def run_experiment(cfg: ExperimentConfig, partitions_only: bool = False) -> int:
                         os.path.join(tmp, name), os.path.join(out_dir, name)
                     )
             completed.append(cell or ".")
-        except Exception as exc:
-            print(
-                json.dumps(
-                    {"error": type(exc).__name__, "cell": cell or ".",
-                     "detail": str(exc)},
-                    sort_keys=True,
-                ),
-                file=sys.stderr,
-            )
-            return 1
+    except PartitionError:
+        raise
+    except Exception as exc:
+        print(
+            json.dumps(
+                {"error": type(exc).__name__, "cell": cell or ".",
+                 "detail": str(exc)},
+                sort_keys=True,
+            ),
+            file=sys.stderr,
+        )
+        return 1
     manifest = {
         "schema_version": 1,
         "seed": seed,
@@ -272,4 +274,3 @@ def run_experiment(cfg: ExperimentConfig, partitions_only: bool = False) -> int:
     }
     _write_json(os.path.join(base, "manifest.json"), manifest)
     return 0
-

@@ -22,7 +22,7 @@ def test_empty_config_gives_full_defaults():
     assert cfg.seed == DEFAULT_SEED == 1990
     assert cfg.protocol.policy == "sync"
     assert cfg.protocol.epochs == 4
-    assert cfg.lambda_values == (2.0,)
+    assert cfg.cells == (("", 2.0),)
     assert cfg.protocol.rounds == 10
     assert cfg.num_fast == 5 and cfg.num_slow == 5
     assert cfg.num_learners == 10
@@ -50,7 +50,7 @@ gamma = 0.9
 """)
     assert cfg.seed == 7
     assert cfg.protocol.policy == "semisync"
-    assert cfg.lambda_values == (0.5,)
+    assert cfg.cells == (("", 0.5),)
     assert cfg.protocol.rounds == 3
     assert cfg.protocol.optimizer.kind == "momentum"
     assert cfg.protocol.optimizer.eta == 0.2
@@ -108,10 +108,34 @@ def test_unknown_section_and_key_rejected():
 def test_lambda_list_only_for_semisync():
     cfg = parse_config_text(
         "[protocol]\npolicy = semisync\nlambda = 0.5, 1, 2, 4\n")
-    assert cfg.lambda_values == (0.5, 1.0, 2.0, 4.0)
+    assert cfg.cells == (("lam-0.5", 0.5), ("lam-1", 1.0), ("lam-2", 2.0),
+                         ("lam-4", 4.0))
     with pytest.raises(ConfigError) as err:
         parse_config_text("[protocol]\npolicy = sync\nlambda = 1, 2\n")
     assert any("matrix" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("protocol, cells", [
+    ("policy = async\nlambda = 3", (("", 3.0),)),
+    ("policy = semisync\nlambda = 4, 0.25, 1",
+     (("lam-4", 4.0), ("lam-0.25", 0.25), ("lam-1", 1.0))),
+], ids=["async_one", "semisync_list_in_file_order"])
+def test_cells_name_one_directory_per_lambda_of_a_semisync_list(
+        protocol, cells):
+    # One value runs in the output directory itself under any policy; a
+    # semisync list runs one named cell per value, in file order.
+    cfg = parse_config_text(f"[protocol]\n{protocol}\n")
+    assert cfg.cells == cells
+    assert cfg.protocol.lam == cells[0][1]
+
+
+def test_an_int_past_the_float_range_parses():
+    # Only a float is checked for finiteness: a float() of this count
+    # would overflow.
+    big = "9" * 400
+    cfg = parse_config_text(
+        f"[protocol]\neval_every = {big}\n[learners]\nbatch_size = {big}\n")
+    assert cfg.protocol.eval_every == cfg.batch_size == int(big)
 
 
 def test_gamma_upper_bound_checked():

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -627,3 +629,44 @@ def test_events_jsonl_lines_are_sorted_key_json(log, tmp_path_factory):
             events, key=lambda e: (e[0], EVENT_KINDS.index(e[1]), e[2]))
     ]
     assert lines == (expected or [""])
+
+
+# Two learners with one id, then none: run_policy must refuse both before
+# any fetch. A run keyed by learner id would otherwise lose one of the
+# two records, and an async run would step an empty pool forever, so this
+# runs in its own interpreter, under a timeout.
+_REFUSED_LEARNER_SETS = """
+import sys
+import numpy as np
+from fedsim.controller import WeightingScheme
+from fedsim.engine import LearnerProfile, ProtocolConfig, run_policy
+from fedsim.optimizers import OptimizerConfig
+from fedsim.tasks import TaskModel, gen_synthetic, init_params
+
+task = TaskModel("softmax_regression", input_dim=4, num_classes=3)
+train = gen_synthetic(3, 20, 4, 1.5, 5)
+initial = init_params(task, np.random.default_rng(5))
+cfg = ProtocolConfig(sys.argv[1], OptimizerConfig("vanilla", eta=0.1),
+                     WeightingScheme("fedavg_static"), epochs=1, rounds=2,
+                     time_budget_ms=20)
+twins = [LearnerProfile(0, "fast", 5, ms, np.arange(k * 30, k * 30 + 30))
+         for k, ms in enumerate((1.0, 3.0))]
+for profiles in (twins, []):
+    try:
+        run_policy(cfg, profiles, task, train, train, initial, 5)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("policy", ["sync", "semisync", "async"])
+def test_run_policy_refuses_repeated_ids_and_no_learners(policy):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSED_LEARNER_SETS, policy],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("learner id 0 is repeated\n"
+                           "cannot run without learners\n")

@@ -1,5 +1,6 @@
 """The failure-parity grid of ``tools/failure_parity.py``."""
 
+import configparser
 import json
 from pathlib import Path
 
@@ -20,6 +21,28 @@ def test_grid_covers_every_axis_once():
     assert all(cid.startswith("async-") for cid in configs
                if cid.endswith("-fedasync_poly"))
     assert "eta = 1e300\n" in configs[FAILS]
+
+
+def test_refusals_each_replace_one_setting_of_the_base_world():
+    rows = tool.refusals()
+    assert len(rows) == 15 and not set(rows) & set(tool.grid())
+    for cid, text in rows.items():
+        # A repeated section would fail in configparser, not in fedsim.
+        configparser.ConfigParser(interpolation=None).read_string(text)
+        old, new = tool.EDITS[cid]
+        assert text != tool.BASE and "seed" not in text
+        assert text.replace(new + "\n", old + "\n", 1) == tool.BASE
+
+
+def test_a_refusal_row_exits_2_with_its_violation(capsys):
+    cid = "semisync-lambdas-share-a-cell"
+    assert tool.main([SRC, "--only", cid]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {
+        "id": cid, "exit": 2,
+        "last": "  - [protocol] lambda: 1.0 and 1.0000001 share the cell "
+                "lam-1"}
+    assert err == f"{SRC}: 1 configs, 1 exit 2\n"
 
 
 def test_one_tree_prints_one_row_per_config(capsys):

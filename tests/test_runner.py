@@ -244,6 +244,26 @@ def test_cli_failed_cell_writes_nothing(tmp_path, capsys, text):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("per_class, error, detail", [
+    # 4 x 10**12 x 6 float64s is 175 TiB, more than a 47-bit address
+    # space holds, so numpy's allocation fails whatever the host's
+    # overcommit setting.
+    ("1000000000000", "MemoryError", "Unable to allocate 175. TiB"),
+    ("9" * 400, "ValueError", "Maximum allowed dimension exceeded"),
+], ids=["unallocatable", "past_max_dimension"])
+def test_cli_world_that_cannot_be_built_prints_one_line(
+        tmp_path, capsys, per_class, error, detail):
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(SMALL_SYNC.format(out=tmp_path / "run").replace(
+        "per_class = 60", f"per_class = {per_class}"))
+    assert main(["run", str(cfg_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    got = json.loads(line)
+    assert (got["cell"], got["error"]) == (".", error)
+    assert got["detail"].startswith(detail)
+    assert os.listdir(tmp_path) == ["run.ini"]
+
+
 def test_cli_async_arrival_past_the_float_range_exits_0(tmp_path):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_text(

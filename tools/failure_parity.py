@@ -10,6 +10,13 @@ size (4 or 100), and each async world once more under ``fedasync_poly``.
 Huge learning rates diverge in training or evaluation; 1e305 ms batches
 push a barrier round past the float range.
 
+After the grid come 15 hand-written rows, each the grid's sync softmax
+vanilla world (learning rate 0.1, 3 ms slow batches, batch size 4) with
+one setting replaced: the config refusals (a failed cast, a bound, a
+clock floor, a lambda list) that exit 2 with the violation as the last
+line, a 400-digit batch size that runs, and worlds too large to build,
+which fail the run.
+
     python tools/failure_parity.py SRC [SRC2] [--only ID ...]
 
 runs ``python -m fedsim run`` on each config, two at a time, with
@@ -82,6 +89,42 @@ def grid() -> dict[str, str]:
     return configs
 
 
+BASE = TEMPLATE.format(
+    policy="sync", task="softmax_regression", optimizer="vanilla", eta="0.1",
+    slow_ms="3", batch="4", scheme="fedavg_static")
+
+# id -> (a line of BASE, the text that replaces it). A new key joins the
+# section of the line it follows, since configparser rejects a repeated
+# section. No row sets [experiment] seed, which --seed replaces.
+EDITS = {
+    "batch-not-int": ("batch_size = 4", "batch_size = abc"),
+    "batch-400-digits": ("batch_size = 4", "batch_size = " + "9" * 400),
+    "eta-not-number": ("eta = 0.1", "eta = fast"),
+    "eta-inf": ("eta = 0.1", "eta = inf"),
+    "eta-zero": ("eta = 0.1", "eta = 0"),
+    "gamma-one": ("eta = 0.1", "eta = 0.1\ngamma = 1"),
+    "mixing-above-one": ("scheme = fedavg_static",
+                         "scheme = fedavg_static\nmixing = 1.5"),
+    "fast-below-1us": ("t_beta_fast_ms = 1", "t_beta_fast_ms = 0.0004"),
+    "budget-past-clock": ("time_budget_ms = 40", "time_budget_ms = 1e306"),
+    "semisync-lambdas-share-a-cell": (
+        "policy = sync", "policy = semisync\nlambda = 1, 1.0000001"),
+    "semisync-lambda-negative": (
+        "policy = sync", "policy = semisync\nlambda = 1, -2"),
+    "semisync-lambda-zero": ("policy = sync", "policy = semisync\nlambda = 0"),
+    "sync-lambda-list": ("policy = sync", "policy = sync\nlambda = 1, 2"),
+    "per-class-unallocatable": ("per_class = 20",
+                                "per_class = 1000000000000"),
+    "per-class-400-digits": ("per_class = 20", "per_class = " + "9" * 400),
+}
+
+
+def refusals() -> dict[str, str]:
+    """Config text of every hand-written row, by id, in table order."""
+    return {cid: BASE.replace(old + "\n", new + "\n", 1)
+            for cid, (old, new) in EDITS.items()}
+
+
 def run_one(src: str, cid: str, text: str) -> dict:
     """``{"id", "exit", "last"}`` of one ``fedsim run`` of ``text`` with
     the package from ``src``."""
@@ -112,15 +155,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("trees", nargs="+", metavar="SRC",
                         help="a checkout's src directory (one or two)")
     parser.add_argument("--only", action="append", metavar="ID",
-                        help="run only this grid entry (repeatable)")
+                        help="run only this row (repeatable)")
     args = parser.parse_args(argv)
     if len(args.trees) > 2:
         parser.error("give one or two src directories")
-    configs = grid()
+    configs = {**grid(), **refusals()}
     if args.only:
         unknown = [cid for cid in args.only if cid not in configs]
         if unknown:
-            parser.error(f"no grid entry {', '.join(unknown)}")
+            parser.error(f"no row {', '.join(unknown)}")
         configs = {cid: configs[cid] for cid in args.only}
     runs = [run_grid(src, configs) for src in args.trees]
     for src, rows in zip(args.trees, runs):
