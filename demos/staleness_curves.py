@@ -22,13 +22,13 @@ def main():
     print("recency discount (fetch at step 100, contribution of 5 steps):")
     print(f"  {'intervening':>11} {'weight':>8}")
     for extra in (0, 1, 3, 8, 15, 35, 99):
-        w = staleness_discount(100 + 5 + extra, 100, 5)
+        w = staleness_discount(5 + extra, 5)
         print(f"  {extra:>11d} {w:>8.4f}")
 
     print("\npolynomial mixing factor (unit base mixing):")
     print(f"  {'version gap':>11} {'alpha':>8}")
     for gap in (0, 1, 3, 8, 15, 35, 99):
-        print(f"  {gap:>11d} {poly_staleness(gap, 0):>8.4f}")
+        print(f"  {gap:>11d} {poly_staleness(gap):>8.4f}")
 
     task = TaskModel("softmax_regression", input_dim=8, num_classes=5)
     train = gen_synthetic(5, 120, 8, 1.5, seed=23)

@@ -15,15 +15,17 @@ assigns any, so a commit that raises leaves the state as it was, and every
 fetch serves the model the last successful commit returned.
 
 Staleness-discounted weighting uses committed local steps: a contribution
-computed against an old community model counts less.
+computed against an old community model counts less. The caller counts
+them: a commit is passed its steps in flight and its version gap, both
+differences of the engine's ledger of commits.
 
 The controller is single-threaded: the engine's event loop is its one
 caller. A caller that drives it from several threads must serialize every
 call on one state itself. It holds what the cache needs only: each
-learner's latest model and weight, and the counters a fetch reads off the
-state. The engine's assignment records keep each fetch's facts, and
-:mod:`fedsim.runner` exports the run's final state with them as
-``controller_snapshot.json``.
+learner's latest model and weight, and the model a fetch reads off the
+state. The engine's assignment records keep each fetch's facts and every
+count of commits and steps, and :mod:`fedsim.runner` exports the run's
+final state with them as ``controller_snapshot.json``.
 """
 
 from __future__ import annotations
@@ -85,8 +87,6 @@ class CommunityState:
     weighted_sum: np.ndarray          # sum_k p_k * w_k, laid out as model.flat
     normalizer: float                 # sum_k p_k
     records: dict[int, ContributionRecord]
-    committed_steps: int              # total local steps committed so far
-    version: int                      # number of commits applied
     model: ParamSet                   # the community model every fetch serves
 
 
@@ -96,8 +96,6 @@ def init_community(initial: ParamSet) -> CommunityState:
         weighted_sum=np.zeros_like(initial.flat),
         normalizer=0.0,
         records={},
-        committed_steps=0,
-        version=0,
         model=initial,
     )
 
@@ -107,17 +105,14 @@ def cached_update(
     learner_id: int,
     model: ParamSet,
     value: float,
-    steps: int,
 ) -> ParamSet:
-    """Replace learner ``learner_id``'s contribution, a model trained
-    ``steps`` batches, and return the new community model W / P. Mutates ``state`` only if every
-    new value is valid; cost is O(model size) regardless of how many
-    learners have contributed.
+    """Replace learner ``learner_id``'s contribution and return the new
+    community model W / P. Mutates ``state`` only if every new value is
+    valid; cost is O(model size) regardless of how many learners have
+    contributed.
     """
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"contribution weight must be finite and >= 0, got {value}")
-    if steps < 1:
-        raise ValueError(f"a contribution needs >= 1 local steps, got {steps}")
     _check_same_structure(state.model, model)
     prev = state.records.get(learner_id)
     new_normalizer = state.normalizer + value
@@ -142,31 +137,26 @@ def cached_update(
     state.normalizer = new_normalizer
     state.model = community
     state.records[learner_id] = ContributionRecord(model=model, value=value)
-    state.committed_steps += steps
-    state.version += 1
     return community
 
 
-def staleness_discount(
-    committed_now: int, fetch_steps: int, local_steps: int
-) -> float:
+def staleness_discount(in_flight: int, local_steps: int) -> float:
     """Inverse-square-root discount ``(max(0, base) + 1) ** -0.5`` with
-    ``base = committed_now - fetch_steps - local_steps``.
+    ``base = in_flight - local_steps``.
 
-    :func:`commit` passes the committed-step count from *before* this
-    commit, so ``base`` is the other learners' steps committed since the
-    fetch minus this learner's own ``local_steps``; a commit with
-    ``base <= 0`` gets full weight.
+    ``in_flight`` is the steps other learners committed while this model
+    was in flight, from its fetch to this commit; ``base`` subtracts this
+    learner's own ``local_steps`` on top, so a commit with ``base <= 0``
+    gets full weight. ROADMAP item 6 drops that subtraction.
     """
-    base = committed_now - fetch_steps - local_steps
-    return (max(0, base) + 1) ** -0.5
+    return (max(0, in_flight - local_steps) + 1) ** -0.5
 
 
-def poly_staleness(version_now: int, fetch_version: int) -> float:
-    """Polynomial staleness factor ``(version gap + 1) ** -0.5``."""
-    gap = version_now - fetch_version
+def poly_staleness(gap: int) -> float:
+    """Polynomial staleness factor ``(gap + 1) ** -0.5`` of a version gap,
+    the commits applied between a fetch and its commit."""
     if gap < 0:
-        raise ValueError(f"fetch version {fetch_version} is in the future")
+        raise ValueError(f"version gap {gap} is negative")
     return (gap + 1) ** -0.5
 
 
@@ -174,12 +164,12 @@ def fedasync_update(
     state: CommunityState,
     model: ParamSet,
     mixing: float,
-    fetch_version: int,
+    gap: int,
     staleness_adaptive: bool = True,
 ) -> tuple[ParamSet, float]:
     """Mix a local model straight into the community model.
 
-    alpha = mixing * (version gap + 1) ** -0.5 (or just ``mixing`` when the
+    alpha = mixing * (gap + 1) ** -0.5 (or just ``mixing`` when the
     staleness adaptation is disabled); the community model becomes
     (1 - alpha) * current + alpha * local. Bypasses the contribution cache.
     Returns (new community model, alpha).
@@ -188,24 +178,22 @@ def fedasync_update(
         raise ValueError(f"mixing must lie in (0, 1], got {mixing}")
     alpha = mixing
     if staleness_adaptive:
-        alpha *= poly_staleness(state.version, fetch_version)
+        alpha *= poly_staleness(gap)
     current = state.model
     _check_same_structure(current, model)
     flat = (1.0 - alpha) * current.flat
     flat += alpha * model.flat
     state.model = ParamSet._wrap(current.structure(), flat)
-    state.version += 1
     return state.model, alpha
 
 
 def commit(
     scheme: WeightingScheme, state: CommunityState, learner_id: int,
-    model: ParamSet, data_size: int, fetch_steps: int, steps: int,
-    fetch_version: int,
+    model: ParamSet, data_size: int, in_flight: int, steps: int, gap: int,
 ) -> tuple[ParamSet, float]:
     """Commit learner ``learner_id``'s ``model``, trained ``steps`` batches
-    on ``data_size`` examples from the community model served at
-    ``fetch_steps`` committed steps and version ``fetch_version``.
+    on ``data_size`` examples from a community model that ``gap`` commits
+    of ``in_flight`` local steps in all have replaced since its fetch.
 
     ``fedasync_poly`` mixes it in through :func:`fedasync_update`; the other
     schemes weigh it, by shard size or by :func:`staleness_discount`, and
@@ -213,11 +201,10 @@ def commit(
     Returns (new community model, the commit's weight or mixing alpha).
     """
     if scheme.kind == "fedasync_poly":
-        return fedasync_update(state, model, scheme.mixing, fetch_version,
+        return fedasync_update(state, model, scheme.mixing, gap,
                                scheme.staleness_adaptive)
     if scheme.kind == "fedavg_static":
         value = float(data_size)
     else:
-        value = staleness_discount(state.committed_steps, fetch_steps, steps)
-    return cached_update(state, learner_id, model, value, steps), value
-
+        value = staleness_discount(in_flight, steps)
+    return cached_update(state, learner_id, model, value), value

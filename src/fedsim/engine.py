@@ -166,10 +166,10 @@ class Assignment:
     """One learner's fetch -> train -> commit cycle; times in virtual us.
 
     ``index`` counts the learner's fetches, so it is the round under a
-    barrier. ``fetch_steps`` and ``fetch_version`` are the committed steps
-    and the commits the served model had (steps are counted under the
-    cached async schemes only). A commit sets ``commit_us`` and ``weight``:
-    the shard size, the ``fedrec_staleness`` weight or the
+    barrier. ``fetch_version`` is the number of records committed before
+    the fetch, so the ledger's records from that index on are the commits
+    made while this one was in flight. A commit sets ``commit_us`` and
+    ``weight``: the shard size, the ``fedrec_staleness`` weight or the
     ``fedasync_poly`` alpha.
     """
 
@@ -177,7 +177,6 @@ class Assignment:
     index: int
     fetch_us: int
     steps: int
-    fetch_steps: int
     fetch_version: int
     arrival_us: int
     commit_us: int | None = None
@@ -284,7 +283,8 @@ def run_policy(
     fills in the commit time and weight and appends it to
     ``log.assignments``, so that list is in commit order, and within a
     group in learner-id order. The record's ``fetch_version`` is the count
-    of commits before its fetch.
+    of commits before its fetch, so an async commit's version gap and steps
+    in flight are the number and the steps of the records committed since.
 
     Training runs in one pool of ``_COHORT_ENTRIES // model size`` rows,
     at least 1 and at most one per learner. An assignment waits to join it
@@ -340,6 +340,9 @@ def run_policy(
     # the NonFiniteError it hit), kept until its group commits.
     waiting: list[tuple[int, int, ParamSet]] = []
     trained: dict[int, ParamSet | NonFiniteError] = {}
+    # The local steps committed before each commit, by commit count: the
+    # steps in flight are a difference of two entries.
+    committed = [0]
 
     def fetch(p: LearnerProfile, t: int, index: int) -> None:
         if log.schedule is None:
@@ -349,8 +352,7 @@ def run_policy(
         else:
             budget = log.schedule.batches[p.learner_id]
         a = flight[p.learner_id] = Assignment(
-            p.learner_id, index, t, budget,
-            0 if barrier else state.committed_steps, len(log.assignments),
+            p.learner_id, index, t, budget, len(log.assignments),
             t + budget * p.time_per_batch_us)
         heapq.heappush(heap, (a.arrival_us, a.learner))
         if a.arrival_us <= horizon_us:  # one past the horizon never trains
@@ -401,10 +403,13 @@ def run_policy(
                     models.append(w_k)
                     weights.append(a.weight)
                 else:
+                    n = len(committed) - 1  # the commits before this one
                     w_c, a.weight = commit(
                         cfg.weighting, state, lid, w_k, p.data_size,
-                        a.fetch_steps, a.steps, a.fetch_version,
+                        committed[n] - committed[a.fetch_version], a.steps,
+                        n - a.fetch_version,
                     )
+                    committed.append(committed[n] + a.steps)
                     fetch(p, t, a.index + 1)
             if barrier:
                 w_c = weighted_average(models, weights)

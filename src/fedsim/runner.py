@@ -93,7 +93,8 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
     contributions.csv (one row per committed assignment) and events.jsonl
     (the ordered event stream) are views of the log's assignment records,
     as are the snapshot's per-learner steps and fetch version, taken from
-    each learner's last commit.
+    each learner's last commit, and its ``version`` and ``committed_steps``:
+    the number of commits and, when the state keeps records, their steps.
     """
     os.makedirs(out_dir, exist_ok=True)
 
@@ -166,8 +167,11 @@ def export_metrics(log: MetricsLog, out_dir: str) -> None:
         last = {a.learner: a for a in log.assignments}
         _write_json(path("controller_snapshot.json"), {
             "format_version": 1,
-            "version": state.version,
-            "committed_steps": state.committed_steps,
+            # fedasync_poly keeps no records, and its snapshot counts no
+            # steps.
+            "version": len(log.assignments),
+            "committed_steps": (sum(a.steps for a in log.assignments)
+                                if state.records else 0),
             "normalizer": state.normalizer,
             "learners": {
                 # The key says steps but the value is the fetch version

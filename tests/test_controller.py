@@ -44,29 +44,45 @@ def test_initial_community_is_broadcast():
     initial = rand_params(rng)
     state = init_community(initial)
     assert equal(state.model, initial)
-    assert state.version == 0 and state.committed_steps == 0
+    assert state.normalizer == 0.0 and not state.records
 
 
-def test_state_counts_committed_steps_and_versions():
-    # A fetch reads the served model and these two counters off the state.
+def snapshot_counters(state, ledger, out):
+    export_metrics(MetricsLog("async", 0, assignments=ledger,
+                              final_state=state), str(out))
+    snap = json.loads((out / "controller_snapshot.json").read_text())
+    return snap["version"], snap["committed_steps"]
+
+
+def test_state_counts_committed_steps_and_versions(tmp_path):
+    # The name is kept from when the state held these counters. A fetch
+    # now reads only the served model off the state, and the snapshot's
+    # counters are the ledger's: its commits and, when the state keeps
+    # records, their local steps.
     rng = np.random.default_rng(2)
     initial = rand_params(rng)
     state = init_community(initial)
-    assert state.committed_steps == 0 and state.version == 0
+    assert snapshot_counters(state, [], tmp_path / "a") == (0, 0)
     assert equal(state.model, initial)
-    cached_update(state, 0, rand_params(rng), 10.0, steps=7)
-    assert state.committed_steps == 7 and state.version == 1
+    cached_update(state, 0, rand_params(rng), 10.0)
+    ledger = [Assignment(0, 0, 0, 7, 0, 7, 7, 10.0)]
+    assert snapshot_counters(state, ledger, tmp_path / "b") == (1, 7)
+    # A mixing commit keeps no record, and its snapshot counts no steps.
+    mixed = init_community(initial)
+    _, alpha = fedasync_update(mixed, rand_params(rng), 0.5, 0)
+    ledger = [Assignment(0, 0, 0, 7, 0, 7, 7, alpha)]
+    assert snapshot_counters(mixed, ledger, tmp_path / "c") == (1, 0)
 
 
 def test_single_contribution_dominates():
     rng = np.random.default_rng(3)
     state = fresh_state(rng)
     w = rand_params(rng)
-    out = cached_update(state, 0, w, 123.0, steps=5)
+    out = cached_update(state, 0, w, 123.0)
     assert max_abs_diff(out, w) <= 1e-12
     assert state.normalizer == 123.0
-    assert state.committed_steps == 5
-    assert state.version == 1
+    assert list(state.records) == [0]
+    assert state.model is out
 
 
 def test_replacement_uses_latest_contribution_only():
@@ -74,9 +90,9 @@ def test_replacement_uses_latest_contribution_only():
     state = fresh_state(rng)
     a0, a1 = rand_params(rng), rand_params(rng)
     b = rand_params(rng)
-    cached_update(state, 0, a0, 2.0, steps=1)
-    cached_update(state, 1, b, 3.0, steps=1)
-    out = cached_update(state, 0, a1, 5.0, steps=1)
+    cached_update(state, 0, a0, 2.0)
+    cached_update(state, 1, b, 3.0)
+    out = cached_update(state, 0, a1, 5.0)
     expect = weighted_average([a1, b], [5.0, 3.0])
     assert max_abs_diff(out, expect) <= 1e-12
     assert state.normalizer == pytest.approx(8.0)
@@ -92,7 +108,7 @@ def test_cache_matches_full_recompute_interleaved():
         k = int(rng.integers(0, 10))
         w = rand_params(rng)
         p = float(rng.uniform(0.5, 20.0))
-        out = cached_update(state, k, w, p, steps=int(rng.integers(1, 9)))
+        out = cached_update(state, k, w, p)
         latest[k] = (w, p)
         models = [latest[j][0] for j in sorted(latest)]
         weights = [latest[j][1] for j in sorted(latest)]
@@ -113,10 +129,10 @@ def test_cache_commit_allocates_two_model_buffers_at_any_learner_count():
     for n in (10, 100, 1000):
         state = init_community(zeros_like(models[0]))
         for k in range(n):
-            cached_update(state, k, models[k % 4], float(k + 1), 1)
+            cached_update(state, k, models[k % 4], float(k + 1))
         tracemalloc.start()
         try:
-            cached_update(state, 0, models[1], 2.0, 1)
+            cached_update(state, 0, models[1], 2.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -132,7 +148,7 @@ def test_cache_scale_invariance():
     for c in (1.0, 1000.0):
         state = init_community(updates[0][1])
         for k, w, p in updates:
-            out = cached_update(state, k, w, c * p, steps=1)
+            out = cached_update(state, k, w, c * p)
         outs.append(out)
     assert max_abs_diff(outs[0], outs[1]) <= 1e-12
 
@@ -140,10 +156,11 @@ def test_cache_scale_invariance():
 def test_cached_update_rejects_degenerate_total():
     rng = np.random.default_rng(7)
     state = fresh_state(rng)
+    served = state.model
     with pytest.raises(DegenerateWeightError):
-        cached_update(state, 0, rand_params(rng), 0.0, steps=1)
+        cached_update(state, 0, rand_params(rng), 0.0)
     # and the state must be untouched afterwards
-    assert state.normalizer == 0.0 and state.version == 0
+    assert state.normalizer == 0.0 and state.model is served
     assert not state.records
 
 
@@ -152,52 +169,48 @@ def test_cached_update_validates_inputs():
     state = fresh_state(rng)
     w = rand_params(rng)
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, float("nan"), steps=1)
+        cached_update(state, 0, w, float("nan"))
     with pytest.raises(ValueError):
-        cached_update(state, 0, w, -1.0, steps=1)
-    with pytest.raises(ValueError):
-        cached_update(state, 0, w, 1.0, steps=0)
+        cached_update(state, 0, w, -1.0)
     bad = ParamSet(["other"], [np.zeros((2, 2))])
     with pytest.raises(StructureError):
-        cached_update(state, 0, bad, 1.0, steps=1)
+        cached_update(state, 0, bad, 1.0)
 
 
 def test_staleness_discount_pinned_values():
-    # 110 committed, fetched at 100, did 5 local: base 5, weight 6^-0.5
-    assert staleness_discount(110, 100, 5) == 6.0 ** -0.5
+    # 10 steps committed while in flight, 5 local: base 5, weight 6^-0.5
+    assert staleness_discount(10, 5) == 6.0 ** -0.5
     # nothing landed in between: full weight
-    assert staleness_discount(105, 100, 5) == 1.0
-    assert staleness_discount(100, 100, 0) == 1.0
+    assert staleness_discount(5, 5) == 1.0
+    assert staleness_discount(0, 0) == 1.0
 
 
 def test_staleness_discount_monotone():
     prev = 2.0
     for intervening in range(0, 200, 7):
-        s = staleness_discount(100 + 5 + intervening, 100, 5)
+        s = staleness_discount(5 + intervening, 5)
         assert s <= prev
         assert 0.0 < s <= 1.0
         prev = s
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(committed=st.integers(0, 10**9), later=st.integers(0, 10**9),
-       fetch_steps=st.integers(0, 10**9), local_steps=st.integers(0, 10**9))
-def test_staleness_discount_properties(committed, later, fetch_steps,
-                                       local_steps):
-    now = staleness_discount(committed, fetch_steps, local_steps)
-    after = staleness_discount(committed + later, fetch_steps, local_steps)
+@given(in_flight=st.integers(0, 10**9), later=st.integers(0, 10**9),
+       local_steps=st.integers(0, 10**9))
+def test_staleness_discount_properties(in_flight, later, local_steps):
+    now = staleness_discount(in_flight, local_steps)
+    after = staleness_discount(in_flight + later, local_steps)
     assert 0.0 < after <= now <= 1.0
-    if committed - fetch_steps - local_steps <= 0:
+    if in_flight - local_steps <= 0:
         assert now == 1.0
 
 
 def test_poly_staleness_pinned_values():
-    assert poly_staleness(0, 0) == 1.0
-    assert poly_staleness(3, 0) == 0.5
-    assert abs(poly_staleness(8, 0) - 1.0 / 3.0) <= 1e-12
-    assert poly_staleness(10, 7) == 0.5
+    assert poly_staleness(0) == 1.0
+    assert poly_staleness(3) == 0.5
+    assert abs(poly_staleness(8) - 1.0 / 3.0) <= 1e-12
     with pytest.raises(ValueError):
-        poly_staleness(5, 6)
+        poly_staleness(-1)
 
 
 def test_commit_dispatch():
@@ -207,14 +220,12 @@ def test_commit_dispatch():
     static = WeightingScheme("fedavg_static")
     assert commit(static, state, 0, w, 1234, 0, 5, 0)[1] == 1234.0
     rec = WeightingScheme("fedrec_staleness")
-    state.committed_steps = 110
-    assert commit(rec, state, 1, w, 50, 100, 5, 0)[1] == 6.0 ** -0.5
+    # 110 steps committed, fetched at 100: 10 in flight.
+    assert commit(rec, state, 1, w, 50, 110 - 100, 5, 0)[1] == 6.0 ** -0.5
     poly = WeightingScheme("fedasync_poly", mixing=0.8)
-    state.version = 3
     twin = init_community(state.model)
-    twin.version = 3
-    _, alpha = fedasync_update(twin, w, 0.8, fetch_version=0)
-    assert commit(poly, state, 2, w, 50, 0, 5, 0)[1] == alpha == 0.4
+    _, alpha = fedasync_update(twin, w, 0.8, gap=3)
+    assert commit(poly, state, 2, w, 50, 0, 5, 3)[1] == alpha == 0.4
 
 
 def commit_bits(state):
@@ -222,7 +233,6 @@ def commit_bits(state):
     hold the same values bit for bit."""
     return (
         bits(state.model.flat), bits(state.weighted_sum), state.normalizer,
-        state.committed_steps, state.version,
         {k: (bits(r.model.flat), r.value)
          for k, r in state.records.items()},
     )
@@ -236,21 +246,22 @@ def test_commit_equals_the_direct_update_bit_for_bit(kind):
     rng = np.random.default_rng(17)
     initial = rand_params(rng)
     state, direct = init_community(initial), init_community(initial)
+    committed = 0
     for i in range(8):
         lid, w, steps = i % 3, rand_params(rng), int(rng.integers(1, 9))
-        fetch_steps = max(0, state.committed_steps - 9)
-        fetch_version = max(0, state.version - 2)
-        got, value = commit(scheme, state, lid, w, 40 + lid, fetch_steps,
-                            steps, fetch_version)
+        # Fetched up to 9 steps and 2 commits back.
+        in_flight, gap = min(committed, 9), min(i, 2)
+        got, value = commit(scheme, state, lid, w, 40 + lid, in_flight,
+                            steps, gap)
         if kind == "fedasync_poly":
-            want, weight = fedasync_update(direct, w, 0.3, fetch_version)
+            want, weight = fedasync_update(direct, w, 0.3, gap)
         else:
             weight = (
                 40.0 + lid if kind == "fedavg_static"
-                else staleness_discount(direct.committed_steps, fetch_steps,
-                                        steps)
+                else staleness_discount(in_flight, steps)
             )
-            want = cached_update(direct, lid, w, weight, steps)
+            want = cached_update(direct, lid, w, weight)
+            committed += steps
         assert value == weight
         assert bits(got.flat) == bits(want.flat)
         assert commit_bits(state) == commit_bits(direct)
@@ -262,11 +273,11 @@ def test_fedasync_update_alpha_and_mixing():
     state = init_community(initial)
     local = rand_params(rng)
     # fresh fetch: gap 0, alpha = mixing
-    out, alpha = fedasync_update(state, local, 0.5, fetch_version=0)
+    out, alpha = fedasync_update(state, local, 0.5, gap=0)
     assert alpha == 0.5
     for c, i, l in zip(out.arrays, initial.arrays, local.arrays):
         assert np.allclose(c, 0.5 * i + 0.5 * l, rtol=0, atol=1e-12)
-    assert state.version == 1
+    assert state.model is out and not state.records
     assert equal(state.model, out)
 
 
@@ -274,20 +285,17 @@ def test_fedasync_alpha_decays_with_version_gap():
     rng = np.random.default_rng(11)
     state = init_community(rand_params(rng))
     local = rand_params(rng)
-    state.version = 3
-    _, alpha = fedasync_update(state, local, 1.0, fetch_version=0)
+    _, alpha = fedasync_update(state, local, 1.0, gap=3)
     assert alpha == 0.5  # (3 + 1) ** -0.5
-    state.version = 8
-    _, alpha = fedasync_update(state, local, 1.0, fetch_version=0)
+    _, alpha = fedasync_update(state, local, 1.0, gap=8)
     assert abs(alpha - 1.0 / 3.0) <= 1e-12
 
 
 def test_fedasync_fixed_alpha_mode():
     rng = np.random.default_rng(12)
     state = init_community(rand_params(rng))
-    state.version = 50
     _, alpha = fedasync_update(state, rand_params(rng), 0.25,
-                               fetch_version=0, staleness_adaptive=False)
+                               gap=50, staleness_adaptive=False)
     assert alpha == 0.25
 
 
@@ -295,9 +303,9 @@ def test_fedasync_rejects_bad_mixing():
     rng = np.random.default_rng(13)
     state = init_community(rand_params(rng))
     with pytest.raises(ValueError):
-        fedasync_update(state, rand_params(rng), 0.0, fetch_version=0)
+        fedasync_update(state, rand_params(rng), 0.0, gap=0)
     with pytest.raises(ValueError):
-        fedasync_update(state, rand_params(rng), 1.5, fetch_version=0)
+        fedasync_update(state, rand_params(rng), 1.5, gap=0)
 
 
 def test_weighting_scheme_validation():
@@ -319,9 +327,9 @@ def test_prox_rho_only_under_fedasync_poly():
 def test_snapshot_shape(tmp_path):
     rng = np.random.default_rng(14)
     state = fresh_state(rng)
-    cached_update(state, 1, rand_params(rng), 4.0, steps=3)
+    cached_update(state, 1, rand_params(rng), 4.0)
     # Learner 1's one commit: fetched at version 0, 3 steps, weight 4.
-    ledger = [Assignment(1, 0, 0, 3, 0, 0, 3, 3, 4.0)]
+    ledger = [Assignment(1, 0, 0, 3, 0, 3, 3, 4.0)]
     export_metrics(MetricsLog("async", 0, assignments=ledger,
                               final_state=state), str(tmp_path))
     snap = json.loads((tmp_path / "controller_snapshot.json").read_text())
@@ -348,7 +356,7 @@ def test_failed_commit_of_subnormal_weight_leaves_state_untouched():
     served = state.model
     before = state_view(state)
     with pytest.raises(NonFiniteError):
-        cached_update(state, 0, rand_params(rng), 5e-324, steps=1)
+        cached_update(state, 0, rand_params(rng), 5e-324)
     assert state_view(state) == before
     assert equal(state.model, served)
 
@@ -371,10 +379,9 @@ weights = st.one_of(
                      -1.0, float("nan")]),
 )
 operations = st.one_of(
-    st.tuples(st.just("cache"), st.integers(0, 2), models, weights,
-              st.integers(0, 4)),
+    st.tuples(st.just("cache"), st.integers(0, 2), models, weights),
     st.tuples(st.just("mix"), models, st.floats(0.0, 1.0, exclude_min=True),
-              st.integers(0, 6), st.booleans()),
+              st.integers(-2, 6), st.booleans()),
     st.tuples(st.just("fetch"), st.integers(0, 2)),
 )
 
@@ -386,7 +393,7 @@ def ramp(c):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow -> NonFiniteError
 @settings(max_examples=300, deadline=None)
 @given(initial=models, ops=st.lists(operations, max_size=25))
-@example(initial=ramp(0.0), ops=[("cache", 0, ramp(1.0), 2.0, 1),
+@example(initial=ramp(0.0), ops=[("cache", 0, ramp(1.0), 2.0),
                                  ("mix", ramp(3.0), 0.5, 1, True),
                                  ("fetch", 0)])
 def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
@@ -401,16 +408,15 @@ def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
             continue
         try:
             if op[0] == "cache":
-                _, k, w, value, steps = op
-                served = cached_update(state, k, w, value, steps)
+                _, k, w, value = op
+                served = cached_update(state, k, w, value)
             else:
-                _, w, mixing, fetch_version, adaptive = op
-                served, _ = fedasync_update(state, w, mixing, fetch_version,
-                                            adaptive)
+                _, w, mixing, gap, adaptive = op
+                served, _ = fedasync_update(state, w, mixing, gap, adaptive)
         except ValueError:  # includes NonFiniteError and the degenerate case
             assert state_view(state) == before
         else:
-            assert state.version == before["version"] + 1
+            assert state.model is served is not before["model"]
 
 
 def reference_commit(state, learner_id, model, value):
@@ -435,7 +441,10 @@ def reference_commit(state, learner_id, model, value):
     return flat, served
 
 
-def reference_mix(state, model, alpha):
+def reference_mix(state, model, mixing, gap, adaptive):
+    if adaptive and gap < 0:
+        raise ValueError
+    alpha = mixing * ((gap + 1) ** -0.5 if adaptive else 1.0)
     flat = (1.0 - alpha) * state.model.flat + alpha * model.flat
     if not np.isfinite(flat).all():
         raise NonFiniteError
@@ -461,12 +470,12 @@ huge = ParamSet(["a", "b"], [np.full((2, 2), 1e308), np.full(3, -1e308)])
 @given(initial=models, ops=st.lists(operations, max_size=25))
 @example(  # P overflows to inf with an infinite weighted sum, then a finite one
     initial=ramp(0.0),
-    ops=[("cache", 0, ramp(1e-300), 1.7976931348623157e308, 1),
-         ("cache", 1, huge, 1.7976931348623157e308, 1),
-         ("cache", 1, ramp(1e-300), 1.7976931348623157e308, 1)],
+    ops=[("cache", 0, ramp(1e-300), 1.7976931348623157e308),
+         ("cache", 1, huge, 1.7976931348623157e308),
+         ("cache", 1, ramp(1e-300), 1.7976931348623157e308)],
 )
-@example(initial=ramp(0.0), ops=[("cache", 0, ramp(-0.0), 5e-324, 1),
-                                 ("cache", 1, ramp(-1.0), 1.0, 1)])
+@example(initial=ramp(0.0), ops=[("cache", 0, ramp(-0.0), 5e-324),
+                                 ("cache", 1, ramp(-1.0), 1.0)])
 def test_commits_match_the_formula_with_temporaries_and_two_scans(
     initial, ops
 ):
@@ -477,24 +486,18 @@ def test_commits_match_the_formula_with_temporaries_and_two_scans(
         if op[0] == "fetch":
             continue  # a fetch only reads the state
         if op[0] == "cache":
-            _, k, w, value, steps = op
+            _, k, w, value = op
             expected = outcome(reference_commit, state, k, w, value)
-            got = outcome(cached_update, state, k, w, value, max(steps, 1))
+            got = outcome(cached_update, state, k, w, value)
             if isinstance(expected, type):
                 assert got is expected
             else:
                 assert bits(state.weighted_sum) == bits(expected[0])
                 assert bits(got.flat) == bits(expected[1])
         else:
-            _, w, mixing, fetch_version, adaptive = op
-            fetch_version = min(fetch_version, state.version)
-            alpha = mixing * (
-                poly_staleness(state.version, fetch_version) if adaptive
-                else 1.0
-            )
-            expected = outcome(reference_mix, state, w, alpha)
-            got = outcome(fedasync_update, state, w, mixing, fetch_version,
-                          adaptive)
+            _, w, mixing, gap, adaptive = op
+            expected = outcome(reference_mix, state, w, mixing, gap, adaptive)
+            got = outcome(fedasync_update, state, w, mixing, gap, adaptive)
             if isinstance(expected, type):
                 assert got is expected
             else:

@@ -361,8 +361,8 @@ def test_async_budget_below_the_shortest_cycle_commits_nothing():
     assert log.evals == [] and log.update_requests == 0
     assert equal(log.final_model, initial)
     # 10 batches of 3 ms and of 30 ms, fetched at 0 at version 0.
-    assert log.in_flight == [Assignment(0, 0, 0, 10, 0, 0, 30_000),
-                             Assignment(1, 0, 0, 10, 0, 0, 300_000)]
+    assert log.in_flight == [Assignment(0, 0, 0, 10, 0, 30_000),
+                             Assignment(1, 0, 0, 10, 0, 300_000)]
 
 
 def test_async_trains_only_the_assignments_it_commits():
@@ -566,7 +566,9 @@ def test_export_metrics_files_and_determinism(tmp_path):
     assert sorted(os.listdir(out_c)) == sorted(
         LOG_FILES + ["controller_snapshot.json"])
     snap = json.load(open(os.path.join(out_c, "controller_snapshot.json")))
-    assert snap["version"] == log.final_state.version
+    # 400 ms holds 13 fast cycles and 1 slow one, each of 10 steps.
+    assert snap["version"] == len(log.assignments) == 14
+    assert snap["committed_steps"] == 140
     model = json.load(open(os.path.join(out_c, "final_model.json")))
     assert equal(from_obj(model), log.final_model)
 
@@ -591,7 +593,7 @@ def ledgers(draw):
         arrival = draw(st.integers(fetch, 10**13))
         return Assignment(
             draw(st.integers(0, 10**4)), draw(st.integers(0, 50)), fetch,
-            draw(st.integers(1, 10**6)), 0, 0, arrival,
+            draw(st.integers(1, 10**6)), 0, arrival,
             draw(st.integers(arrival, 10**13)) if commit else None,
             draw(st.floats(0.0, 1e4)) if commit else None)
 

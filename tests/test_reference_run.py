@@ -22,11 +22,9 @@ Each reference also builds the run's ledger: one record per assignment,
 committed ones in commit order and then those in flight at the end. It
 states every fact the protocol text gives (learner, index, fetch, steps,
 arrival, commit, weight and the fetch version, the commit count at the
-fetch), so the engine's records must equal it but for the fetch steps,
-which are the controller's own counter.
+fetch), so the engine's records must equal it.
 """
 
-import dataclasses
 import heapq
 
 from hypothesis import given, settings, strategies as st
@@ -41,9 +39,8 @@ from test_run_invariants import worlds
 
 
 def ledger(log):
-    """A run's records, committed then in flight, without fetch steps."""
-    return [dataclasses.replace(a, fetch_steps=None)
-            for a in log.assignments + log.in_flight]
+    """A run's records, committed then in flight."""
+    return log.assignments + log.in_flight
 
 
 def reference_run(cfg, profiles, task, train, test, initial, seed):
@@ -64,7 +61,7 @@ def reference_run(cfg, profiles, task, train, test, initial, seed):
             models.append(train_alone(task, train, p, model, budget,
                                       cfg.optimizer, seed, r))
             fetched.append(Assignment(
-                p.learner_id, r, start, budget, None, len(records),
+                p.learner_id, r, start, budget, len(records),
                 start + budget * p.time_per_batch_us))
         close = max(a.arrival_us for a in fetched)
         for p, a in zip(profiles, fetched):
@@ -104,7 +101,7 @@ def async_reference_run(cfg, profiles, task, train, test, initial, seed):
     def fetch(lid, t, index):
         p = profiles[lid]
         budget = cfg.epochs * p.batches_per_epoch
-        a = Assignment(lid, index, t, budget, None, len(records),
+        a = Assignment(lid, index, t, budget, len(records),
                        t + budget * p.time_per_batch_us)
         fetched[lid] = (model, a)
         heapq.heappush(heap, (a.arrival_us, lid))

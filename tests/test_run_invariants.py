@@ -4,11 +4,11 @@ The goldens pin today's bytes; these properties state what any run must do,
 whatever its policy, weighting, task and timing: each learner's assignment
 records chain fetch to commit to refetch, counters agree with the ledger,
 idle time adds up to the round length, evaluations fall where
-``eval_every`` puts them, and under an async cache weighting each learner's
-record in the ``controller_snapshot.json`` the run's log writes agrees with
-its committed records. Latencies start at 0.0005 ms, the
-smallest value ``LearnerProfile`` accepts, so no example can stall the
-clock.
+``eval_every`` puts them, every async commit's weight follows from the
+ledger alone, and under async the ``controller_snapshot.json`` the run's
+log writes, its counters and each learner's record, agrees with the
+committed records. Latencies start at 0.0005 ms, the smallest value
+``LearnerProfile`` accepts, so no example can stall the clock.
 """
 
 import json
@@ -138,28 +138,55 @@ def test_run_invariants(world, seed):
         assert ev.update_requests == sum(t <= ev.t_us for t in commits)
 
 
-@settings(max_examples=30, deadline=None, database=None)
-@given(
-    world=worlds(policies=("async",),
-                 schemes=("fedavg_static", "fedrec_staleness")),
-    seed=st.integers(0, 2**16),
-)
+@settings(max_examples=60, deadline=None, database=None)
+@given(world=worlds(policies=("async",)), seed=st.integers(0, 2**16))
+def test_ledger_decides_every_async_weight(world, seed):
+    # Commit i's weight, written out from the ledger: the records from its
+    # fetch version up to i are the commits made while its model was in
+    # flight. ROADMAP item 6 deletes the recency discount's "- a.steps"
+    # term, so that the discount counts only other learners' steps.
+    cfg, profiles = world[:2]
+    scheme = cfg.weighting
+    sizes = {p.learner_id: p.data_size for p in profiles}
+    log = run_policy(*world, seed)
+    assert log.assignments
+    for i, a in enumerate(log.assignments):
+        if scheme.kind == "fedavg_static":
+            want = float(sizes[a.learner])
+        elif scheme.kind == "fedrec_staleness":
+            s = sum(b.steps for b in log.assignments[a.fetch_version:i])
+            want = (max(0, s - a.steps) + 1) ** -0.5
+        else:
+            want = scheme.mixing * (i - a.fetch_version + 1) ** -0.5
+        assert a.weight == want, (i, a)
+
+
+@settings(max_examples=45, deadline=None, database=None)
+@given(world=worlds(policies=("async",)), seed=st.integers(0, 2**16))
 def test_controller_records_follow_contributions(world, seed):
     # Commit i (0-based) leaves the community at version i + 1, and the
     # committing learner refetches at once; its first fetch is version 0.
     # So each learner's record holds its last commit's weight and steps and
-    # the version one past its previous commit.
+    # the version one past its previous commit. The snapshot counts every
+    # commit and, where the state keeps records, their steps:
+    # fedasync_poly keeps none.
     log = run_policy(*world, seed)
+    poly = world[0].weighting.kind == "fedasync_poly"
     rows: dict[int, list[int]] = {}
     for i, a in enumerate(log.assignments):
         rows.setdefault(a.learner, []).append(i)
     with tempfile.TemporaryDirectory() as out:
         export_metrics(log, out)
         with open(os.path.join(out, "controller_snapshot.json")) as fh:
-            learners = json.load(fh)["learners"]
-    assert sorted(int(k) for k in learners) == sorted(rows)
-    for lid, mine in rows.items():
-        record, last = learners[str(lid)], log.assignments[mine[-1]]
+            snap = json.load(fh)
+    assert snap["version"] == len(log.assignments)
+    assert snap["committed_steps"] == (
+        0 if poly else sum(a.steps for a in log.assignments))
+    learners = snap["learners"]
+    assert sorted(int(k) for k in learners) == ([] if poly else sorted(rows))
+    for k, record in learners.items():
+        mine = rows[int(k)]
+        last = log.assignments[mine[-1]]
         assert record["value"] == last.weight
         assert record["local_steps"] == last.steps
         assert record["fetch_steps"] == (mine[-2] + 1 if len(mine) > 1 else 0)

@@ -77,9 +77,7 @@ def bench_cache(
             state = init_community(fresh[0])
             weights = rng.uniform(1.0, 100.0, size=n)
             for k in range(n):
-                cached_update(
-                    state, k, fresh[k % len(fresh)], float(weights[k]), 1
-                )
+                cached_update(state, k, fresh[k % len(fresh)], float(weights[k]))
             saturated.append((n, state, weights))
         # Each repeat visits every learner count in turn, so drift in host
         # speed spreads over all counts instead of lining up with one.
@@ -88,12 +86,12 @@ def bench_cache(
                 # One untimed commit first: the first call after switching
                 # states runs on cold caches, and at ~50 us a call that
                 # alone can read as a slope in N.
-                cached_update(state, 0, fresh[0], float(weights[0]), 1)
+                cached_update(state, 0, fresh[0], float(weights[0]))
                 t0 = time.process_time()
                 for i in range(inner):
                     cached_update(
                         state, i % n, fresh[i % len(fresh)],
-                        float(weights[i % n]), 1,
+                        float(weights[i % n]),
                     )
                 dt = (time.process_time() - t0) / inner
                 rows.append(("cached", n, entries, rep, dt))
