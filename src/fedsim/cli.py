@@ -56,3 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         # the config asks for a partition this dataset cannot realize.
         print(str(ConfigError([str(exc)])), file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

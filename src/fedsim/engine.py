@@ -41,7 +41,7 @@ import numpy as np
 
 from .controller import CommunityState, WeightingScheme, commit, init_community
 from .optimizers import OptimizerConfig, TrainingPool, assignment_batches
-from .params import NonFiniteError, ParamSet, StructureError, weighted_average
+from .params import NonFiniteError, ParamSet, weighted_average
 from .tasks import Dataset, TaskModel, evaluate, model_structure, stacked_grad
 
 POLICIES = ("sync", "semisync", "async")
@@ -287,10 +287,12 @@ def run_policy(
     in flight are the number and the steps of the records committed since.
 
     Training runs in one pool of ``_COHORT_ENTRIES // model size`` rows,
-    at least 1 and at most one per learner. An assignment waits to join it
-    from its fetch, holding its anchor, and joins in arrival order when a
-    row is free; one that would arrive past the time budget never joins, so
-    no step is trained that no commit uses. Before a group commits, the
+    at least 1 and at most one per learner, laid out as the task's model:
+    an ``initial`` of another layout raises StructureError at the first
+    join, before any step. An assignment waits to join it from its fetch,
+    holding its anchor, and joins in arrival order when a row is free; one
+    that would arrive past the time budget never joins, so no step is
+    trained that no commit uses. Before a group commits, the
     pool steps until every learner of the group is done; a result waits,
     holding the trained model, until its group commits, so a run holds at
     most one model per learner in flight. A barrier round fetches every
@@ -326,9 +328,8 @@ def run_policy(
     def grad_fn(W, rows, out):
         stacked_grad(task, W, train.features[rows], train.labels[rows], out)
 
-    structure = model_structure(task)
     capacity = max(1, _COHORT_ENTRIES // initial.num_entries)
-    pool = TrainingPool(structure, min(capacity, len(profiles)),
+    pool = TrainingPool(model_structure(task), min(capacity, len(profiles)),
                         cfg.optimizer, grad_fn, prox_rho)
     by_id = {p.learner_id: p for p in profiles}
     # learner id -> the record of its assignment in flight; its commit moves
@@ -372,9 +373,6 @@ def run_policy(
         while heap and heap[0][0] <= t:
             arrivals.append(heapq.heappop(heap)[1])
         arrivals.sort()
-        if not groups and initial.structure() != structure:
-            # Every anchor is a community model of the initial's layout.
-            raise StructureError(f"{task.kind} needs layers {structure}")
         # The gradient scan, ParamSet's finiteness check and the loss check
         # catch an overflow, so numpy's warnings for it would say nothing
         # more.

@@ -250,8 +250,12 @@ def assign_to_devices(result: PartitionResult, device_order: list[str]) -> list[
 
     Partitions are taken in descending size order and dealt alternately to
     the fast and slow device pools (fast first); when one pool runs out the
-    rest go to the other. Equal sizes make the order immaterial, so the
-    identity mapping is used.
+    rest go to the other. When every size is equal, ``device_order`` is
+    kept as configured instead, so partition k gets ``device_order[k]``:
+    with the fast slots first, partitions ``0 .. num_fast - 1`` are fast,
+    where dealing by rank would alternate (four equal partitions give fast,
+    fast, slow, slow, not fast, slow, fast, slow). Under non_iid those
+    partitions hold different classes, so the two rules differ.
     """
     n = len(result.indices)
     if len(device_order) != n:

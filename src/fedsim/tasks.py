@@ -1,8 +1,12 @@
 """Desk-scale classification tasks with closed-form gradients.
 
 Two model families are available: plain softmax regression and a
-one-hidden-layer MLP. Data comes from a seeded Gaussian mixture, one
-cluster per class, so experiments are reproducible end to end.
+one-hidden-layer MLP. Each is a chain of (weight, bias) pairs, laid out
+by :func:`model_structure`, with the activation between pairs: softmax
+regression is one pair and the MLP two. The forward pass and the gradient
+kernel walk the pairs, so no code past the layout tells the kinds apart.
+Data comes from a seeded Gaussian mixture, one cluster per class, so
+experiments are reproducible end to end.
 """
 
 from __future__ import annotations
@@ -90,7 +94,8 @@ def gen_synthetic(
 
 
 def model_structure(model: TaskModel) -> Structure:
-    """Each layer's (name, shape), in ParamSet order."""
+    """Each layer's (name, shape), in ParamSet order: the model's (weight,
+    bias) pairs, input side first."""
     d, c = model.input_dim, model.num_classes
     if model.kind == "softmax_regression":
         return (("W", (d, c)), ("b", (c,)))
@@ -117,40 +122,33 @@ def init_params(model: TaskModel, rng: np.random.Generator) -> ParamSet:
 def _forward(model: TaskModel, layers: list[np.ndarray], X: np.ndarray):
     """Stacked forward pass of G models over G batches.
 
-    ``layers`` are per-layer views of (G, P) parameter rows and ``X`` is
-    (G, n, d). Returns (logits, hidden activation), each (G, n, ·) and
-    fresh; the hidden activation is None for softmax regression.
+    ``layers`` are per-layer views of (G, P) parameter rows, the (weight,
+    bias) pairs :func:`model_structure` lays out, and ``X`` is (G, n, d).
+    Each pair maps its input to ``input @ weight + bias``, and the
+    activation runs in place between pairs. Returns the logits and the
+    list of each pair's input (``X``, then each hidden activation), all
+    (G, n, ·) and all fresh but ``X``.
     """
-    if model.kind == "softmax_regression":
-        w, b = layers
-        logits = X @ w
-        logits += b[:, None, :]
-        return logits, None
-    w1, b1, w2, b2 = layers
-    h = X @ w1
-    h += b1[:, None, :]
-    if model.activation == "relu":
-        np.maximum(h, 0.0, out=h)
-    else:
-        np.tanh(h, out=h)
-    logits = h @ w2
-    logits += b2[:, None, :]
-    return logits, h
+    inputs, a = [], X
+    for i in range(0, len(layers), 2):
+        if i:  # a hidden layer's output
+            if model.activation == "relu":
+                np.maximum(a, 0.0, out=a)
+            else:
+                np.tanh(a, out=a)
+        inputs.append(a)
+        a = a @ layers[i]
+        a += layers[i + 1][:, None, :]
+    return a, inputs
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities over the last axis, computed in place in
     ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    # The ufunc reductions ``.max`` and ``.sum`` call, minus their wrapper.
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logits -= np.log(np.add.reduce(np.exp(logits), axis=-1, keepdims=True))
     return logits
-
-
-def _mean_nll(logp: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of ``labels`` under one batch's (n, c)
-    log-probabilities."""
-    n = len(labels)
-    return float(-logp[np.arange(n), labels].mean())
 
 
 def stacked_grad(
@@ -166,39 +164,40 @@ def stacked_grad(
     gradients, each as per-layer ``(G, *shape)`` views of (G, P) flat rows
     in the model's layout (:func:`~fedsim.params.split_rows`); the caller
     splits its buffers once and slices the views per row range. ``X[g]``
-    (n, d) and ``y[g]`` (n,) are model g's batch. Every product is a
-    stacked ``np.matmul`` whose per-row operands have the shapes and strides
-    a lone model's would, so BLAS gets the same call per row and each row is
-    bit for bit the gradient of that model alone (the goldens and the pool
-    property tests check this). The forward pass and the log-softmax run in
-    place in fresh buffers. Returns the (G, n, c) log-probabilities. The
-    gradients are not scanned: a caller that keeps them checks them, as
+    (n, d) and ``y[g]`` (n,) are model g's batch. The backward pass walks
+    the (weight, bias) pairs last first: a pair's weight gradient is its
+    input against the gradient of its output, its bias gradient that
+    gradient summed over the batch, and the gradient goes on to the pair
+    below through the weight and the activation's derivative, taken from
+    the activation's output. Every product is a stacked ``np.matmul``
+    whose per-row operands have the shapes and strides a lone model's
+    would, so BLAS gets the same call per row and each row is bit for bit
+    the gradient of that model alone (``tests/oracles.loss_and_grad`` is
+    that one-model reference, and a property test holds every row to it).
+    The forward pass and the log-softmax run in place in fresh buffers.
+    Returns the (G, n, c) log-probabilities. The gradients are not
+    scanned: a caller that keeps them checks them, as
     :class:`~fedsim.optimizers.TrainingPool` does every step.
     """
     G, n = y.shape
     if n == 0:
         raise ValueError("empty batch")
-    logits, hidden = _forward(model, layers, X)
+    logits, inputs = _forward(model, layers, X)
     logp = _log_softmax(logits)
-    dlogits = np.exp(logp)  # fresh and contiguous: the reshape is a view
-    c = dlogits.shape[-1]
-    dlogits.reshape(-1)[np.arange(0, G * n * c, c) + y.ravel()] -= 1.0
-    dlogits /= n
-    XT = X.transpose(0, 2, 1)
-    if model.kind == "softmax_regression":
-        np.matmul(XT, dlogits, out=grads[0])
-        np.add.reduce(dlogits, axis=1, out=grads[1])
-    else:
-        np.matmul(hidden.transpose(0, 2, 1), dlogits, out=grads[2])
-        np.add.reduce(dlogits, axis=1, out=grads[3])
-        dz1 = dlogits @ layers[2].transpose(0, 2, 1)
-        # The activation's derivative, taken from its output.
-        if model.activation == "relu":
-            dz1 *= hidden > 0.0
-        else:
-            dz1 *= 1.0 - hidden ** 2
-        np.matmul(XT, dz1, out=grads[0])
-        np.add.reduce(dz1, axis=1, out=grads[1])
+    d = np.exp(logp)  # fresh and contiguous: the reshape is a view
+    c = d.shape[-1]
+    d.reshape(-1)[np.arange(0, G * n * c, c) + y.ravel()] -= 1.0
+    d /= n
+    for i in range(len(layers) - 2, -1, -2):  # the pairs, last first
+        a = inputs.pop()
+        np.matmul(a.transpose(0, 2, 1), d, out=grads[i])
+        np.add.reduce(d, axis=1, out=grads[i + 1])
+        if i:
+            d = d @ layers[i].transpose(0, 2, 1)
+            if model.activation == "relu":
+                d *= a > 0.0
+            else:
+                d *= 1.0 - a ** 2
     return logp
 
 
@@ -211,4 +210,5 @@ def evaluate(model: TaskModel, w: ParamSet, data: Dataset) -> tuple[float, float
     logits = _forward(model, layers, data.features[None])[0][0]
     pred = np.argmax(logits, axis=1)
     accuracy = float(np.mean(pred == data.labels))
-    return accuracy, _mean_nll(_log_softmax(logits), data.labels)
+    logp = _log_softmax(logits)
+    return accuracy, float(-logp[np.arange(len(data)), data.labels].mean())

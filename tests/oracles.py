@@ -23,9 +23,9 @@ import numpy as np
 from fedsim.engine import _TRAIN_STREAM
 from fedsim.optimizers import TrainingPool, _check_batching
 from fedsim.params import (
-    ParamSet, _check_same_structure, layer_spans, split_rows,
+    ParamSet, _check_same_structure, layer_spans,
 )
-from fedsim.tasks import _MEAN_SCALE, _mean_nll, model_structure, stacked_grad
+from fedsim.tasks import _MEAN_SCALE, model_structure
 
 
 # ParamSet arithmetic, one vector operation each.
@@ -110,13 +110,31 @@ def zero_params(model):
 def loss_and_grad(model, w, features, labels):
     """Mean softmax cross-entropy over the batch and its exact gradient.
 
-    The G = 1 case of ``fedsim.tasks.stacked_grad``.
+    One model, written per kind with no stacking: the reference every row
+    of ``fedsim.tasks.stacked_grad`` must equal bit for bit.
     """
-    spans = layer_spans(model_structure(model))
-    out = np.empty((1, w.num_entries))
-    logp = stacked_grad(model, split_rows(spans, w.flat[None]), features[None],
-                        labels[None], split_rows(spans, out))
-    return _mean_nll(logp[0], labels), ParamSet._wrap(w.structure(), out[0])
+    n = len(labels)
+    if model.kind == "softmax_regression":
+        W, b = w.arrays
+        x = features
+        logits = x @ W + b
+    else:
+        W1, b1, W2, b2 = w.arrays
+        x = features @ W1 + b1
+        x = np.maximum(x, 0.0) if model.activation == "relu" else np.tanh(x)
+        logits = x @ W2 + b2
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(n), labels].mean())
+    d = np.exp(logp)
+    d[np.arange(n), labels] -= 1.0
+    d /= n
+    grads = [x.T @ d, d.sum(axis=0)]
+    if model.kind == "mlp1":
+        dz = d @ W2.T
+        dz *= (x > 0.0) if model.activation == "relu" else 1.0 - x ** 2
+        grads = [features.T @ dz, dz.sum(axis=0)] + grads
+    return loss, ParamSet(w.names, grads)
 
 
 # The local update rules and the batch order.

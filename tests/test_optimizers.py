@@ -1,6 +1,7 @@
 """Local solver update rules and the minibatch schedule."""
 
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -616,12 +617,15 @@ def test_cohort_with_one_divergent_row_raises_nonfinite():
 
 def test_cohort_rejects_anchors_of_another_layout():
     # run_policy trains every assignment from the community model, so an
-    # initial model of another layout fails the first group, as the task's
-    # layout error.
+    # initial model of another layout fails the first join into the task's
+    # pool, as the pool's layout error, before any step trains.
     task = TASKS["mlp1-relu"]
     wrong = init_params(TASKS["softmax"], np.random.default_rng(2))
     profile = LearnerProfile(0, "fast", BATCH, 1.0, np.arange(len(DATA)))
     cfg = ProtocolConfig("sync", OptimizerConfig("vanilla", eta=0.1),
                          WeightingScheme("fedavg_static"), epochs=1, rounds=1)
-    with pytest.raises(StructureError, match="mlp1 needs layers"):
+    message = f"layer mismatch: {model_structure(task)} vs {wrong.structure()}"
+    with mock.patch.object(engine, "stacked_grad") as kernel, \
+            pytest.raises(StructureError, match=re.escape(message)):
         run_policy(cfg, [profile], task, DATA, DATA, wrong, seed=1)
+    kernel.assert_not_called()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim.params import ParamSet, layer_spans, split_rows
 from fedsim.tasks import (
@@ -84,6 +85,39 @@ def test_stacked_grad_rejects_an_empty_batch():
         stacked_grad(MLP_RELU, split_rows(spans, W), np.zeros((2, 0, 6)),
                      np.zeros((2, 0), dtype=np.int64),
                      split_rows(spans, np.zeros_like(W)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from([("softmax_regression", "relu"), ("mlp1", "relu"),
+                          ("mlp1", "tanh")]),
+    dims=st.tuples(st.integers(1, 40), st.integers(2, 12), st.integers(1, 70)),
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_grad_rows_equal_one_model_reference(kind, dims, lengths,
+                                                     seed):
+    # The rows are sorted by batch length and each length shares one call
+    # on its slice of one (K, P) buffer, as a TrainingPool's members do.
+    (name, activation), (d, c, h) = kind, dims
+    task = TaskModel(name, d, c, hidden_dim=h, activation=activation)
+    structure = model_structure(task)
+    spans = layer_spans(structure)
+    rng = np.random.default_rng(seed)
+    lengths = sorted(lengths)
+    W = rng.standard_normal((len(lengths), spans[-1][1]))
+    G = np.empty_like(W)
+    X = [rng.standard_normal((n, d)) for n in lengths]
+    y = [rng.integers(0, c, n) for n in lengths]
+    layers, grads = split_rows(spans, W), split_rows(spans, G)
+    for n in set(lengths):
+        lo, hi = lengths.index(n), len(lengths) - lengths[::-1].index(n)
+        stacked_grad(task, [w[lo:hi] for w in layers], np.stack(X[lo:hi]),
+                     np.stack(y[lo:hi]), [g[lo:hi] for g in grads])
+    for k in range(len(lengths)):
+        _, ref = loss_and_grad(task, ParamSet._wrap(structure, W[k].copy()),
+                               X[k], y[k])
+        assert np.array_equal(G[k], ref.flat), f"row {k} of {lengths}"
 
 
 def test_evaluate_zero_weights_balanced_accuracy():
