@@ -311,21 +311,19 @@ def parse_config_text(
     data = {k: task.pop(k)
             for k in ("per_class", "test_per_class", "cluster_spread")}
     lams = protocol.pop("lambda")
-    try:
-        task_model = TaskModel(**task)
-        partition_spec = PartitionSpec(
-            num_learners=learners["num_fast"] + learners["num_slow"],
-            **{**partition, "class_count_override":
-               partition["class_count_override"] or None},
-        )
-        protocol_config = ProtocolConfig(
-            optimizer=OptimizerConfig(**values["optimizer"]),
-            weighting=WeightingScheme(kind=weighting.pop("scheme"),
-                                      **weighting),
-            lam=lams[0], **protocol,
-        )
-    except ValueError as exc:
-        raise ConfigError([str(exc)]) from None
+    # Every dataclass check below is implied by a SCHEMA bound or choice or
+    # a _CHECKS rule, so none raises here.
+    task_model = TaskModel(**task)
+    partition_spec = PartitionSpec(
+        num_learners=learners["num_fast"] + learners["num_slow"],
+        **{**partition, "class_count_override":
+           partition["class_count_override"] or None},
+    )
+    protocol_config = ProtocolConfig(
+        optimizer=OptimizerConfig(**values["optimizer"]),
+        weighting=WeightingScheme(kind=weighting.pop("scheme"), **weighting),
+        lam=lams[0], **protocol,
+    )
     return ExperimentConfig(
         seed=experiment["seed"], out_dir=experiment["output"],
         task=task_model, partition=partition_spec, protocol=protocol_config,

@@ -373,9 +373,8 @@ def run_policy(
         while heap and heap[0][0] <= t:
             arrivals.append(heapq.heappop(heap)[1])
         arrivals.sort()
-        # The gradient scan, ParamSet's finiteness check and the loss check
-        # catch an overflow, so numpy's warnings for it would say nothing
-        # more.
+        # ParamSet's finiteness check and the loss check catch an overflow,
+        # so numpy's warnings for it would say nothing more.
         with np.errstate(over="ignore", invalid="ignore"):
             for lid in arrivals:  # step the pool until the group is done
                 while lid not in trained:

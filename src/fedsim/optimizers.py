@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .params import (
-    NonFiniteError, ParamSet, Structure, StructureError, all_finite,
-    layer_spans, split_rows,
+    NonFiniteError, ParamSet, Structure, StructureError, layer_spans,
+    split_rows,
 )
 
 OPTIMIZER_KINDS = ("vanilla", "momentum", "fedprox")
@@ -109,12 +109,16 @@ class TrainingPool:
     ``grad_fn`` call on those views sliced to their rows (unsliced when
     they cover every row), and members of one length that are not adjacent
     rows are gathered into two kept buffers. The weight views are read-only
-    and valid during the call. The gradients are scanned before the
-    update: a member whose row has a NaN/Inf entry leaves at once, without
-    the update, with a :class:`~fedsim.params.NonFiniteError`. Every update
-    runs in the operation order of the ``step_*`` references in
-    ``tests/oracles.py``, element by element, so every row is bit for bit
-    what training that learner alone gives, whoever else is in the pool.
+    and valid during the call. Every update runs in the operation order of
+    the ``step_*`` references in ``tests/oracles.py``, element by element,
+    so every row is bit for bit what training that learner alone gives,
+    whoever else is in the pool.
+
+    A member leaves only when its budget ends, and its weights are checked
+    as they leave. A NaN or Inf entry survives every update rule, so a
+    learner that diverged leaves then, with the
+    :class:`~fedsim.params.NonFiniteError` of that check; its row, like
+    every row, never mixes with another.
 
     The weight and anchor buffers live one generation: from a join into an
     empty pool until it empties again. The generation's first step reads
@@ -185,9 +189,9 @@ class TrainingPool:
         self._last.append(self._steps + budget)
         self._streams.append(iter(batches))
 
-    def _drop(self, row: int, *buffers: np.ndarray) -> None:
+    def _drop(self, row: int) -> None:
         last = len(self._keys) - 1
-        for buf in (self._W, self._U, self._A, *buffers):
+        for buf in (self._W, self._U, self._A):
             if buf is not None and row < last:
                 buf[row] = buf[last]
         for rows in (self._keys, self._last, self._streams):
@@ -196,8 +200,8 @@ class TrainingPool:
 
     def step(self) -> list[tuple[object, ParamSet | NonFiniteError]]:
         """Take one local step of every member. Returns ``(key, result)``
-        of each member that left: its trained weights, frozen and checked,
-        or the NonFiniteError its gradient or its result hit."""
+        of each member whose budget ended: its trained weights, frozen and
+        checked, or the NonFiniteError that check raised."""
         W, G, spans = self._W, self._G, self._spans
         batches = [next(stream) for stream in self._streams]
         by_length: dict[int, list[int]] = {}
@@ -217,16 +221,8 @@ class TrainingPool:
                 np.take(W, idx, axis=0, out=w, mode="clip")  # unbuffered
                 self._grad_fn(split_rows(spans, w), rows, split_rows(spans, g))
                 G[idx] = g
-        left = []
         m = len(batches)
         w, g = W[:m], G[:m]
-        if not all_finite(g):
-            for row in np.flatnonzero(~np.isfinite(g).all(axis=1))[::-1]:
-                left.append((self._keys[row], NonFiniteError(
-                    "gradient has NaN/Inf entries")))
-                self._drop(row, G)
-            m = len(self._keys)
-            w, g = W[:m], G[:m]
         # A generation's first step reads its starts, which stay as its
         # anchors, and writes out of place.
         fresh, self._fresh = self._fresh, False
@@ -252,6 +248,7 @@ class TrainingPool:
             drift *= eta * cfg.mu
             new -= drift
         self._steps += 1
+        left = []
         for row in range(m - 1, -1, -1) if self._steps in self._last else ():
             if self._last[row] == self._steps:
                 lone = fresh and self.capacity == 1  # never shown to grad_fn

@@ -176,8 +176,8 @@ def stacked_grad(
     that one-model reference, and a property test holds every row to it).
     The forward pass and the log-softmax run in place in fresh buffers.
     Returns the (G, n, c) log-probabilities. The gradients are not
-    scanned: a caller that keeps them checks them, as
-    :class:`~fedsim.optimizers.TrainingPool` does every step.
+    scanned: a NaN or Inf entry reaches the weights it updates, and
+    :class:`~fedsim.optimizers.TrainingPool` checks those as they leave.
     """
     G, n = y.shape
     if n == 0:

@@ -168,6 +168,11 @@ def test_profile_rejects_an_empty_shard():
         profile(3, 30.0, np.arange(0))
 
 
+def test_profile_rejects_a_batch_size_below_one():
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        profile(0, 30.0, np.arange(5), batch_size=0)
+
+
 @pytest.mark.parametrize("t_ms", [1e306, math.inf])
 def test_profile_rejects_latency_past_the_clock(t_ms):
     # The microsecond count overflows a float: the profile refuses it when

@@ -480,9 +480,17 @@ def test_pool_interleavings_bitwise_equal_training_alone(
     random steps, each as soon as a drawn interleaving lets it and there is
     room, so members at different steps share kernel calls: every learner
     gets exactly the weights it reaches training alone, and the pool never
-    holds more learners than its capacity."""
+    holds more learners than its capacity. A start scaled by 1e150 or 1e300
+    may diverge: its learner gets a NonFiniteError exactly when training
+    alone raises one."""
     model = TASKS[task]
     learners = pool_learners(model, specs, np.random.default_rng(seed))
+    scales = data.draw(st.lists(st.sampled_from([1.0, 1e150, 1e300]),
+                                min_size=len(specs), max_size=len(specs)),
+                       label="scales")
+    learners = [(p, start if k == 1.0 else ParamSet(
+                    start.names, [k * x for x in start.arrays]), budget, a)
+                for (p, start, budget, a), k in zip(learners, scales)]
     rows = []
 
     def grad(W, batch_rows, out):
@@ -491,21 +499,29 @@ def test_pool_interleavings_bitwise_equal_training_alone(
 
     pool = TrainingPool(model_structure(model), capacity, cfg, grad, rho)
     trained, queue = {}, list(learners)
-    while queue or len(pool):
-        if queue and len(pool) < capacity and (
-                not len(pool) or data.draw(st.booleans(), label="join")):
-            p, start, budget, a = queue.pop(0)
-            pool.join(p.learner_id, start, budget,
-                      assignment_stream(p, seed, a))
-        else:
-            rows.clear()
-            trained.update(pool.step())
-            assert sum(rows) <= capacity
-        assert len(pool) <= capacity
+    with np.errstate(all="ignore"):
+        while queue or len(pool):
+            if queue and len(pool) < capacity and (
+                    not len(pool) or data.draw(st.booleans(), label="join")):
+                p, start, budget, a = queue.pop(0)
+                pool.join(p.learner_id, start, budget,
+                          assignment_stream(p, seed, a))
+            else:
+                rows.clear()
+                trained.update(pool.step())
+                assert sum(rows) <= capacity
+            assert len(pool) <= capacity
     assert sorted(trained) == list(range(len(learners)))
     for p, start, budget, a in learners:
-        assert equal(trained[p.learner_id], train_alone(
-            model, DATA, p, start, budget, cfg, seed, a, rho))
+        result = trained[p.learner_id]
+        try:
+            with np.errstate(all="ignore"):
+                alone = train_alone(model, DATA, p, start, budget, cfg, seed,
+                                    a, rho)
+        except NonFiniteError:
+            assert isinstance(result, NonFiniteError)
+        else:
+            assert isinstance(result, ParamSet) and equal(result, alone)
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -574,24 +590,27 @@ def test_cohort_reads_learners_one_chunk_at_a_time():
 
 
 def test_pool_fails_only_the_divergent_member():
-    # A member whose gradient turns NaN leaves with the error at that step;
-    # the others train on, bit for bit as alone, and the pool's rows stay
-    # right after the failed row is handed to the last member.
+    # A member whose weights turn NaN trains to the end of its shorter
+    # budget and leaves first, with the error of its result's check; the
+    # others train on, bit for bit as alone, and the pool's rows stay right
+    # after the failed row is handed to the last member.
     model = TASKS["mlp1-relu"]
     rng = np.random.default_rng(6)
     learners = pool_learners(model, [(len(DATA), BATCH, 4, 0)] * 4, rng)
     # Finite weights whose hidden layer overflows the logits to NaN.
-    p, start, budget, a = learners[1]
+    p, start, _, a = learners[1]
     huge = ParamSet(start.names,
                     [np.full(x.shape, 1e300) for x in start.arrays])
-    learners[1] = (p, huge, budget, a)
+    learners[1] = (p, huge, 2, a)
     cfg = OptimizerConfig("momentum", eta=0.1, gamma=0.5)
     pool = TrainingPool(model_structure(model), 4, cfg, stacked_ce(model))
     for p, start, budget, a in learners:
         pool.join(p.learner_id, start, budget, assignment_stream(p, 1, a))
     with np.errstate(all="ignore"):
+        assert pool.step() == []
         [(key, error)] = pool.step()
     assert key == 1 and isinstance(error, NonFiniteError)
+    assert str(error) == "layer 'W1' has NaN/Inf entries"
     assert len(pool) == 3
     trained = {}
     while len(pool):

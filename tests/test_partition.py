@@ -245,6 +245,11 @@ def test_assign_classes_infeasible_quota():
     data = gen_synthetic(5, 10, 4, 1.0, seed=3)
     with pytest.raises(PartitionError):
         assign_classes(spec, [3, 47], data)
+    with pytest.raises(PartitionError, match="3 sizes for 2 learners"):
+        assign_classes(spec, [3, 3, 3], data)
+    with pytest.raises(PartitionError,
+                       match="sizes sum to 51 but dataset has 50 examples"):
+        assign_classes(spec, [25, 26], data)
 
 
 def test_assign_classes_indices_sorted_and_deterministic():
@@ -320,6 +325,13 @@ def test_spec_validation():
         PartitionSpec(num_learners=2, class_dist="non_iid")
     with pytest.raises(PartitionError):
         PartitionSpec(num_learners=2, size_dist="skewed", ratio=1.0)
+    with pytest.raises(PartitionError,
+                       match="powerlaw exponent must be positive, got 0.0"):
+        PartitionSpec(num_learners=2, size_dist="powerlaw", exponent=0.0)
+    with pytest.raises(PartitionError,
+                       match="class_count_override must list one quota per"):
+        PartitionSpec(num_learners=2, class_dist="non_iid",
+                      class_count_override=(3, 3, 3))
     # override alone satisfies the non_iid requirement
     PartitionSpec(num_learners=2, class_dist="non_iid",
                   class_count_override=(3, 3))

@@ -183,13 +183,34 @@ def test_divergent_eta_fails_the_run(tmp_path, capsys):
     assert os.listdir(tmp_path / "run") == []
 
 
-def test_a_diverging_run_prints_one_line_naming_the_learner(tmp_path):
+@pytest.mark.parametrize("task, eta, batch_size, detail", [
+    # An MLP in a pool shared with the other learner: its weights overflow
+    # within its first steps, and it trains on to the end of its budget.
+    ("kind = mlp1\nhidden_dim = 5\ninput_dim = 6\nnum_classes = 4\n"
+     "per_class = 60\ntest_per_class = 15", "1e300", 20,
+     "learner 0, assignment 0, arrival at 30.0 ms: "
+     "layer 'W1' has NaN/Inf entries"),
+    # A 20,100-entry softmax, past half of engine._COHORT_ENTRIES, in a
+    # pool of capacity 1, and batches larger than any shard: the one step
+    # overflows, and the pool checks the result it hands back uncopied.
+    ("input_dim = 200\nnum_classes = 100\nper_class = 4\n"
+     "test_per_class = 2\ncluster_spread = 100", "1e308", 1000,
+     "learner 0, assignment 0, arrival at 5.0 ms: "
+     "layer 'W' has NaN/Inf entries"),
+], ids=["mlp_pool", "softmax_lone_step"])
+def test_a_diverging_run_prints_one_line_naming_the_learner(
+    tmp_path, task, eta, batch_size, detail
+):
     # No numpy warning reaches stderr: the failure's one JSON line says
-    # which learner diverged, in which assignment and when it arrived.
+    # which learner diverged, in which assignment and when it arrived, and
+    # the first layer of its trained weights that holds NaN or Inf.
     cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(SMALL_ASYNC.format(out=tmp_path / "run").replace(
-        "[protocol]", "[optimizer]\neta = 1e300\n[protocol]"
-    ).replace("input_dim = 6", "kind = mlp1\nhidden_dim = 5\ninput_dim = 6"))
+    text = SMALL_ASYNC.format(out=tmp_path / "run").replace(
+        "[protocol]", f"[optimizer]\neta = {eta}\n[protocol]"
+    ).replace("batch_size = 20", f"batch_size = {batch_size}")
+    cfg_path.write_text(text.replace(
+        "input_dim = 6\nnum_classes = 4\nper_class = 60\ntest_per_class = 15",
+        task))
     proc = subprocess.run(
         [sys.executable, "-m", "fedsim", "run", str(cfg_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
@@ -197,9 +218,7 @@ def test_a_diverging_run_prints_one_line_naming_the_learner(tmp_path):
     assert proc.returncode == 1
     (line,) = proc.stderr.splitlines()
     assert json.loads(line) == {
-        "cell": ".", "error": "NonFiniteError",
-        "detail": "learner 0, assignment 0, arrival at 30.0 ms: "
-                  "gradient has NaN/Inf entries",
+        "cell": ".", "error": "NonFiniteError", "detail": detail,
     }
     assert os.listdir(tmp_path / "run") == []
 

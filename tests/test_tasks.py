@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim.params import ParamSet, layer_spans, split_rows
+from fedsim.params import ParamSet, StructureError, layer_spans, split_rows
 from fedsim.tasks import (
     Dataset, TaskModel, evaluate, gen_synthetic, init_params,
     model_structure, stacked_grad,
@@ -140,6 +140,16 @@ def test_evaluate_loss_equals_loss_and_grad_bitwise(task):
     assert loss == expected
 
 
+def test_evaluate_rejects_weights_of_another_layout():
+    # An MLP's 59 entries split as the 28-entry softmax layout: the split
+    # refuses them before any matmul.
+    data = gen_synthetic(4, 5, 6, 1.0, seed=13)
+    w = init_params(MLP_RELU, np.random.default_rng(2))
+    with pytest.raises(StructureError,
+                       match="rows hold 59 entries, the layout has 28"):
+        evaluate(SOFTMAX, w, data)
+
+
 def test_evaluate_tie_breaks_to_lowest_class():
     task = TaskModel("softmax_regression", input_dim=2, num_classes=3)
     w = zero_params(task)
@@ -163,6 +173,13 @@ def test_gen_synthetic_layout_and_counts():
 def test_gen_synthetic_zero_spread_places_examples_on_class_means():
     data = gen_synthetic(5, 12, 7, 0.0, seed=21)
     assert np.array_equal(data.features, class_means(5, 7, 21)[data.labels])
+
+
+def test_gen_synthetic_validation():
+    with pytest.raises(ValueError, match="per_class must be >= 1"):
+        gen_synthetic(4, 0, 6, 2.0, seed=33)
+    with pytest.raises(ValueError, match="cluster_spread must be non-negat"):
+        gen_synthetic(4, 10, 6, -0.5, seed=33)
 
 
 def test_gen_synthetic_deterministic():
