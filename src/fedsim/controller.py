@@ -88,6 +88,12 @@ class CommunityState:
     normalizer: float                 # sum_k p_k
     records: dict[int, ContributionRecord]
     model: ParamSet                   # the community model every fetch serves
+    removed: float = 0.0              # weight replaced since W, P were rebuilt
+
+
+# A commit rebuilds W and P from the records once the weight replaced since
+# their last rebuild passes this many times the new P.
+_REBUILD_RATIO = 2.0 ** 20
 
 
 def init_community(initial: ParamSet) -> CommunityState:
@@ -110,23 +116,49 @@ def cached_update(
     community model W / P. Mutates ``state`` only if every new value is
     valid; cost is O(model size) regardless of how many learners have
     contributed.
+
+    A replaced weight cancels out of W and P, but its rounding stays in
+    them. So the state keeps R, the weight replaced since W and P were
+    last rebuilt, and a commit whose new P falls below R / 2^20 (as a
+    P <= 0 after a replacement does) rebuilds both from the N records
+    instead: W summed in learner-id order, P with :func:`math.fsum`, at N
+    model passes. To first order in u = 2^-53, and while no product
+    p_k * w_k underflows, the served model then lies within
+    (6k + N + 3) * u * (1 + R / P) * max|w| of the exact W / P, where k
+    counts the commits since the last rebuild and max|w| runs over every
+    model held or replaced since; R / P stays <= 2^20. Weights of one
+    scale rebuild about once in 2^20 * N commits. A learner that
+    alternates a weight past 2^20 * P with a small one rebuilds at every
+    commit that drops the large one: every other commit.
     """
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"contribution weight must be finite and >= 0, got {value}")
     _check_same_structure(state.model, model)
     prev = state.records.get(learner_id)
-    new_normalizer = state.normalizer + value
+    record = ContributionRecord(model=model, value=value)
+    new_normalizer, removed = state.normalizer + value, state.removed
     if prev is not None:
         new_normalizer -= prev.value
+        removed += prev.value
+    # A new P <= 0 passes this test too, unless R is 0 and so P is exact.
+    rebuild = removed > _REBUILD_RATIO * new_normalizer
+    if rebuild:
+        records = sorted({**state.records, learner_id: record}.items())
+        new_normalizer, removed = math.fsum(r.value for _, r in records), 0.0
     if new_normalizer <= 0.0:
         raise DegenerateWeightError(f"normalizer would become {new_normalizer}")
     # Two new buffers: W, and W / P, whose buffer holds each product
     # before it is folded into W.
-    served = np.multiply(value, model.flat)
-    flat = np.add(state.weighted_sum, served)
-    if prev is not None:
-        np.multiply(prev.value, prev.model.flat, out=served)
-        flat -= served
+    if rebuild:
+        served, flat = np.empty_like(model.flat), np.zeros_like(model.flat)
+        for _, r in records:
+            flat += np.multiply(r.value, r.model.flat, out=served)
+    else:
+        served = np.multiply(value, model.flat)
+        flat = np.add(state.weighted_sum, served)
+        if prev is not None:
+            np.multiply(prev.value, prev.model.flat, out=served)
+            flat -= served
     np.multiply(1.0 / new_normalizer, flat, out=served)
     # Only W / P is scanned, and it covers W too. 1 / P is +0 (P
     # overflowed), finite and > 0, or +inf (P subnormal), and in every
@@ -135,8 +167,8 @@ def cached_update(
     community = ParamSet._wrap(state.model.structure(), served)
     state.weighted_sum = flat
     state.normalizer = new_normalizer
-    state.model = community
-    state.records[learner_id] = ContributionRecord(model=model, value=value)
+    state.model, state.removed = community, removed
+    state.records[learner_id] = record
     return community
 
 

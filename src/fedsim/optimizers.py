@@ -103,8 +103,12 @@ class TrainingPool:
     ``prox_rho * (w - start)`` toward the start before the update.
 
     Weights, momentum buffers, anchors and gradients are (capacity, P)
-    buffers split into per-layer views once. The members are rows
-    ``0 .. len(pool) - 1``; one that leaves hands its row to the last.
+    buffers, made once and split into per-layer views once. The members
+    are rows ``0 .. len(pool) - 1``; one that leaves hands its row to the
+    last. A member's start is copied into its weight row, and into its
+    anchor row when an update reads one, at :meth:`join`; each step
+    updates the rows in place; and a member's row is copied out when it
+    leaves, so no start or result shares memory with the pool.
     Each step, the members whose batches have the same length share one
     ``grad_fn`` call on those views sliced to their rows (unsliced when
     they cover every row), and members of one length that are not adjacent
@@ -119,15 +123,6 @@ class TrainingPool:
     learner that diverged leaves then, with the
     :class:`~fedsim.params.NonFiniteError` of that check; its row, like
     every row, never mixes with another.
-
-    The weight and anchor buffers live one generation: from a join into an
-    empty pool until it empties again. The generation's first step reads
-    the starts of the members that joined before it, which then serve as
-    their anchors, and writes out of place; a later member's start is
-    copied into its row of both. A larger pool copies each start in and
-    each result out. A pool of capacity 1 copies neither: its member's
-    start is read in place, and a one-step result, never shown to
-    ``grad_fn``, is returned as it is.
     """
 
     def __init__(self, structure: Structure, capacity: int,
@@ -135,13 +130,16 @@ class TrainingPool:
                  prox_rho: float = 0.0):
         self.structure, self.capacity = structure, capacity
         self._cfg, self._grad_fn, self._prox_rho = cfg, grad_fn, prox_rho
-        self._spans = layer_spans(structure)
-        self._shape = shape = (capacity, self._spans[-1][1])
+        self._spans = spans = layer_spans(structure)
+        shape = (capacity, spans[-1][1])
         # Each member's key, last step (counted in the pool's steps) and
         # batch stream, in row order.
         self._keys, self._last, self._streams, self._steps = [], [], [], 0
-        self._G = np.empty(shape)  # each update scales its rows in place
-        self._grads = split_rows(self._spans, self._G)
+        self._W, self._G = np.empty(shape), np.empty(shape)
+        live = self._W.view()
+        live.setflags(write=False)
+        self._weights = split_rows(spans, live)
+        self._grads = split_rows(spans, self._G)  # updates scale them in place
         # Gathered weight and gradient rows. Kept, not made per call: a
         # fresh buffer of this size can come from mmap and fault its pages
         # in at every gather.
@@ -150,16 +148,11 @@ class TrainingPool:
         # A momentum row starts at zero and takes u *= gamma even on the
         # first step, since 0.0 + (-0.0) is +0.0.
         self._U = np.zeros(shape) if cfg.kind == "momentum" else None
-        self._anchored = cfg.kind == "fedprox" or prox_rho > 0.0
+        self._A = (np.empty(shape) if cfg.kind == "fedprox" or prox_rho > 0.0
+                   else None)
 
     def __len__(self) -> int:
         return len(self._keys)
-
-    def _set_weights(self, W: np.ndarray) -> None:
-        self._W = W
-        live = W.view()
-        live.setflags(write=False)
-        self._weights = split_rows(self._spans, live)
 
     def join(self, key, start: ParamSet, budget: int,
              batches: Iterable[np.ndarray]) -> None:
@@ -173,16 +166,9 @@ class TrainingPool:
         row = len(self._keys)
         if row == self.capacity:
             raise ValueError(f"the pool is full at {row} learners")
-        if not row:  # a generation begins
-            starts = (start.flat[None] if self.capacity == 1
-                      else np.empty(self._shape))
-            self._set_weights(starts)
-            self._A = starts if self._anchored else None
-            self._fresh = True
-        if self.capacity > 1:
-            self._W[row] = start.flat
-            if self._A is not None and not self._fresh:
-                self._A[row] = start.flat
+        self._W[row] = start.flat
+        if self._A is not None:
+            self._A[row] = start.flat
         if self._U is not None:
             self._U[row] = 0.0
         self._keys.append(key)
@@ -200,8 +186,8 @@ class TrainingPool:
 
     def step(self) -> list[tuple[object, ParamSet | NonFiniteError]]:
         """Take one local step of every member. Returns ``(key, result)``
-        of each member whose budget ended: its trained weights, frozen and
-        checked, or the NonFiniteError that check raised."""
+        of each member whose budget ended: a checked, frozen copy of its
+        trained weights, or the NonFiniteError that check raised."""
         W, G, spans = self._W, self._G, self._spans
         batches = [next(stream) for stream in self._streams]
         by_length: dict[int, list[int]] = {}
@@ -223,38 +209,30 @@ class TrainingPool:
                 G[idx] = g
         m = len(batches)
         w, g = W[:m], G[:m]
-        # A generation's first step reads its starts, which stay as its
-        # anchors, and writes out of place.
-        fresh, self._fresh = self._fresh, False
-        if fresh:
-            self._set_weights(np.empty(W.shape))
-        new = self._W[:m] if fresh else w
         cfg, eta = self._cfg, self._cfg.eta
         if self._prox_rho > 0.0:
             g += self._prox_rho * (w - self._A[:m])
         if cfg.kind == "vanilla":
             g *= eta
-            np.subtract(w, g, out=new)
+            w -= g
         elif cfg.kind == "momentum":
             u = self._U[:m]
             u *= cfg.gamma
             u += g
             np.multiply(eta, u, out=g)
-            np.subtract(w, g, out=new)
+            w -= g
         else:
             drift = w - self._A[:m]
             g *= eta
-            np.subtract(w, g, out=new)
+            w -= g
             drift *= eta * cfg.mu
-            new -= drift
+            w -= drift
         self._steps += 1
         left = []
         for row in range(m - 1, -1, -1) if self._steps in self._last else ():
             if self._last[row] == self._steps:
-                lone = fresh and self.capacity == 1  # never shown to grad_fn
-                flat = new[row] if lone else new[row].copy()
                 try:
-                    result = ParamSet._wrap(self.structure, flat)
+                    result = ParamSet._wrap(self.structure, w[row].copy())
                 except NonFiniteError as exc:
                     result = exc
                 left.append((self._keys[row], result))

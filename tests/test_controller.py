@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -419,26 +421,128 @@ def test_fetch_serves_last_commit_and_failed_commits_change_nothing(
             assert state.model is served is not before["model"]
 
 
+U = 2.0 ** -53  # unit roundoff of float64
+
+
+def exact_average(records):
+    """(W / P entry by entry, P), both exact, of {learner: (p, w)}; W / P
+    is None when P is 0."""
+    weights = [Fraction(p) for p, _ in records.values()]
+    P = sum(weights)
+    if not P:
+        return None, P
+    columns = zip(*(w.flat for _, w in records.values()))
+    W = [sum(p * Fraction(x) for p, x in zip(weights, xs)) for xs in columns]
+    return [x / P for x in W], P
+
+
+# Weights and entries whose products stay normal floats, as the bound
+# assumes: an underflowing product rounds to an absolute, not a relative,
+# grid.
+cache_commits = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        entries(st.one_of(st.just(0.0), st.floats(1e-100, 10.0),
+                          st.floats(-10.0, -1e-100))),
+        st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, 1e-3]),
+                  st.floats(1e6, 1e15), st.floats(1e-3, 1e300)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=cache_commits)
+@example(ops=[(0, ramp(1.0), 1e-3), (1, ramp(2.0), 1e15),
+              (1, ramp(-3.0), 1e-3)])
+@example(ops=[(0, ramp(1.0), 1e-3), (1, ramp(2.0), 1e6),
+              (1, ramp(-3.0), 1e-3), (2, ramp(0.5), 1e12),
+              (2, ramp(4.0), 0.0), (1, ramp(1.0), 1e9)])
+def test_cache_stays_within_its_stated_bound_of_the_exact_average(ops):
+    """Every accepted commit serves W / P within
+    (6k + N + 3) * u * (1 + R / P) * max|w| of the exact average, as
+    ``cached_update`` states; a commit is refused only when the exact P
+    is 0."""
+    state = init_community(ramp(0.0))
+    latest, k, biggest = {}, 0, 0.0
+    for lid, w, p in ops:
+        trial = {**latest, lid: (p, w)}
+        exact, P = exact_average(trial)
+        try:
+            out = cached_update(state, lid, w, p)
+        except DegenerateWeightError:
+            assert P == 0
+            continue
+        latest, k = trial, k + 1
+        biggest = max(biggest, float(np.abs(w.flat).max()))
+        N, R = len(latest), state.removed
+        bound = (6 * k + N + 3) * U * (1 + R / state.normalizer) * biggest
+        assert R <= 2.0 ** 20 * state.normalizer
+        assert abs(Fraction(state.normalizer) - P) <= (2 * k + N + 1) * U * (
+            P + Fraction(R))
+        assert max(abs(Fraction(x) - e)
+                   for x, e in zip(out.flat, exact)) <= bound
+
+
+@pytest.mark.parametrize("X", [1e6, 1e9, 1e12, 1e15])
+def test_cache_rebuilds_after_a_huge_weight_is_replaced(X):
+    # Learner 1 commits at weight X, then at 1e-3: W and P cancel X out,
+    # and without a rebuild its rounding stayed in both (0.104 max abs off
+    # at X = 1e12; at 1e15 P read 0.0 and the commit was refused).
+    rng = np.random.default_rng(0)
+    m0, m1, m2 = (ParamSet(["w"], [rng.standard_normal(50)])
+                  for _ in range(3))
+    state = init_community(zeros_like(m0))
+    cached_update(state, 0, m0, 1e-3)
+    cached_update(state, 1, m1, X)
+    assert state.removed == 0.0
+    out = cached_update(state, 1, m2, 1e-3)
+    assert state.normalizer == 0.002 and state.removed == 0.0
+    expect = weighted_average([m0, m2], [1e-3, 1e-3])
+    biggest = max(np.abs(m.flat).max() for m in (m0, m1, m2))
+    # The stated bound at k = 0 commits since the rebuild, N = 2, R = 0.
+    assert max_abs_diff(out, expect) <= (6 * 0 + 2 + 3) * U * biggest
+    # A replaced weight below 2^20 P only adds to R.
+    cached_update(state, 0, m0, 1e-3)
+    assert state.removed == 1e-3
+
+
 def reference_commit(state, learner_id, model, value):
     """``cached_update``'s arithmetic written out with temporaries and a
-    finiteness scan of each new buffer: (weighted sum, served model)."""
+    finiteness scan of each new buffer: (weighted sum, served model,
+    weight replaced since the last rebuild).
+
+    The rebuild rule, from the docstring's text: once the replaced weight
+    passes 2^20 times the new P, or the new P is <= 0, W is the sum of the
+    records' p_k * w_k in learner-id order and P their exact sum."""
     if not value >= 0 or value == float("inf"):
         raise ValueError
     prev = state.records.get(learner_id)
     normalizer = state.normalizer + value
+    removed = state.removed
     if prev is not None:
         normalizer -= prev.value
-    if normalizer <= 0.0:
-        raise DegenerateWeightError
-    flat = state.weighted_sum + value * model.flat
-    if prev is not None:
-        flat -= prev.value * prev.model.flat
+        removed += prev.value
+    if normalizer <= 0.0 or removed > 2.0 ** 20 * normalizer:
+        latest = {k: (r.value, r.model) for k, r in state.records.items()}
+        latest[learner_id] = (value, model)
+        normalizer = math.fsum(p for p, _ in latest.values())
+        if normalizer <= 0.0:
+            raise DegenerateWeightError
+        flat = np.zeros_like(model.flat)
+        for k in sorted(latest):
+            flat = flat + latest[k][0] * latest[k][1].flat
+        removed = 0.0
+    else:
+        flat = state.weighted_sum + value * model.flat
+        if prev is not None:
+            flat -= prev.value * prev.model.flat
     if not np.isfinite(flat).all():
         raise NonFiniteError
     served = (1.0 / normalizer) * flat
     if not np.isfinite(served).all():
         raise NonFiniteError
-    return flat, served
+    return flat, served, removed
 
 
 def reference_mix(state, model, mixing, gap, adaptive):
@@ -476,11 +580,33 @@ huge = ParamSet(["a", "b"], [np.full((2, 2), 1e308), np.full(3, -1e308)])
 )
 @example(initial=ramp(0.0), ops=[("cache", 0, ramp(-0.0), 5e-324),
                                  ("cache", 1, ramp(-1.0), 1.0)])
+@example(  # replacing weight 1e6 rebuilds W and P; a 0.5 replaced adds to R
+    initial=ramp(0.0),
+    ops=[("cache", 1, ramp(1.0), 1e-3), ("cache", 0, ramp(2.0), 1e6),
+         ("cache", 0, ramp(-3.0), 1e-3), ("cache", 2, ramp(0.5), 0.5),
+         ("cache", 2, ramp(3.0), 0.25)],
+)
+@example(  # the rebuild sums W in learner-id order, not commit order
+    initial=ramp(0.0),
+    ops=[("cache", 2, ramp(-1e16), 1.0), ("cache", 1, ramp(1e16), 1.0),
+         ("cache", 0, ramp(5.0), 1e9), ("cache", 0, ramp(1.0), 1.0)],
+)
+@example(  # and P exactly: a plain sum of 1e16, 1 and 1 reads 1e16
+    initial=ramp(0.0),
+    ops=[("cache", 0, ramp(1.0), 1e16), ("cache", 1, ramp(2.0), 1.0),
+         ("cache", 2, ramp(3.0), 1e23), ("cache", 2, ramp(3.0), 1.0)],
+)
+@example(  # R at exactly 2^20 P has not passed it: no rebuild
+    initial=ramp(0.0),
+    ops=[("cache", 0, ramp(0.1), 1.0), ("cache", 1, ramp(1 / 3), 2.0 ** 20),
+         ("cache", 1, ramp(1 / 3), 0.0)],
+)
 def test_commits_match_the_formula_with_temporaries_and_two_scans(
     initial, ops
 ):
     """Two new buffers and one scan per commit: the same raise or
-    no-raise outcome as the plain formula, and the same bits."""
+    no-raise outcome as the plain formula, or as the rebuild where its
+    rule fires, and the same bits."""
     state = init_community(initial)
     for op in ops:
         if op[0] == "fetch":
@@ -494,6 +620,7 @@ def test_commits_match_the_formula_with_temporaries_and_two_scans(
             else:
                 assert bits(state.weighted_sum) == bits(expected[0])
                 assert bits(got.flat) == bits(expected[1])
+                assert state.removed == expected[2]
         else:
             _, w, mixing, gap, adaptive = op
             expected = outcome(reference_mix, state, w, mixing, gap, adaptive)

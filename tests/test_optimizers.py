@@ -392,12 +392,11 @@ def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("budgets", [[1], [1, 3, 1]])
-def test_run_client_opt_one_step_rows_are_private_without_a_copy(kind,
-                                                                 budgets):
-    # A pool of one reads its start in place and returns a row trained one
-    # step without a copy-out; neither may leak, nor may a larger pool's
-    # rows: every result is frozen and shares memory with no start and no
-    # view grad_fn saw.
+def test_run_client_opt_one_step_rows_are_private(kind, budgets):
+    # Every pool, a pool of one included, copies each start into its row
+    # and each result out of it: grad_fn sees no start's memory, and every
+    # result is frozen and shares memory with no start and no view grad_fn
+    # saw, even one trained a single step.
     cfg = OptimizerConfig(kind, eta=0.1, gamma=0.5, mu=0.1)
     model = TASKS["softmax"]
     rng = np.random.default_rng(7)
@@ -421,6 +420,8 @@ def test_run_client_opt_one_step_rows_are_private_without_a_copy(kind,
         assert not w.flat.flags.writeable
         assert not any(np.shares_memory(w.flat, s.flat) for s in starts)
         assert not any(np.shares_memory(w.flat, live) for live in seen)
+    assert not any(np.shares_memory(live, s.flat)
+                   for live in seen for s in starts)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -192,7 +192,7 @@ def test_divergent_eta_fails_the_run(tmp_path, capsys):
      "layer 'W1' has NaN/Inf entries"),
     # A 20,100-entry softmax, past half of engine._COHORT_ENTRIES, in a
     # pool of capacity 1, and batches larger than any shard: the one step
-    # overflows, and the pool checks the result it hands back uncopied.
+    # overflows, and the pool checks the result it copies out.
     ("input_dim = 200\nnum_classes = 100\nper_class = 4\n"
      "test_per_class = 2\ncluster_spread = 100", "1e308", 1000,
      "learner 0, assignment 0, arrival at 5.0 ms: "
