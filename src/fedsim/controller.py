@@ -130,6 +130,10 @@ def cached_update(
     scale rebuild about once in 2^20 * N commits. A learner that
     alternates a weight past 2^20 * P with a small one rebuilds at every
     commit that drops the large one: every other commit.
+
+    A commit whose new P, rebuilt or not, is not a finite positive number
+    raises :class:`DegenerateWeightError`: P = 0 has no average, and an
+    infinite P would serve W * (1 / P) = 0 and keep P infinite for good.
     """
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"contribution weight must be finite and >= 0, got {value}")
@@ -145,7 +149,7 @@ def cached_update(
     if rebuild:
         records = sorted({**state.records, learner_id: record}.items())
         new_normalizer, removed = math.fsum(r.value for _, r in records), 0.0
-    if new_normalizer <= 0.0:
+    if not 0.0 < new_normalizer < math.inf:
         raise DegenerateWeightError(f"normalizer would become {new_normalizer}")
     # Two new buffers: W, and W / P, whose buffer holds each product
     # before it is folded into W.
@@ -160,10 +164,9 @@ def cached_update(
             np.multiply(prev.value, prev.model.flat, out=served)
             flat -= served
     np.multiply(1.0 / new_normalizer, flat, out=served)
-    # Only W / P is scanned, and it covers W too. 1 / P is +0 (P
-    # overflowed), finite and > 0, or +inf (P subnormal), and in every
-    # case it turns a NaN or +-Inf entry of W into a non-finite entry of
-    # W / P (0 * inf and 0 * NaN are NaN).
+    # Only W / P is scanned, and it covers W too. 1 / P is finite and > 0,
+    # or +inf (P subnormal), and either turns a NaN or +-Inf entry of W
+    # into a non-finite entry of W / P.
     community = ParamSet._wrap(state.model.structure(), served)
     state.weighted_sum = flat
     state.normalizer = new_normalizer

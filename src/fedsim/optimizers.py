@@ -4,9 +4,11 @@ Three update rules are supported:
 
 * ``vanilla``:   w' = w - eta * g
 * ``momentum``:  u' = gamma * u + g;  w' = w - eta * u'
-* ``fedprox``:   w' = w - eta * g - eta * mu * (w - anchor)
+* ``fedprox``:   w' = w - eta * (g + mu * (w - anchor))
 
 where ``anchor`` is the community model the learner received at fetch time.
+FedProx's proximal term is a pull of the gradient toward the anchor, the
+same term as fedasync_poly's ``rho``, so a pool applies the two as one.
 The momentum buffer starts at zero for every assignment, i.e. it is reset
 whenever a learner fetches a fresh community model. Momentum has this one
 form: the learning rate is constant, so the velocity form
@@ -98,9 +100,10 @@ class TrainingPool:
     :meth:`join` adds an assignment: ``budget`` local steps from ``start``
     on the batches ``batches`` yields. Each :meth:`step` takes one step of
     every member and hands back the members that left. A member's proximal
-    anchor (fedprox) is its start and its momentum buffer starts at zero.
-    With ``prox_rho > 0`` every gradient gets the pull
-    ``prox_rho * (w - start)`` toward the start before the update.
+    anchor is its start and its momentum buffer starts at zero. The pool
+    has one proximal pull, ``prox_rho`` plus ``mu`` under fedprox: when it
+    is positive, every gradient gets ``pull * (w - start)`` before the
+    update, which is then the vanilla or the momentum rule.
 
     Weights, momentum buffers, anchors and gradients are (capacity, P)
     buffers, made once and split into per-layer views once. The members
@@ -129,7 +132,8 @@ class TrainingPool:
                  cfg: OptimizerConfig, grad_fn: GradFn,
                  prox_rho: float = 0.0):
         self.structure, self.capacity = structure, capacity
-        self._cfg, self._grad_fn, self._prox_rho = cfg, grad_fn, prox_rho
+        self._cfg, self._grad_fn = cfg, grad_fn
+        self._pull = prox_rho + (cfg.mu if cfg.kind == "fedprox" else 0.0)
         self._spans = spans = layer_spans(structure)
         shape = (capacity, spans[-1][1])
         # Each member's key, last step (counted in the pool's steps) and
@@ -148,8 +152,7 @@ class TrainingPool:
         # A momentum row starts at zero and takes u *= gamma even on the
         # first step, since 0.0 + (-0.0) is +0.0.
         self._U = np.zeros(shape) if cfg.kind == "momentum" else None
-        self._A = (np.empty(shape) if cfg.kind == "fedprox" or prox_rho > 0.0
-                   else None)
+        self._A = np.empty(shape) if self._pull > 0.0 else None
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -209,24 +212,16 @@ class TrainingPool:
                 G[idx] = g
         m = len(batches)
         w, g = W[:m], G[:m]
-        cfg, eta = self._cfg, self._cfg.eta
-        if self._prox_rho > 0.0:
-            g += self._prox_rho * (w - self._A[:m])
-        if cfg.kind == "vanilla":
-            g *= eta
-            w -= g
-        elif cfg.kind == "momentum":
-            u = self._U[:m]
-            u *= cfg.gamma
-            u += g
-            np.multiply(eta, u, out=g)
-            w -= g
+        if self._A is not None:
+            g += self._pull * (w - self._A[:m])
+        if self._U is None:
+            g *= self._cfg.eta
         else:
-            drift = w - self._A[:m]
-            g *= eta
-            w -= g
-            drift *= eta * cfg.mu
-            w -= drift
+            u = self._U[:m]
+            u *= self._cfg.gamma
+            u += g
+            np.multiply(self._cfg.eta, u, out=g)
+        w -= g
         self._steps += 1
         left = []
         for row in range(m - 1, -1, -1) if self._steps in self._last else ():

@@ -150,8 +150,9 @@ def step_momentum(w, u, grad, cfg):
 
 
 def step_fedprox(w, anchor, grad, cfg):
-    drift = axpy(-1.0, anchor, w)
-    return axpy(-cfg.eta * cfg.mu, drift, axpy(-cfg.eta, grad, w))
+    """w - eta * (g + mu * (w - anchor)): the vanilla step on the gradient
+    pulled toward ``anchor``."""
+    return step_vanilla(w, axpy(cfg.mu, axpy(-1.0, anchor, w), grad), cfg)
 
 
 def epoch_batches(num_examples, batch_size, rng):
@@ -168,38 +169,43 @@ def epoch_batches(num_examples, batch_size, rng):
             yield order[lo : lo + batch_size]
 
 
-def reference_opt(start, budget, stream, cfg, grad):
-    """``budget`` steps from ``start``, folding the ``step_*`` rules over
-    ``grad(w, batch)`` on the batches ``stream`` yields; the proximal
-    anchor is ``start`` and the momentum buffer starts at zero."""
+def reference_opt(start, budget, stream, cfg, grad, rho=0.0):
+    """``budget`` steps from ``start``, folding the vanilla or momentum
+    rule over ``grad(w, batch)`` on the batches ``stream`` yields; the
+    momentum buffer starts at zero. FedProx's mu (Li et al.) and
+    FedAsync's rho (Xie et al., arXiv 1903.03934) are both the proximal
+    term (c / 2) * ||w - start||^2 of the local objective, so each
+    gradient first gets the pull ``c * (w - start)`` with c = rho + mu
+    (mu under fedprox only) when c > 0."""
+    pull = rho + (cfg.mu if cfg.kind == "fedprox" else 0.0)
     w, u = start, zeros_like(start)
     for _ in range(budget):
         g = grad(w, next(stream))
-        if cfg.kind == "vanilla":
-            w = step_vanilla(w, g, cfg)
-        elif cfg.kind == "momentum":
+        if pull > 0.0:
+            g = axpy(pull, axpy(-1.0, start, w), g)
+        if cfg.kind == "momentum":
             w, u = step_momentum(w, u, g, cfg)
         else:
-            w = step_fedprox(w, start, g, cfg)
+            w = step_vanilla(w, g, cfg)
     return w
 
 
 def train_alone(task, data, p, start, budget, cfg, seed, assignment,
                 rho=0.0):
     """Learner ``p``'s ``assignment``-th assignment, ``budget`` steps from
-    ``start`` on its shard of ``data``, each gradient pulled toward
-    ``start`` by ``rho`` when ``rho > 0``."""
+    ``start`` on its shard of ``data``, with ``reference_opt``'s proximal
+    pull of ``rho`` (plus mu under fedprox)."""
     rng = np.random.default_rng(
         [seed, _TRAIN_STREAM, p.learner_id, assignment]
     )
 
     def grad(w, batch):
         rows = p.indices[batch]
-        _, g = loss_and_grad(task, w, data.features[rows], data.labels[rows])
-        return axpy(rho, axpy(-1.0, start, w), g) if rho > 0.0 else g
+        return loss_and_grad(task, w, data.features[rows],
+                             data.labels[rows])[1]
 
     stream = epoch_batches(p.data_size, p.batch_size, rng)
-    return reference_opt(start, budget, stream, cfg, grad)
+    return reference_opt(start, budget, stream, cfg, grad, rho)
 
 
 # Shared helpers.

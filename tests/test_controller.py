@@ -507,6 +507,24 @@ def test_cache_rebuilds_after_a_huge_weight_is_replaced(X):
     assert state.removed == 1e-3
 
 
+def test_cache_refuses_a_normalizer_that_overflows():
+    # Two weights of 1e308 sum past the float range. An infinite P would
+    # serve W * (1 / P) = 0 everywhere and stay infinite for good; the
+    # commit is refused instead, and the state serves the true average.
+    half = ParamSet(["w"], [np.full(3, 0.5)])
+    state = init_community(zeros_like(half))
+    cached_update(state, 0, half, 1e308)
+    before = state_view(state)
+    with pytest.raises(DegenerateWeightError, match="would become inf"):
+        cached_update(state, 1, half, 1e308)
+    assert state_view(state) == before
+    assert max_abs_diff(state.model, half) <= 2 * U
+    cached_update(state, 0, half, 1.0)
+    out = cached_update(state, 1, half, 1.0)
+    assert equal(out, half)
+    assert (state.normalizer, state.removed) == (2.0, 0.0)
+
+
 def reference_commit(state, learner_id, model, value):
     """``cached_update``'s arithmetic written out with temporaries and a
     finiteness scan of each new buffer: (weighted sum, served model,
@@ -514,7 +532,8 @@ def reference_commit(state, learner_id, model, value):
 
     The rebuild rule, from the docstring's text: once the replaced weight
     passes 2^20 times the new P, or the new P is <= 0, W is the sum of the
-    records' p_k * w_k in learner-id order and P their exact sum."""
+    records' p_k * w_k in learner-id order and P their exact sum. A new
+    P, rebuilt or not, that is not a finite positive number is refused."""
     if not value >= 0 or value == float("inf"):
         raise ValueError
     prev = state.records.get(learner_id)
@@ -523,16 +542,18 @@ def reference_commit(state, learner_id, model, value):
     if prev is not None:
         normalizer -= prev.value
         removed += prev.value
-    if normalizer <= 0.0 or removed > 2.0 ** 20 * normalizer:
+    rebuild = normalizer <= 0.0 or removed > 2.0 ** 20 * normalizer
+    if rebuild:
         latest = {k: (r.value, r.model) for k, r in state.records.items()}
         latest[learner_id] = (value, model)
         normalizer = math.fsum(p for p, _ in latest.values())
-        if normalizer <= 0.0:
-            raise DegenerateWeightError
+        removed = 0.0
+    if not (normalizer > 0.0 and math.isfinite(normalizer)):
+        raise DegenerateWeightError
+    if rebuild:
         flat = np.zeros_like(model.flat)
         for k in sorted(latest):
             flat = flat + latest[k][0] * latest[k][1].flat
-        removed = 0.0
     else:
         flat = state.weighted_sum + value * model.flat
         if prev is not None:
@@ -572,7 +593,8 @@ huge = ParamSet(["a", "b"], [np.full((2, 2), 1e308), np.full(3, -1e308)])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow -> NonFiniteError
 @settings(max_examples=300, deadline=None)
 @given(initial=models, ops=st.lists(operations, max_size=25))
-@example(  # P overflows to inf with an infinite weighted sum, then a finite one
+@example(  # a P that overflows to inf is refused, with an infinite
+    # weighted sum and then with a finite one
     initial=ramp(0.0),
     ops=[("cache", 0, ramp(1e-300), 1.7976931348623157e308),
          ("cache", 1, huge, 1.7976931348623157e308),

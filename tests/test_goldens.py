@@ -149,17 +149,17 @@ GOLDENS = {
         "events.jsonl":
             "2cc0e55b89eac052b2feed830cb207543fbbd5e70d6c0e2c2ddff69d2862f943",
         "final_model.json":
-            "f67fbc9cd7ffbf39bf70384598058e355bc13fb41ab25a03d1c259914aedee89",
+            "5c07f7a24dfda02c5815ba07ab284454d223bc628eeb9e6d4d886de8253af98e",
         "idle.csv":
             "4458c76e09efc5f504e5f006f8ead387a20eb7e4964c29f9e224daa8ec255661",
         "manifest.json":
             "42d6f6db71082c5f975a25f19163ab59ac15673b75d0127f04018cf7dfd000d6",
         "metrics.csv":
-            "35e033d497ccb74a6ebdddd09058eb934241c752b59fac1a749e78e93da57134",
+            "4b9fed8d9dcd340ee923df551ba0fb19af7b34e12fa352de6971c7f907b2a528",
         "partition_report.json":
             "561473c2136aede3c421d5a3cf6317e8457e2463fc914d57764057216620ff93",
         "summary.json":
-            "403dc0707f4604c4a6dc3d24fd4a2b289761e7f2951eb91b245f094cefb51264",
+            "f047abf741371894268bc90bc433fb1b79969c4600e5704215fc029c5de60315",
     },
     "async_fedrec_staleness": {
         "contributions.csv":
@@ -257,13 +257,13 @@ GOLDENS = {
         "events.jsonl":
             "b42218ffe66768ea205eab025085f8ca233d87fd15c32bcf21aafafa84c5607b",
         "final_model.json":
-            "78e5fa454a4f9f3b8a6a4998335ec855b80341ee01f20188da66e874c6263ab1",
+            "1eca6b2912968076fec708873e618d6341c07ded8b5c7fc634743a09af29e95b",
         "idle.csv":
             "34a3a87be7f84e6d91dedafc705d0704f3ca14d94b0b48bdbb736e5c3c37092a",
         "manifest.json":
             "8db651417ca0251a399b41ad844e6df802774934a1d3d8e59680154cc2f197f3",
         "metrics.csv":
-            "ad4a5df141815eef460272507b202e8c612177e94cf9bc9f530d30f3c53821ca",
+            "d9508b802e29c852c722b2b058f3e556b4d767d249fa4cd536f125abd2ae346c",
         "partition_report.json":
             "561473c2136aede3c421d5a3cf6317e8457e2463fc914d57764057216620ff93",
         "summary.json":

@@ -366,6 +366,49 @@ def test_prox_rho_gradient_bitwise_equals_axpy_form(
                                 seed, assignment, rho))
 
 
+def pool_bytes(cfg, rho):
+    """Bytes a 4-row pool of a 20,100-entry softmax holds once made."""
+    structure = model_structure(TaskModel("softmax_regression", 200, 100))
+    tracemalloc.start()
+    try:
+        pool = TrainingPool(structure, 4, cfg, grad_is_weights, rho)
+        held, _ = tracemalloc.get_traced_memory()  # while pool is alive
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_fedprox_mu_and_prox_rho_are_one_pull(task):
+    # FedProx's mu and fedasync_poly's rho are one proximal term: a fedprox
+    # pool with prox_rho rho trains, bit for bit, as a vanilla pool with
+    # prox_rho rho + mu; at mu = rho = 0 it is a vanilla pool, down to
+    # making no anchor rows.
+    model = TASKS[task]
+    rng = np.random.default_rng(12)
+    starts = [init_params(model, rng) for _ in range(4)]
+    budgets = [9, 4, 9, 6]
+
+    def train(cfg, rho):
+        return run_client_opt(starts, budgets, [batches(i) for i in range(4)],
+                              cfg, stacked_ce(model), rho)
+
+    mu, rho = 0.3, 0.05
+    prox = train(OptimizerConfig("fedprox", eta=0.1, mu=mu), rho)
+    pulled = train(OptimizerConfig("vanilla", eta=0.1), rho + mu)
+    assert all(equal(a, b) for a, b in zip(prox, pulled))
+    vanilla = OptimizerConfig("vanilla", eta=0.1)
+    unpulled = OptimizerConfig("fedprox", eta=0.1, mu=0.0)
+    assert all(equal(a, b) for a, b in zip(train(unpulled, 0.0),
+                                           train(vanilla, 0.0)))
+    rows = 4 * 20_100 * 8
+    assert pool_bytes(unpulled, 0.0) < pool_bytes(vanilla, 0.0) + rows // 10
+    anchored = pool_bytes(vanilla, 0.0) + rows * 9 // 10
+    assert pool_bytes(OptimizerConfig("fedprox", eta=0.1, mu=mu),
+                      0.0) > anchored
+    assert pool_bytes(vanilla, rho) > anchored
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_run_client_opt_keeps_start_and_returns_fresh_frozen_weights(kind):
     cfg = OptimizerConfig(kind, eta=0.1, gamma=0.5, mu=0.1)
